@@ -29,29 +29,7 @@ from openmax.simulator import (
     write_outputs,
 )
 
-LINE4_TEXT = """
-nodes: 1 2 3 4
-1 2
-2 3
-3 4
-"""
-
-
-def line4_churn_scenario(**overrides) -> Scenario:
-    """Line on 1..4; node 4 leaves at tick 10 and returns at tick 20."""
-    base = dict(
-        name="mini",
-        kind="consensus",
-        params=ProtocolParams(mode="max", variant="approximate", alpha=0.1),
-        reference=snapshot_from_text(LINE4_TEXT),
-        horizon=30,
-        seed=5,
-        changes=[(10, {1, 2, 3}), (20, {1, 2, 3, 4})],
-        dwell=10,
-        bank=SignalBank({1: Constant(0.1), 2: Constant(0.3), 3: Constant(0.2), 4: Constant(0.9)}),
-    )
-    base.update(overrides)
-    return make_scenario(**base)
+from util import line4_churn_scenario
 
 
 def test_presets_ship_with_the_package():
