@@ -13,6 +13,9 @@ global input slope bound ``pi`` and diameter ``d``:
 For the exact variant with cascade depth ``delta >= d`` both times equal
 ``delta`` and the band is ``(delta + 1) * pi``, zero for constant inputs.
 
+Min-mode runs are bounded through the negation mirror: the simulator passes
+the negated states and input minimum, so only the max formulas exist here.
+
 :func:`detect_times` recovers both times from a realized error trace, and
 :func:`audit_window` counts violations of the decrease/containment behavior
 the formulas promise.
@@ -32,9 +35,7 @@ __all__ = [
     "DetectedTimes",
     "WindowAudit",
     "admc_bounds",
-    "admc_min_bounds",
     "edmc_bounds",
-    "edmc_min_bounds",
     "detect_times",
     "audit_window",
 ]
@@ -142,29 +143,6 @@ def admc_bounds(
     )
 
 
-def admc_min_bounds(
-    diameter: int,
-    alpha: float,
-    slope_bound: float,
-    x_at_change: Iterable[object],
-    u_min_at_change: float | np.ndarray,
-    dwell: int | None = None,
-    strict: bool = False,
-) -> BoundsReport:
-    """Mirror of :func:`admc_bounds` for the min protocol: the initial gap is
-    how far the lowest state sits below the running minimum of the inputs."""
-    neg_states = [-np.asarray(xi, dtype=float) for xi in x_at_change]
-    return admc_bounds(
-        diameter,
-        alpha,
-        slope_bound,
-        neg_states,
-        -np.asarray(u_min_at_change, dtype=float),
-        dwell=dwell,
-        strict=strict,
-    )
-
-
 def edmc_bounds(
     delta: int,
     slope_bound: float,
@@ -172,7 +150,7 @@ def edmc_bounds(
     dwell: int | None = None,
     strict: bool = False,
 ) -> BoundsReport:
-    """Bounds for the exact cascade variant (max and min behave identically)."""
+    """Bounds for the exact cascade variant."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     if slope_bound < 0:
@@ -197,16 +175,6 @@ def edmc_bounds(
         assumptions_ok=not reasons,
         reasons=tuple(reasons),
     )
-
-
-def edmc_min_bounds(
-    delta: int,
-    slope_bound: float,
-    diameter: int | None = None,
-    dwell: int | None = None,
-    strict: bool = False,
-) -> BoundsReport:
-    return edmc_bounds(delta, slope_bound, diameter=diameter, dwell=dwell, strict=strict)
 
 
 @dataclass(frozen=True)

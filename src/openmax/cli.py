@@ -182,6 +182,8 @@ def _parse_grid(arg: str) -> tuple[str, list[float]]:
         raise ScenarioError(f"could not parse grid values from {raw!r}")
     if not values:
         raise ScenarioError("the grid needs at least one value")
+    if name in ("delta", "p") and not all(v.is_integer() for v in values):
+        raise ScenarioError(f"--grid {name} takes integer values, got {raw!r}")
     return name, values
 
 

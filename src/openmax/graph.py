@@ -1,16 +1,16 @@
-"""Immutable network snapshots, membership churn, and graph generators.
+"""Immutable network snapshots, BFS metrics, and graph generators.
 
 A snapshot is a value: a frozen node set plus a frozen set of normalized
-undirected edges.  Membership changes never mutate a snapshot; they produce a
-new one via :func:`apply_churn`.  :class:`ChurnMemory` keeps the incident
-edges of deactivated nodes so a later reactivation restores the prior
-topology restricted to currently active endpoints.
+undirected edges.  Membership changes never mutate a snapshot: the network in
+effect after a change is :func:`induced_subgraph` of the reference topology on
+the active set, so a reactivated node gets back exactly its reference edges to
+currently active endpoints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -19,8 +19,6 @@ import numpy as np
 __all__ = [
     "NetworkSnapshot",
     "NodePartition",
-    "ChurnEvent",
-    "ChurnMemory",
     "neighbors",
     "is_connected",
     "diameter",
@@ -28,7 +26,6 @@ __all__ = [
     "line_graph",
     "barabasi_albert",
     "induced_subgraph",
-    "apply_churn",
     "snapshot_to_text",
     "snapshot_from_text",
 ]
@@ -85,30 +82,6 @@ class NodePartition:
     arriving: frozenset[int]
     departing: frozenset[int]
     remaining: frozenset[int]
-
-
-@dataclass(frozen=True)
-class ChurnEvent:
-    """Single membership event.
-
-    ``kind`` is ``"deactivate"`` or ``"activate"``.  For activation,
-    ``restore_edges`` carries the remembered incident edges; only those whose
-    other endpoint is currently active are re-added.
-    """
-
-    kind: str
-    node: int
-    restore_edges: frozenset[tuple[int, int]] = field(default=frozenset())
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("deactivate", "activate"):
-            raise ValueError(f"unknown churn event kind {self.kind!r}")
-        object.__setattr__(self, "node", int(self.node))
-        object.__setattr__(
-            self,
-            "restore_edges",
-            frozenset(_normalize_edge(u, v) for u, v in self.restore_edges),
-        )
 
 
 def neighbors(g: NetworkSnapshot, i: int) -> tuple[int, ...]:
@@ -246,50 +219,6 @@ def induced_subgraph(g: NetworkSnapshot, keep: Iterable[int]) -> NetworkSnapshot
     return NetworkSnapshot(
         kept, frozenset(e for e in g.edges if e[0] in kept and e[1] in kept)
     )
-
-
-def apply_churn(g: NetworkSnapshot, event: ChurnEvent) -> NetworkSnapshot:
-    """Apply one membership event, returning a new snapshot.
-
-    Deactivation drops the node and its incident edges; the network must stay
-    nonempty.  Activation adds the node plus every remembered edge whose other
-    endpoint is active.
-    """
-    if event.kind == "deactivate":
-        if event.node not in g.nodes:
-            raise ValueError(f"cannot deactivate node {event.node}: not active")
-        nodes = g.nodes - {event.node}
-        if not nodes:
-            raise ValueError("deactivation would empty the network")
-        edges = frozenset(e for e in g.edges if event.node not in e)
-        return NetworkSnapshot(nodes, edges)
-
-    if event.node in g.nodes:
-        raise ValueError(f"cannot activate node {event.node}: already active")
-    nodes = g.nodes | {event.node}
-    restored = frozenset(e for e in event.restore_edges if e[0] in nodes and e[1] in nodes)
-    return NetworkSnapshot(nodes, g.edges | restored)
-
-
-class ChurnMemory:
-    """Bookkeeping for reversible churn.
-
-    Records the incident edges of each node at deactivation time and replays
-    them (restricted to active endpoints) when the node is reactivated.
-    """
-
-    def __init__(self) -> None:
-        self._remembered: dict[int, frozenset[tuple[int, int]]] = {}
-
-    def deactivate(self, g: NetworkSnapshot, node: int) -> NetworkSnapshot:
-        incident = frozenset(e for e in g.edges if node in e)
-        out = apply_churn(g, ChurnEvent("deactivate", node))
-        self._remembered[int(node)] = incident
-        return out
-
-    def activate(self, g: NetworkSnapshot, node: int) -> NetworkSnapshot:
-        remembered = self._remembered.pop(int(node), frozenset())
-        return apply_churn(g, ChurnEvent("activate", node, remembered))
 
 
 def snapshot_to_text(g: NetworkSnapshot) -> str:

@@ -1,16 +1,23 @@
-"""Synchronous extremum-consensus updates over open networks.
+"""Synchronous max-consensus updates over open networks.
 
-Two protocol variants, each with a max and a min mode:
+Two protocol variants:
 
 * approximate: every agent keeps one scalar per input coordinate and applies
-  ``new = max(neighborhood max - alpha, own input)`` (min mode adds ``alpha``
-  and takes minima).  The decay ``alpha`` lets stale values fade after the
-  extremum holder leaves, at the price of a steady-state offset.
+  ``new = max(neighborhood max - alpha, own input)``.  The decay ``alpha``
+  lets stale values fade after the extremum holder leaves, at the price of a
+  steady-state offset.
 * exact: every agent keeps a cascade of ``delta + 1`` levels.  Level 0 loads
-  the agent's current input and level ``l`` takes the neighborhood extremum
-  of level ``l - 1``, so the top level reproduces the extremum of the inputs
+  the agent's current input and level ``l`` takes the neighborhood maximum
+  of level ``l - 1``, so the top level reproduces the maximum of the inputs
   ``delta + 1`` ticks ago exactly whenever ``delta`` is at least the graph
   diameter.
+
+The kernels compute only the max.  Min mode is the exact mirror
+``min(x) = -max(-x)``: the simulator negates inputs and initial states on the
+way in and outputs on the way out, so :func:`step` refuses ``mode="min"``.
+Negation is exact and ties break the same way on both sides; the one visible
+trace is the sign of zero, as an approximate min-mode state that decays to
+exactly zero comes back as ``-0.0``.
 
 All updates are synchronous: a tick's new states are computed entirely from
 the previous tick's states.  States are ``float`` values for the approximate
@@ -35,9 +42,7 @@ __all__ = [
     "resume_agent",
     "output",
     "admc_step",
-    "admc_min_step",
     "edmc_step",
-    "edmc_min_step",
     "step",
     "open_step",
 ]
@@ -103,11 +108,7 @@ def _check_cascades(g: NetworkSnapshot, x: Mapping[int, State]) -> None:
 
 def init_agent(params: ProtocolParams, u_now: object) -> State:
     """State of an agent that joins (or starts) with input ``u_now``."""
-    if params.variant == "approximate":
-        arr = np.asarray(u_now, dtype=float)
-        return float(arr) if arr.ndim == 0 else arr.copy()
-    arr = np.asarray(u_now, dtype=float)
-    return np.broadcast_to(arr, (params.delta + 1, *arr.shape)).copy()
+    return resume_agent(params, u_now, u_now)
 
 
 def resume_agent(params: ProtocolParams, x_prior: object, u_now: object) -> State:
@@ -164,36 +165,6 @@ def admc_step(
     return new
 
 
-def admc_min_step(
-    g: NetworkSnapshot,
-    x: Mapping[int, State],
-    u: Mapping[int, object],
-    alpha: float,
-) -> dict[int, State]:
-    """One synchronous approximate min step; mirror image of :func:`admc_step`."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_cover(g, x, u)
-    new: dict[int, State] = {}
-    for i in g.sorted_nodes:
-        xi = x[i]
-        if isinstance(xi, float):
-            worst = xi
-            for j in g.adjacency[i]:
-                xj = x[j]
-                if xj < worst:
-                    worst = xj
-            grown = worst + alpha
-            ui = u[i]
-            new[i] = ui if ui < grown else grown
-        else:
-            worst = xi
-            for j in g.adjacency[i]:
-                worst = np.minimum(worst, x[j])
-            new[i] = np.minimum(worst + alpha, u[i])
-    return new
-
-
 def edmc_step(
     g: NetworkSnapshot,
     x: Mapping[int, State],
@@ -215,41 +186,22 @@ def edmc_step(
     return new
 
 
-def edmc_min_step(
-    g: NetworkSnapshot,
-    x: Mapping[int, State],
-    u: Mapping[int, object],
-) -> dict[int, State]:
-    """One synchronous exact min step; mirror image of :func:`edmc_step`."""
-    _check_cover(g, x, u)
-    _check_cascades(g, x)
-    new: dict[int, State] = {}
-    for i in g.sorted_nodes:
-        own = x[i]
-        agg = own[:-1]
-        for j in g.adjacency[i]:
-            agg = np.minimum(agg, x[j][:-1])
-        arr = np.empty_like(own)
-        arr[0] = np.asarray(u[i], dtype=float)
-        arr[1:] = agg
-        new[i] = arr
-    return new
-
-
 def step(
     params: ProtocolParams,
     g: NetworkSnapshot,
     x: Mapping[int, State],
     u: Mapping[int, object],
 ) -> dict[int, State]:
-    """Dispatch one closed-network step for the selected variant and mode."""
+    """One closed-network max step of the selected variant.
+
+    Min mode runs through the negation mirror, so ``params.mode`` must be
+    ``"max"`` here.
+    """
+    if params.mode != "max":
+        raise ValueError("the kernels compute the max; run min mode through its negation")
     if params.variant == "approximate":
-        if params.mode == "max":
-            return admc_step(g, x, u, params.alpha)
-        return admc_min_step(g, x, u, params.alpha)
-    if params.mode == "max":
-        return edmc_step(g, x, u)
-    return edmc_min_step(g, x, u)
+        return admc_step(g, x, u, params.alpha)
+    return edmc_step(g, x, u)
 
 
 def open_step(

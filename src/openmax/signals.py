@@ -14,7 +14,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Protocol, runtime_checkable
+from typing import Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -28,8 +28,6 @@ __all__ = [
     "SlopeCertificationError",
     "sample",
     "certify_slope",
-    "max_signal",
-    "min_signal",
     "build_spec",
 ]
 
@@ -240,21 +238,6 @@ def certify_slope(
     return worst
 
 
-def max_signal(bank: SignalBank, active: Iterable[int], k: int) -> float:
-    """Largest signal value among the active agents at tick ``k``."""
-    values = [sample(bank, i, k) for i in active]
-    if not values:
-        raise ValueError("active set must not be empty")
-    return max(values)
-
-
-def min_signal(bank: SignalBank, active: Iterable[int], k: int) -> float:
-    values = [sample(bank, i, k) for i in active]
-    if not values:
-        raise ValueError("active set must not be empty")
-    return min(values)
-
-
 def build_spec(
     kind: str,
     params: Mapping[str, object],
@@ -262,7 +245,10 @@ def build_spec(
     rng: np.random.Generator | None = None,
     horizon: int | None = None,
 ) -> SignalSpec:
-    """Construct a signal from a config mapping; used by scenario loading."""
+    """Construct a signal from a config mapping; used by scenario loading.
+
+    Missing or malformed parameters raise ``ValueError``.
+    """
     opts = dict(params)
 
     def done(spec: SignalSpec) -> SignalSpec:
@@ -270,27 +256,32 @@ def build_spec(
             raise ValueError(f"unknown parameters for signal kind {kind!r}: {sorted(opts)}")
         return spec
 
-    if kind == "constant":
-        return done(Constant(float(opts.pop("value"))))
-    if kind == "piecewise_linear":
-        points = tuple((int(k), float(v)) for k, v in opts.pop("points"))
-        return done(PiecewiseLinear(points))
-    if kind == "sinusoid":
-        return done(Sinusoid(
-            amplitude=float(opts.pop("amplitude")),
-            period=float(opts.pop("period")),
-            phase=float(opts.pop("phase", 0.0)),
-            offset=float(opts.pop("offset", 0.0)),
-        ))
-    if kind == "random_walk_clamped":
-        if rng is None or horizon is None:
-            raise ValueError("random walk signals need an rng and a horizon at build time")
-        return done(ClampedRandomWalk.generate(
-            rng,
-            horizon,
-            step_bound=float(opts.pop("step_bound")),
-            start=float(opts.pop("start", 0.0)),
-            lo=(None if "lo" not in opts else float(opts.pop("lo"))),
-            hi=(None if "hi" not in opts else float(opts.pop("hi"))),
-        ))
+    try:
+        if kind == "constant":
+            return done(Constant(float(opts.pop("value"))))
+        if kind == "piecewise_linear":
+            points = tuple((int(k), float(v)) for k, v in opts.pop("points"))
+            return done(PiecewiseLinear(points))
+        if kind == "sinusoid":
+            return done(Sinusoid(
+                amplitude=float(opts.pop("amplitude")),
+                period=float(opts.pop("period")),
+                phase=float(opts.pop("phase", 0.0)),
+                offset=float(opts.pop("offset", 0.0)),
+            ))
+        if kind == "random_walk_clamped":
+            if rng is None or horizon is None:
+                raise ValueError("random walk signals need an rng and a horizon at build time")
+            return done(ClampedRandomWalk.generate(
+                rng,
+                horizon,
+                step_bound=float(opts.pop("step_bound")),
+                start=float(opts.pop("start", 0.0)),
+                lo=(None if "lo" not in opts else float(opts.pop("lo"))),
+                hi=(None if "hi" not in opts else float(opts.pop("hi"))),
+            ))
+    except KeyError as exc:
+        raise ValueError(f"signal kind {kind!r} needs the parameter {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed parameters for signal kind {kind!r}: {exc}") from None
     raise ValueError(f"unknown signal kind {kind!r}")

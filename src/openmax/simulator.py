@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -43,14 +43,11 @@ from .bounds import (
     AssumptionViolation,
     BoundsReport,
     admc_bounds,
-    admc_min_bounds,
     audit_window,
     edmc_bounds,
 )
 from .graph import (
-    ChurnEvent,
     NetworkSnapshot,
-    apply_churn,
     barabasi_albert,
     diameter,
     induced_subgraph,
@@ -75,7 +72,6 @@ __all__ = [
     "ConnectivityLost",
     "DseConfig",
     "TraceOptions",
-    "ChurnChange",
     "Window",
     "Scenario",
     "ErrorTrace",
@@ -130,15 +126,6 @@ class TraceOptions:
 
 
 @dataclass(frozen=True)
-class ChurnChange:
-    """One batched membership change: the tick, its events, the resulting set."""
-
-    tick: int
-    events: tuple[ChurnEvent, ...]
-    active: frozenset[int]
-
-
-@dataclass(frozen=True)
 class Window:
     """Span of ticks with a fixed snapshot; ``end`` is inclusive."""
 
@@ -160,18 +147,11 @@ class Scenario:
     dwell: int
     seed: int
     slope_bound: float
-    changes: tuple[ChurnChange, ...]
     windows: tuple[Window, ...]
     bank: SignalBank | None = None
     dse: DseConfig | None = None
     initial_states: dict[int, float] | None = None
     trace: TraceOptions = field(default=TraceOptions())
-
-    def graph_at(self, tick: int) -> NetworkSnapshot:
-        for w in reversed(self.windows):
-            if tick >= w.start:
-                return w.graph
-        raise ValueError(f"tick {tick} precedes the first window")
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,10 +206,6 @@ def _as_int(value: object, what: str) -> int:
     return int(value)
 
 
-def _reference_incident(reference: NetworkSnapshot, node: int) -> frozenset[tuple[int, int]]:
-    return frozenset(e for e in reference.edges if node in e)
-
-
 def make_scenario(
     *,
     name: str,
@@ -249,9 +225,9 @@ def make_scenario(
 ) -> Scenario:
     """Validate and assemble a scenario from already-built parts.
 
-    ``changes`` lists ``(tick, active node set)`` pairs; the events of each
-    change are derived against the previous active set, with reactivated
-    nodes restoring their incident edges from the reference topology.  All
+    ``changes`` lists ``(tick, active node set)`` pairs; each window's graph
+    is the reference topology induced on its active set, so reactivated nodes
+    get back their reference edges to active neighbors.  All
     dwell-spacing, connectivity, coverage, and tuning checks happen here, so
     config loading and programmatic construction share one gatekeeper.
     """
@@ -289,10 +265,7 @@ def make_scenario(
             )
         prev = t
 
-    # Realize the window snapshots by replaying the derived churn events.
-    realized: list[ChurnChange] = []
     graphs = [reference]
-    current = reference
     for (tick, active_raw) in changes:
         active = frozenset(int(v) for v in active_raw)
         if not active:
@@ -303,22 +276,11 @@ def make_scenario(
                 f"change at tick {tick} activates nodes {sorted(unknown)} that are "
                 "not part of the reference topology"
             )
-        if active == current.nodes:
+        if active == graphs[-1].nodes:
             raise ScenarioError(f"change at tick {tick} does not modify the network")
-        events = [
-            ChurnEvent("activate", v, _reference_incident(reference, v))
-            for v in sorted(active - current.nodes)
-        ]
-        events.extend(ChurnEvent("deactivate", v) for v in sorted(current.nodes - active))
-        try:
-            for ev in events:
-                current = apply_churn(current, ev)
-        except ValueError as exc:
-            raise ScenarioError(f"change at tick {tick} is not applicable: {exc}") from exc
-        realized.append(ChurnChange(int(tick), tuple(events), active))
-        graphs.append(current)
+        graphs.append(induced_subgraph(reference, active))
 
-    starts = [0] + [c.tick for c in realized]
+    starts = [0] + ticks
     ends = [t - 1 for t in starts[1:]] + [horizon]
     windows = tuple(Window(s, e, g) for s, e, g in zip(starts, ends, graphs))
     for w in windows:
@@ -346,6 +308,8 @@ def make_scenario(
             raise ScenarioError("size estimation generates its own inputs; drop the signals")
         if initial_states is not None:
             raise ScenarioError("size estimation draws its own initial states")
+        if params.mode != "max":
+            raise ScenarioError("size estimation needs max consensus; use mode 'max'")
         slope_bound = 0.0  # inputs are piecewise constant between changes
 
     if params.variant == "approximate" and kind == "consensus" and params.alpha <= slope_bound:
@@ -377,7 +341,6 @@ def make_scenario(
         dwell=dwell,
         seed=seed,
         slope_bound=float(slope_bound),
-        changes=tuple(realized),
         windows=windows,
         bank=bank,
         dse=dse,
@@ -401,6 +364,18 @@ def _section(data: Mapping, key: str, required: bool = False) -> dict:
     return dict(raw)
 
 
+def _required(section: dict, key: str, where: str) -> object:
+    if key not in section:
+        raise ScenarioError(f"{where} needs the key {key!r}")
+    return section.pop(key)
+
+
+def _as_bool(value: object, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def _reject_unknown(where: str, leftovers: Mapping) -> None:
     if leftovers:
         raise ScenarioError(f"unknown keys in {where}: {sorted(leftovers)}")
@@ -411,12 +386,12 @@ def _build_topology(
 ) -> tuple[NetworkSnapshot, tuple[int, ...]]:
     kind = section.pop("kind", None)
     if kind == "line":
-        n = _as_int(section.pop("n"), "topology n")
+        n = _as_int(_required(section, "n", "a line topology"), "topology n")
         g = line_graph(n)
         order = g.sorted_nodes
     elif kind == "barabasi_albert":
         seed_line = _as_int(section.pop("seed_line", 5), "seed_line")
-        target_n = _as_int(section.pop("target_n"), "target_n")
+        target_n = _as_int(_required(section, "target_n", "a barabasi_albert topology"), "target_n")
         m = _as_int(section.pop("edges_per_new_node", 2), "edges_per_new_node")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
         g, order = barabasi_albert(line_graph(seed_line), target_n, m, rng)
@@ -474,7 +449,7 @@ def _realize_pool_churn(
     horizon: int,
 ) -> list[tuple[int, frozenset[int]]]:
     pool_size = _as_int(section.pop("pool_size", 25), "pool_size")
-    every = _as_int(section.pop("every"), "churn period")
+    every = _as_int(_required(section, "every", "pool_random churn"), "churn period")
     prob = float(section.pop("activation_probability", 0.5))
     max_redraws = _as_int(section.pop("max_redraws", 100), "max_redraws")
     _reject_unknown("churn", section)
@@ -523,7 +498,7 @@ def _realize_explicit_churn(
         if not isinstance(raw, Mapping):
             raise ScenarioError("each churn event must be a mapping")
         entry = dict(raw)
-        tick = _as_int(entry.pop("tick"), "churn event tick")
+        tick = _as_int(_required(entry, "tick", "each churn event"), "churn event tick")
         deact = frozenset(int(v) for v in entry.pop("deactivate", []) or [])
         act = frozenset(int(v) for v in entry.pop("activate", []) or [])
         _reject_unknown(f"churn event at tick {tick}", entry)
@@ -582,7 +557,7 @@ def scenario_from_mapping(
             variant=proto.pop("variant", None),
             alpha=proto.pop("alpha", None),
             delta=proto.pop("delta", None),
-            read_departing=bool(proto.pop("read_departing", True)),
+            read_departing=_as_bool(proto.pop("read_departing", True), "read_departing"),
         )
     except ValueError as exc:
         raise ScenarioError(f"protocol: {exc}") from exc
@@ -643,8 +618,8 @@ def scenario_from_mapping(
     trace_raw = _section(data, "trace")
     data.pop("trace", None)
     trace = TraceOptions(
-        csv=bool(trace_raw.pop("csv", True)),
-        plotdata=bool(trace_raw.pop("plotdata", True)),
+        csv=_as_bool(trace_raw.pop("csv", True), "trace csv"),
+        plotdata=_as_bool(trace_raw.pop("plotdata", True), "trace plotdata"),
     )
     _reject_unknown("trace", trace_raw)
     _reject_unknown("the scenario config", data)
@@ -700,93 +675,133 @@ def load_preset(name: str, *, seed: int | None = None) -> Scenario:
 # execution
 
 
-def _graph_by_tick(scenario: Scenario) -> list[NetworkSnapshot]:
-    graphs: list[NetworkSnapshot] = []
-    for w in scenario.windows:
-        graphs.extend([w.graph] * (w.end - w.start + 1))
-    return graphs
+class _ConsensusObserver:
+    """Per-tick record of a consensus run.
+
+    In min mode the kernel sees negated inputs; the trace keeps the sampled
+    values as drawn and negates outputs and targets back.
+    """
+
+    def __init__(self, scenario: Scenario) -> None:
+        self.bank = scenario.bank
+        self.sign = 1.0 if scenario.params.mode == "max" else -1.0
+        self.targets: list[float] = []
+        self.outputs: list[dict[int, float]] = []
+        self.inputs_by_tick: list[dict[int, float]] = []
+
+    def inputs(self, k: int, g: NetworkSnapshot) -> tuple[dict[int, float], float]:
+        sampled = {i: sample(self.bank, i, k) for i in g.sorted_nodes}
+        self.inputs_by_tick.append(sampled)
+        u = sampled if self.sign > 0 else {i: -v for i, v in sampled.items()}
+        return u, max(u.values())
+
+    def observe(self, g: NetworkSnapshot, outs: list[float], target: float) -> float:
+        sign = self.sign
+        self.targets.append(sign * target)
+        self.outputs.append({i: sign * x for i, x in zip(g.sorted_nodes, outs)})
+        return max(abs(x - target) for x in outs)
 
 
-def _check_finite(values: Iterable[float], tick: int) -> None:
-    for v in values:
-        if not np.all(np.isfinite(v)):
-            raise RunExecutionError(
-                f"non-finite state encountered at tick {tick}; aborting the run"
-            )
+class _SizeObserver:
+    """Per-tick record of a size-estimation run.
+
+    An agent's inputs are its ``p`` uniform draws, held while it stays and
+    drawn afresh on every (re)arrival; the target is their coordinatewise max.
+    """
+
+    sign = 1.0  # size estimation runs max consensus only
+
+    def __init__(self, scenario: Scenario) -> None:
+        self.p = scenario.dse.p
+        self.rng = np.random.default_rng(np.random.SeedSequence((scenario.seed, 2)))
+        self.graph: NetworkSnapshot | None = None
+        self.u: dict[int, np.ndarray] = {}
+        self.estimates: list[dict[int, float]] = []
+        self.target_estimates: list[float] = []
+
+    def inputs(self, k: int, g: NetworkSnapshot) -> tuple[dict[int, np.ndarray], np.ndarray]:
+        if g is not self.graph:
+            old = self.u
+            self.u = {
+                i: old[i] if i in old else dse_generate(self.p, self.rng)
+                for i in g.sorted_nodes
+            }
+            self.maxima = np.max(np.stack(list(self.u.values())), axis=0)
+            self.target_estimate = mle_estimate(self.maxima)
+            self.graph = g
+        return self.u, self.maxima
+
+    def observe(self, g: NetworkSnapshot, outs: list[np.ndarray], target: np.ndarray) -> float:
+        self.target_estimates.append(self.target_estimate)
+        self.estimates.append({i: mle_estimate(x) for i, x in zip(g.sorted_nodes, outs)})
+        return max(float(np.max(np.abs(x - target))) for x in outs)
 
 
-def _verify_connected(g: NetworkSnapshot, tick: int) -> None:
-    if not is_connected(g):
-        raise ConnectivityLost(
-            f"the snapshot in effect from tick {tick} is disconnected; aborting the run"
-        )
+def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """The tick loop of both run kinds, on the max side of the mirror.
 
-
-def run(scenario: Scenario) -> RunResult:
-    """Execute a consensus scenario tick by tick and summarize each window."""
-    if scenario.kind != "consensus":
-        raise ScenarioError("run() expects a consensus scenario; use run_size_estimation()")
-    params = scenario.params
-    bank = scenario.bank
-    graphs = _graph_by_tick(scenario)
-    window_starts = {w.start for w in scenario.windows}
-    sign = 1.0 if params.mode == "max" else -1.0
-
+    The kernel always runs in max mode.  ``observer.inputs(k, g)`` returns
+    the max-side inputs of the agents active at tick ``k`` and their
+    extremum, the target; ``observer.observe(g, outs, target)`` records one
+    tick's max-side outputs and returns the tracking error.  Returns the
+    per-tick errors and active counts, and each window with its diameter,
+    bounds report, and audit dict.
+    """
+    params = replace(scenario.params, mode="max")
+    graphs = [w.graph for w in scenario.windows for _ in range(w.start, w.end + 1)]
+    starts = {w.start for w in scenario.windows}
     g = graphs[0]
-    u_now = {i: sample(bank, i, 0) for i in g.sorted_nodes}
-    if scenario.initial_states is not None:
-        states = {i: resume_agent(params, scenario.initial_states[i], u_now[i]) for i in g.sorted_nodes}
-    else:
+    u_now, target = observer.inputs(0, g)
+    init = scenario.initial_states
+    if init is None:
         states = {i: init_agent(params, u_now[i]) for i in g.sorted_nodes}
+    else:
+        states = {
+            i: resume_agent(params, observer.sign * init[i], u_now[i]) for i in g.sorted_nodes
+        }
 
-    errors, targets, counts = [], [], []
-    outputs_by_tick: list[dict[int, float]] = []
-    inputs_by_tick: list[dict[int, float]] = []
+    errors: list[float] = []
+    bounds: list[tuple[int, BoundsReport]] = []
     for k in range(scenario.horizon + 1):
         g = graphs[k]
-        if k in window_starts:
-            _verify_connected(g, k)
-        outs = {i: float(output(params, states[i])) for i in g.sorted_nodes}
-        _check_finite(outs.values(), k)
-        target = sign * max(sign * v for v in u_now.values())
-        errors.append(max(abs(outs[i] - target) for i in g.sorted_nodes))
-        targets.append(target)
-        counts.append(g.n)
-        outputs_by_tick.append(outs)
-        inputs_by_tick.append(dict(u_now))
+        outs = [output(params, states[i]) for i in g.sorted_nodes]
+        if k in starts:
+            if not is_connected(g):
+                raise ConnectivityLost(
+                    f"the snapshot in effect from tick {k} is disconnected; aborting the run"
+                )
+            bounds.append(_window_bounds(scenario, g, outs, target))
+        if not all(np.all(np.isfinite(x)) for x in outs):
+            raise RunExecutionError(f"non-finite state encountered at tick {k}; aborting the run")
+        errors.append(observer.observe(g, outs, target))
 
         if k < scenario.horizon:
             g_next = graphs[k + 1]
-            u_next = {i: sample(bank, i, k + 1) for i in g_next.sorted_nodes}
+            u_next, target = observer.inputs(k + 1, g_next)
             states = open_step(params, g, g_next, states, u_now, u_next)
             u_now = u_next
 
-    trace = ErrorTrace(
-        ticks=np.arange(scenario.horizon + 1),
-        errors=np.asarray(errors),
-        targets=np.asarray(targets),
-        n_active=np.asarray(counts),
-        outputs=tuple(outputs_by_tick),
-        inputs=tuple(inputs_by_tick),
-    )
-    summary = _consensus_summary(scenario, trace)
-    return RunResult(scenario, trace, summary)
+    errors = np.asarray(errors)
+    windows = [
+        (w, d, report, _empirical_dict(errors[w.start : w.end + 1], report))
+        for w, (d, report) in zip(scenario.windows, bounds)
+    ]
+    return errors, np.asarray([g.n for g in graphs]), windows
 
 
 def _window_bounds(
-    scenario: Scenario,
-    w: Window,
-    d: int,
-    x_at_change: Sequence[object],
-    target_at_change: float | np.ndarray,
-    slope: float,
-) -> BoundsReport:
+    scenario: Scenario, g: NetworkSnapshot, outs: list, target: object
+) -> tuple[int, BoundsReport]:
+    """Diameter and bounds of the window starting on ``g``.
+
+    The outputs and target are max-side values, so min-mode windows are
+    bounded through the mirror.
+    """
     params = scenario.params
+    d = int(diameter(g))
     if params.variant == "exact":
-        return edmc_bounds(params.delta, slope, diameter=d, dwell=scenario.dwell)
-    if params.mode == "max":
-        return admc_bounds(d, params.alpha, slope, x_at_change, target_at_change, dwell=scenario.dwell)
-    return admc_min_bounds(d, params.alpha, slope, x_at_change, target_at_change, dwell=scenario.dwell)
+        return d, edmc_bounds(params.delta, scenario.slope_bound, diameter=d, dwell=scenario.dwell)
+    return d, admc_bounds(d, params.alpha, scenario.slope_bound, outs, target, dwell=scenario.dwell)
 
 
 def _empirical_dict(errs: Sequence[float], report: BoundsReport) -> dict:
@@ -809,114 +824,75 @@ def _empirical_dict(errs: Sequence[float], report: BoundsReport) -> dict:
     }
 
 
-def _protocol_dict(params: ProtocolParams) -> dict:
-    return {
-        "mode": params.mode,
-        "variant": params.variant,
-        "alpha": params.alpha,
-        "delta": params.delta,
-        "read_departing": params.read_departing,
-    }
-
-
-def _consensus_summary(scenario: Scenario, trace: ErrorTrace) -> dict:
-    windows = []
-    for w in scenario.windows:
-        d = int(diameter(w.graph))
-        outs = [trace.outputs[w.start][i] for i in w.graph.sorted_nodes]
-        report = _window_bounds(
-            scenario, w, d, outs, trace.targets[w.start], scenario.slope_bound
-        )
-        errs = trace.errors[w.start : w.end + 1]
-        windows.append(
-            {
-                "start": w.start,
-                "end": w.end,
-                "n_active": w.graph.n,
-                "diameter": d,
-                "bounds": report.to_dict(),
-                "empirical": _empirical_dict(errs, report),
-            }
-        )
+def _summary_head(scenario: Scenario) -> dict:
+    params = scenario.params
     return {
         "scenario": scenario.name,
         "kind": scenario.kind,
         "seed": scenario.seed,
-        "protocol": _protocol_dict(scenario.params),
+        "protocol": {
+            "mode": params.mode,
+            "variant": params.variant,
+            "alpha": params.alpha,
+            "delta": params.delta,
+            "read_departing": params.read_departing,
+        },
         "horizon": scenario.horizon,
         "dwell": scenario.dwell,
-        "slope_bound": scenario.slope_bound,
-        "max_error": float(np.max(trace.errors)),
-        "windows": windows,
     }
+
+
+def run(scenario: Scenario) -> RunResult:
+    """Execute a consensus scenario tick by tick and summarize each window."""
+    if scenario.kind != "consensus":
+        raise ScenarioError("run() expects a consensus scenario; use run_size_estimation()")
+    observer = _ConsensusObserver(scenario)
+    errors, counts, windows = _simulate(scenario, observer)
+    trace = ErrorTrace(
+        ticks=np.arange(scenario.horizon + 1),
+        errors=errors,
+        targets=np.asarray(observer.targets),
+        n_active=counts,
+        outputs=tuple(observer.outputs),
+        inputs=tuple(observer.inputs_by_tick),
+    )
+    rows = [
+        {
+            "start": w.start,
+            "end": w.end,
+            "n_active": w.graph.n,
+            "diameter": d,
+            "bounds": report.to_dict(),
+            "empirical": empirical,
+        }
+        for w, d, report, empirical in windows
+    ]
+    summary = {
+        **_summary_head(scenario),
+        "slope_bound": scenario.slope_bound,
+        "max_error": float(np.max(errors)),
+        "windows": rows,
+    }
+    return RunResult(scenario, trace, summary)
 
 
 def run_size_estimation(scenario: Scenario) -> RunResult:
     """Execute a size-estimation scenario: consensus over per-agent maxima vectors."""
     if scenario.kind != "size_estimation":
         raise ScenarioError("run_size_estimation() expects a size-estimation scenario")
-    params = scenario.params
-    p = scenario.dse.p
-    graphs = _graph_by_tick(scenario)
-    window_starts = {w.start for w in scenario.windows}
-    draw_rng = np.random.default_rng(np.random.SeedSequence((scenario.seed, 2)))
-
-    g = graphs[0]
-    personal = {i: dse_generate(p, draw_rng) for i in g.sorted_nodes}
-    states = {i: init_agent(params, personal[i]) for i in g.sorted_nodes}
-
-    errors, sizes, target_ests = [], [], []
-    estimates_by_tick: list[dict[int, float]] = []
-    window_gaps: list[float] = []
-    for k in range(scenario.horizon + 1):
-        g = graphs[k]
-        if k in window_starts:
-            _verify_connected(g, k)
-        maxima = np.max(np.stack([personal[i] for i in g.sorted_nodes]), axis=0)
-        outs = {i: np.asarray(output(params, states[i]), dtype=float) for i in g.sorted_nodes}
-        _check_finite(outs.values(), k)
-        errors.append(max(float(np.max(np.abs(outs[i] - maxima))) for i in g.sorted_nodes))
-        sizes.append(g.n)
-        target_ests.append(mle_estimate(maxima))
-        estimates_by_tick.append({i: mle_estimate(outs[i]) for i in g.sorted_nodes})
-        if k in window_starts:
-            # how far stale states overshoot the fresh maxima; feeds the
-            # convergence-time bound of the window
-            overshoot = max(float(np.max(outs[i] - maxima)) for i in g.sorted_nodes)
-            window_gaps.append(max(overshoot, 0.0))
-
-        if k < scenario.horizon:
-            g_next = graphs[k + 1]
-            if g_next.nodes == g.nodes:
-                u_now = u_next = personal
-            else:
-                u_now = dict(personal)  # departing agents stay readable this tick
-                for i in sorted(g_next.nodes - g.nodes):
-                    personal[i] = dse_generate(p, draw_rng)  # fresh draw on (re)arrival
-                for i in g.nodes - g_next.nodes:
-                    del personal[i]
-                u_next = personal
-            states = open_step(params, g, g_next, states, u_now, u_next)
-
+    observer = _SizeObserver(scenario)
+    errors, counts, windows = _simulate(scenario, observer)
     trace = DseTrace(
         ticks=np.arange(scenario.horizon + 1),
-        errors=np.asarray(errors),
-        true_sizes=np.asarray(sizes),
-        target_estimates=np.asarray(target_ests),
-        estimates=tuple(estimates_by_tick),
+        errors=errors,
+        true_sizes=counts,
+        target_estimates=np.asarray(observer.target_estimates),
+        estimates=tuple(observer.estimates),
     )
-    summary = _dse_summary(scenario, trace, window_gaps)
-    return RunResult(scenario, trace, summary)
-
-
-def _dse_summary(scenario: Scenario, trace: DseTrace, window_gaps: Sequence[float]) -> dict:
     params = scenario.params
     p = scenario.dse.p
-    windows = []
-    eps = 0.0
-    expected = None
-    for w, gap in zip(scenario.windows, window_gaps):
-        d = int(diameter(w.graph))
+    rows = []
+    for w, d, report, empirical in windows:
         eps = params.alpha * d if params.variant == "approximate" else 0.0
         n_true = w.graph.n
         expected = (
@@ -924,17 +900,10 @@ def _dse_summary(scenario: Scenario, trace: DseTrace, window_gaps: Sequence[floa
             if params.variant == "approximate"
             else expected_estimate_edmc(n_true, p)
         )
-        errs = trace.errors[w.start : w.end + 1]
-        if params.variant == "exact":
-            report = edmc_bounds(params.delta, 0.0, diameter=d, dwell=scenario.dwell)
-        else:
-            # inputs are constant within a window, so the slope bound is zero
-            # and the realized overshoot at the change sets the gap
-            report = admc_bounds(d, params.alpha, 0.0, [gap], 0.0, dwell=scenario.dwell)
         ests = trace.estimates[w.end]
         values = [ests[i] for i in w.graph.sorted_nodes]
         spread = float(max(values) - min(values))
-        windows.append(
+        rows.append(
             {
                 "start": w.start,
                 "end": w.end,
@@ -943,7 +912,7 @@ def _dse_summary(scenario: Scenario, trace: DseTrace, window_gaps: Sequence[floa
                 "epsilon": eps,
                 "expected_closed_form": expected,
                 "bounds": report.to_dict(),
-                "empirical": _empirical_dict(errs, report),
+                "empirical": empirical,
                 "steady": {
                     "mean_estimate": float(np.mean(values)),
                     "min_estimate": float(min(values)),
@@ -959,13 +928,8 @@ def _dse_summary(scenario: Scenario, trace: DseTrace, window_gaps: Sequence[floa
     mc = dse_worst_case_monte_carlo(
         last.graph.n, p, eps, scenario.dse.mc_trials, mc_seed
     )
-    return {
-        "scenario": scenario.name,
-        "kind": scenario.kind,
-        "seed": scenario.seed,
-        "protocol": _protocol_dict(params),
-        "horizon": scenario.horizon,
-        "dwell": scenario.dwell,
+    summary = {
+        **_summary_head(scenario),
         "p": p,
         "epsilon": eps,
         "expected_closed_form": expected,
@@ -974,8 +938,9 @@ def _dse_summary(scenario: Scenario, trace: DseTrace, window_gaps: Sequence[floa
         "std_error": mc.std_error,
         "mc_trials": mc.trials,
         "floored_coordinates": mc.floored_coordinates,
-        "windows": windows,
+        "windows": rows,
     }
+    return RunResult(scenario, trace, summary)
 
 
 # ---------------------------------------------------------------------------

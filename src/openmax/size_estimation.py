@@ -1,6 +1,6 @@
 """Anonymous network-size estimation from extremum-consensus states.
 
-Each agent draws ``p`` uniform values in (0, 1] and the network runs ``p``
+Each agent draws ``p`` uniform values in (0, 1) and the network runs ``p``
 max-consensus instances over them.  Once every agent holds the coordinatewise
 maxima ``u_max[j]``, the maximum-likelihood size estimate is
 
@@ -45,8 +45,8 @@ _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 def dse_generate(p: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the ``p`` uniform coordinates one agent contributes.
 
-    Values are uniform on (0, 1]: exact zeros from the generator are rejected
-    and redrawn.  A fresh draw happens on every (re)arrival, never lazily.
+    Values are uniform on (0, 1): the generator draws from [0, 1) and exact
+    zeros are rejected and redrawn.  A fresh draw happens on every (re)arrival, never lazily.
     """
     if p < 2:
         raise ValueError("at least two coordinates are needed, got p={p}".format(p=p))

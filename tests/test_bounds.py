@@ -8,11 +8,9 @@ from openmax.bounds import (
     AssumptionViolation,
     BoundsReport,
     admc_bounds,
-    admc_min_bounds,
     audit_window,
     detect_times,
     edmc_bounds,
-    edmc_min_bounds,
 )
 
 LINE6_X0 = [0.0, 0.4, 0.8, 1.2, 1.6, 2.0]
@@ -68,14 +66,13 @@ def test_admc_bounds_input_validation():
         admc_bounds(2, 0.1, 0.0, [], 0.0)
 
 
-def test_admc_min_bounds_mirror_gap():
-    # lowest state 0.9 sits 0.7 below the input minimum 1.6
-    rep = admc_min_bounds(2, 0.1, 0.03, [2.0, 0.9, 1.2], 1.6)
+def test_admc_bounds_mirrored_min_gap():
+    # min mode is bounded on negated values: the lowest state 0.9 sits 0.7
+    # below the input minimum 1.6, which is a 0.7 overshoot on the max side
+    rep = admc_bounds(2, 0.1, 0.03, [-2.0, -0.9, -1.2], -1.6)
     assert rep.convergence_time == max(2, -(-0.7 // 0.07))
-    mirrored = admc_bounds(2, 0.1, 0.03, [-2.0, -0.9, -1.2], -1.6)
-    assert rep == mirrored
     # states already above the input minimum: only the diameter matters
-    rep = admc_min_bounds(3, 0.1, 0.0, [2.0, 1.9], 1.6)
+    rep = admc_bounds(3, 0.1, 0.0, [-2.0, -1.9], -1.6)
     assert rep.convergence_time == 3
 
 
@@ -88,7 +85,6 @@ def test_edmc_bounds_values():
     assert rep.assumptions_ok
     assert edmc_bounds(5, 0.0).tracking_bound == 0.0
     assert edmc_bounds(1, 1.0).tracking_bound == 2.0
-    assert edmc_min_bounds(5, 0.02, diameter=5) == rep
 
 
 def test_edmc_bounds_conditions():

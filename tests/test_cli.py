@@ -170,6 +170,40 @@ def test_missing_scenario_exits_1(capsys):
     assert "line6_admc" in err  # the message lists the available presets
 
 
+@pytest.mark.parametrize(
+    "old, new, section",
+    [
+        ("topology: {kind: line, n: 3}", "topology: {kind: line}", "topology"),
+        ("default: {kind: constant, value: 0.1}", "default: {kind: constant}", "signal"),
+        (
+            "default: {kind: constant, value: 0.1}",
+            "default: {kind: piecewise_linear, points: [1, 2]}",
+            "signal",
+        ),
+        ("alpha: 0.2}", 'alpha: 0.2, read_departing: "false"}', "protocol"),
+        ("topology:", 'trace: {csv: "false"}\ntopology:', "trace"),
+    ],
+    ids=["line-without-n", "constant-without-value", "points-not-pairs",
+         "read-departing-string", "trace-flag-string"],
+)
+def test_malformed_config_exits_1_without_traceback(old, new, section, tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MINI_CONSENSUS.replace(old, new))
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert section in err
+
+
+def test_size_est_rejects_min_mode(tmp_path, capsys):
+    # the estimator reads the coordinatewise maxima, so it needs max consensus
+    low = tmp_path / "low.yaml"
+    low.write_text(MINI_DSE.replace("mode: max", "mode: min"))
+    assert main(["size-est", "--scenario", str(low), "--out", str(tmp_path / "out")]) == 1
+    assert "max consensus" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_invalid_config_exits_2(tmp_path, capsys):
     # constant inputs have zero slope, so a tiny alpha still validates
     slow = tmp_path / "slow.yaml"
@@ -231,3 +265,10 @@ def test_sweep_bad_grid_exits_1(capsys):
     assert main(["sweep", "--scenario", "line6_admc", "--grid", "gamma=1"]) == 1
     assert main(["sweep", "--scenario", "line6_admc", "--grid", "alpha"]) == 1
     assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["delta=5.7", "delta=4,5.5", "p=2.5"])
+def test_sweep_rejects_fractional_integer_grid(grid, tmp_path, capsys):
+    assert main(["sweep", "--scenario", "line6_edmc", "--grid", grid, "--out", str(tmp_path)]) == 1
+    assert "integer" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()

@@ -1,4 +1,4 @@
-"""Snapshot values, BFS metrics, generators, and reversible churn."""
+"""Snapshot values, BFS metrics, generators, and text serialization."""
 
 from __future__ import annotations
 
@@ -10,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openmax.graph import (
-    ChurnEvent,
-    ChurnMemory,
     NetworkSnapshot,
-    apply_churn,
     barabasi_albert,
     diameter,
+    induced_subgraph,
     is_connected,
     line_graph,
     neighbors,
@@ -138,53 +136,29 @@ def test_barabasi_albert_attachment_is_degree_proportional():
     assert abs(freq - 0.5) < 3 * sigma
 
 
-def test_apply_churn_deactivate():
-    g = line_graph(3)
-    out = apply_churn(g, ChurnEvent("deactivate", 3))
-    assert out == line_graph(2)
-    # removing a cut node may disconnect the snapshot; that is the caller's problem
-    out = apply_churn(g, ChurnEvent("deactivate", 2))
-    assert out.nodes == frozenset({1, 3})
-    assert not out.edges
-
-
-def test_apply_churn_errors():
-    g = line_graph(2)
-    with pytest.raises(ValueError):
-        apply_churn(g, ChurnEvent("deactivate", 5))
-    with pytest.raises(ValueError):
-        apply_churn(g, ChurnEvent("activate", 1))
-    single = line_graph(1)
-    with pytest.raises(ValueError):
-        apply_churn(single, ChurnEvent("deactivate", 1))
-    with pytest.raises(ValueError):
-        ChurnEvent("toggle", 1)
-
-
 def test_churn_memory_round_trip():
+    # a node that leaves and returns gets back every reference edge it had
     rng = np.random.default_rng(5)
     for _ in range(20):
         g = random_connected_graph(rng, int(rng.integers(3, 9)))
         node = int(rng.choice(g.sorted_nodes))
-        if g.n < 3:
-            continue
-        memory = ChurnMemory()
-        try:
-            reduced = memory.deactivate(g, node)
-        except ValueError:
-            continue
-        restored = memory.activate(reduced, node)
+        reduced = induced_subgraph(g, g.nodes - {node})
+        assert node not in reduced.nodes
+        assert all(node not in e for e in reduced.edges)
+        restored = induced_subgraph(g, reduced.nodes | {node})
         assert restored == g
 
 
 def test_churn_memory_restores_only_active_endpoints():
     g = NetworkSnapshot(frozenset({1, 2, 3}), frozenset({(1, 2), (2, 3)}))
-    memory = ChurnMemory()
-    g1 = memory.deactivate(g, 2)  # remembers 1-2 and 2-3
-    g2 = memory.deactivate(g1, 3)
-    g3 = memory.activate(g2, 2)
+    g1 = induced_subgraph(g, {1, 3})  # 2 leaves: 1-2 and 2-3 go off
+    assert g1.edges == frozenset()
+    g2 = induced_subgraph(g, {1})  # 3 leaves too
+    g3 = induced_subgraph(g, g2.nodes | {2})  # 2 returns
     assert g3.nodes == frozenset({1, 2})
     assert g3.edges == frozenset({(1, 2)})  # 2-3 stays off while 3 is inactive
+    with pytest.raises(ValueError):
+        induced_subgraph(g2, {1, 2})  # a node outside the snapshot has no edges to restore
 
 
 def test_snapshot_text_round_trip_keeps_isolated_nodes():

@@ -1,4 +1,4 @@
-"""Protocol step semantics: hand values, oracles, duality, open-network rules."""
+"""Protocol step semantics: hand values, oracles, the min mirror, open-network rules."""
 
 from __future__ import annotations
 
@@ -8,9 +8,7 @@ import pytest
 from openmax.graph import NetworkSnapshot, line_graph, neighbors
 from openmax.protocols import (
     ProtocolParams,
-    admc_min_step,
     admc_step,
-    edmc_min_step,
     edmc_step,
     init_agent,
     open_step,
@@ -156,6 +154,7 @@ def test_exact_delay_identity_on_static_graphs():
 
 
 def test_min_steps_are_exact_mirrors():
+    """Negating the max kernels' inputs and outputs gives the min protocols."""
     rng = np.random.default_rng(99)
     for _ in range(10):
         n = int(rng.integers(2, 7))
@@ -165,17 +164,16 @@ def test_min_steps_are_exact_mirrors():
         u = {i: float(rng.uniform(-3, 3)) for i in g.sorted_nodes}
         neg_x = {i: -v for i, v in x.items()}
         neg_u = {i: -v for i, v in u.items()}
-        lo = admc_min_step(g, x, u, alpha)
         hi = admc_step(g, neg_x, neg_u, alpha)
-        assert all(lo[i] == -hi[i] for i in g.sorted_nodes)
-
-        delta = 2
-        cx = {i: np.array([x[i], x[i] + 1, x[i] - 2]) for i in g.sorted_nodes}
-        neg_cx = {i: -cx[i] for i in g.sorted_nodes}
-        lo_c = edmc_min_step(g, cx, u)
-        hi_c = edmc_step(g, neg_cx, neg_u)
         for i in g.sorted_nodes:
-            assert np.array_equal(lo_c[i], -hi_c[i])
+            worst = min([x[i]] + [x[j] for j in neighbors(g, i)])
+            assert -hi[i] == min(worst + alpha, u[i])
+
+        cx = {i: np.array([x[i], x[i] + 1, x[i] - 2]) for i in g.sorted_nodes}
+        hi_c = edmc_step(g, {i: -cx[i] for i in g.sorted_nodes}, neg_u)
+        for i in g.sorted_nodes:
+            lows = np.min([cx[j][:-1] for j in (i, *neighbors(g, i))], axis=0)
+            assert np.array_equal(-hi_c[i], np.concatenate(([u[i]], lows)))
 
 
 def test_step_dispatch_matches_direct_calls():
@@ -183,8 +181,15 @@ def test_step_dispatch_matches_direct_calls():
     x = {1: 0.0, 2: 1.0, 3: -1.0}
     u = {1: 0.1, 2: 0.1, 3: 0.1}
     assert step(MAX_APPROX, g, x, u) == admc_step(g, x, u, 0.1)
-    p_min = ProtocolParams("min", "approximate", alpha=0.1)
-    assert step(p_min, g, x, u) == admc_min_step(g, x, u, 0.1)
+    cx = {i: init_agent(exact_params(2), v) for i, v in x.items()}
+    got = step(exact_params(2), g, cx, u)
+    want = edmc_step(g, cx, u)
+    assert all(np.array_equal(got[i], want[i]) for i in g.sorted_nodes)
+    # min mode runs through the simulator's negation mirror, never the kernels
+    with pytest.raises(ValueError):
+        step(ProtocolParams("min", "approximate", alpha=0.1), g, x, u)
+    with pytest.raises(ValueError):
+        step(exact_params(2, mode="min"), g, cx, u)
 
 
 def test_open_step_without_change_equals_closed_step():

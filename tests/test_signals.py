@@ -1,4 +1,4 @@
-"""Signal evaluation, slope certification, and extremum queries."""
+"""Signal evaluation, slope certification, and the negated-bank mirror."""
 
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ from openmax.signals import (
     SlopeCertificationError,
     build_spec,
     certify_slope,
-    max_signal,
-    min_signal,
     sample,
 )
 
@@ -126,23 +124,15 @@ def test_sample_and_errors():
         sample(bank, 42, 0)
 
 
-def test_extremum_queries_follow_active_set():
-    bank = line6_bank()
-    assert max_signal(bank, range(1, 7), 70) == 0.2
-    assert min_signal(bank, range(1, 7), 70) == pytest.approx(0.0, abs=1e-15)
-    assert max_signal(bank, range(1, 7), 200) == 0.6
-    # dropping the extremum holder changes the target
-    assert max_signal(bank, range(1, 6), 200) == 0.2
-    with pytest.raises(ValueError):
-        max_signal(bank, (), 0)
-
-
 def test_negated_bank_duality():
     bank = line6_bank()
     flipped = bank.negated()
     for k in (0, 33, 70, 140, 260):
-        assert min_signal(bank, range(1, 7), k) == -max_signal(flipped, range(1, 7), k)
-        assert max_signal(bank, range(1, 7), k) == -min_signal(flipped, range(1, 7), k)
+        values = [sample(bank, i, k) for i in range(1, 7)]
+        mirrored = [sample(flipped, i, k) for i in range(1, 7)]
+        assert mirrored == [-v for v in values]
+        assert min(values) == -max(mirrored)
+        assert max(values) == -min(mirrored)
 
 
 def test_build_spec_round_trip():

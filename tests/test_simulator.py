@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from openmax.bounds import AssumptionViolation
-from openmax.graph import line_graph, snapshot_from_text
+from openmax.graph import NetworkSnapshot, induced_subgraph, line_graph, snapshot_from_text
 from openmax.protocols import ProtocolParams, open_step, output, resume_agent
 from openmax.signals import Constant, PiecewiseLinear, SignalBank, sample
 from openmax.simulator import (
@@ -123,7 +123,7 @@ def test_explicit_churn_windows_and_arrival_reset():
         (10, 19, 3),
         (20, 30, 4),
     ]
-    assert sc.graph_at(15).nodes == frozenset({1, 2, 3})
+    assert sc.windows[1].graph.nodes == frozenset({1, 2, 3})
     res = run(sc)
     assert list(res.trace.n_active[[0, 10, 20]]) == [4, 3, 4]
     # while the strongest input's holder is away, the target drops
@@ -179,12 +179,30 @@ def test_ba_preset_churn_touches_only_the_pool():
     sc = load_preset("ba100_dse_admc")
     core = frozenset(sc.insertion_order[:-25])
     assert len(sc.windows) == 5
-    assert [c.tick for c in sc.changes] == [120, 240, 360, 480]
+    assert [w.start for w in sc.windows] == [0, 120, 240, 360, 480]
     for w in sc.windows:
         assert core <= w.graph.nodes
-    for c in sc.changes:
-        touched = {e.node for e in c.events}
-        assert touched <= set(sc.insertion_order[-25:])
+    for before, after in zip(sc.windows, sc.windows[1:]):
+        assert before.graph.nodes ^ after.graph.nodes <= set(sc.insertion_order[-25:])
+
+
+def test_windows_are_induced_subgraphs_of_the_reference():
+    # 4 hangs off both 2 and 3; it leaves, 3 leaves, 4 returns, 3 returns
+    reference = NetworkSnapshot(frozenset({1, 2, 3, 4}), frozenset({(1, 2), (2, 3), (2, 4), (3, 4)}))
+    sc = line4_churn_scenario(
+        reference=reference,
+        horizon=40,
+        changes=[(10, {1, 2, 3}), (20, {1, 2, 4}), (30, {1, 2, 3, 4})],
+    )
+    assert [w.graph.edges for w in sc.windows] == [
+        reference.edges,
+        frozenset({(1, 2), (2, 3)}),
+        frozenset({(1, 2), (2, 4)}),  # 3-4 stays off while 3 is inactive
+        reference.edges,  # every reference edge is back
+    ]
+    ba = load_preset("ba100_dse_admc")
+    for w in ba.windows:
+        assert w.graph == induced_subgraph(ba.reference, w.graph.nodes)
 
 
 def test_seed_override_re_realizes_randomness():
