@@ -5,6 +5,9 @@ undirected edges.  Membership changes never mutate a snapshot: the network in
 effect after a change is :func:`induced_subgraph` of the reference topology on
 the active set, so a reactivated node gets back exactly its reference edges to
 currently active endpoints.
+
+:attr:`NetworkSnapshot.csr` is the adjacency in array form, which the kernels
+and the bit-parallel BFS of :func:`diameter` read.
 """
 
 from __future__ import annotations
@@ -70,6 +73,14 @@ class NetworkSnapshot:
             adj[v].append(u)
         return {n: tuple(sorted(adj[n])) for n in self.sorted_nodes}
 
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`adjacency` as ``(indptr, indices)`` over positions in ``sorted_nodes``."""
+        pos = {v: k for k, v in enumerate(self.sorted_nodes)}
+        rows = self.adjacency.values()
+        indices = np.array([pos[v] for r in rows for v in r], dtype=np.intp)
+        return np.cumsum([0, *map(len, rows)]), indices
+
     @property
     def n(self) -> int:
         return len(self.nodes)
@@ -92,42 +103,41 @@ def neighbors(g: NetworkSnapshot, i: int) -> tuple[int, ...]:
         raise KeyError(f"node {i} is not active in this snapshot") from None
 
 
-def _bfs_distances(g: NetworkSnapshot, source: int) -> dict[int, int]:
-    dist = {source: 0}
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in g.adjacency[u]:
-                if v not in dist:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
 def is_connected(g: NetworkSnapshot) -> bool:
     if not g.nodes:
         return False
-    start = g.sorted_nodes[0]
-    return len(_bfs_distances(g, start)) == g.n
+    stack = [g.sorted_nodes[0]]
+    seen = set(stack)
+    while stack:
+        for v in g.adjacency[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == g.n
 
 
 def diameter(g: NetworkSnapshot) -> float:
-    """Longest shortest-path length; 0 for one node, ``math.inf`` if disconnected."""
+    """Longest shortest-path length; 0 for one node, ``math.inf`` if disconnected.
+
+    Runs every BFS at once: bit ``j`` of row ``v`` says the search from node
+    ``j`` has reached ``v``, and each level ORs the neighbors' frontier rows.
+    """
     if not g.nodes:
         raise ValueError("diameter of an empty snapshot is undefined")
-    best = 0
-    for s in g.sorted_nodes:
-        dist = _bfs_distances(g, s)
-        if len(dist) != g.n:
-            return math.inf
-        ecc = max(dist.values())
-        if ecc > best:
-            best = ecc
-    return best
+    if not is_connected(g):
+        return math.inf
+    if g.n == 1:
+        return 0
+    indptr, indices = g.csr
+    k = np.arange(g.n)
+    seen = np.zeros((g.n, -(-g.n // 64)), dtype=np.uint64)
+    seen[k, k // 64] = np.uint64(1) << (k % 64).astype(np.uint64)
+    frontier, levels = seen, -1
+    while frontier.any():
+        frontier = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0) & ~seen
+        seen |= frontier
+        levels += 1
+    return levels
 
 
 def partition_nodes(v_now: Iterable[int], v_next: Iterable[int]) -> NodePartition:

@@ -20,15 +20,21 @@ trace is the sign of zero, as an approximate min-mode state that decays to
 exactly zero comes back as ``-0.0``.
 
 All updates are synchronous: a tick's new states are computed entirely from
-the previous tick's states.  States are ``float`` values for the approximate
-variant and ``numpy`` arrays of shape ``(delta + 1,)`` for the exact one; any
-coordinate axis appended to those shapes is carried through elementwise, which
-is how many independent consensus instances share one network.
+the previous tick's states.  An agent's state is a ``float`` for the
+approximate variant and an array of shape ``(delta + 1,)`` for the exact one;
+any coordinate axis appended to those shapes is carried through elementwise,
+which is how many independent consensus instances share one network.
+
+The kernels update dense state arrays in place, one row per agent slot, with
+the max-plus neighborhood product ``A(x)`` over a :class:`Neighborhoods`:
+:func:`admc_kernel` computes ``max(A(x)X - alpha, U)`` and :func:`edmc_kernel`
+``X[:, 1:] <- A(x)X[:, :-1]``.  The per-agent functions are dict adapters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
@@ -38,6 +44,9 @@ from .graph import NetworkSnapshot, induced_subgraph, partition_nodes
 __all__ = [
     "ProtocolParams",
     "State",
+    "Neighborhoods",
+    "admc_kernel",
+    "edmc_kernel",
     "init_agent",
     "resume_agent",
     "output",
@@ -135,6 +144,70 @@ def output(params: ProtocolParams, state: State) -> object:
     return float(top) if np.ndim(top) == 0 else top
 
 
+class Neighborhoods:
+    """Closed neighborhoods of one snapshot's agents, as state-array rows.
+
+    ``slots[k]`` is the row of ``g.sorted_nodes[k]``.  An agent's own row
+    comes first, then its neighbors' in adjacency order, the order of every
+    max below."""
+
+    def __init__(self, g: NetworkSnapshot, slots: np.ndarray) -> None:
+        self.rows = np.asarray(slots, dtype=np.intp)
+        self.indptr, indices = g.csr
+        self.neighbors = self.rows[indices]
+
+    @cached_property
+    def closed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Concatenated ``[own, *neighbors]`` slots and each agent's offset."""
+        starts = self.indptr[:-1]
+        return np.insert(self.neighbors, starts, self.rows), starts + np.arange(len(self.rows))
+
+    @cached_property
+    def by_degree(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Rows by descending degree; per ``s``, the ``s``-th neighbor of each row that has one."""
+        degree = np.diff(self.indptr)
+        order = np.argsort(-degree, kind="stable")
+        first = self.indptr[order]
+        levels = [
+            self.neighbors[first[: np.count_nonzero(degree > s)] + s]
+            for s in range(degree.max(initial=0))
+        ]
+        return self.rows[order], levels
+
+
+def admc_kernel(X: np.ndarray, U: np.ndarray, hood: Neighborhoods, alpha: float) -> None:
+    """Approximate max step of ``hood``'s rows, in place: ``max(A(x)X - alpha, U)``."""
+    cols, starts = hood.closed
+    decayed = np.maximum.reduceat(X[cols], starts, axis=0) - alpha
+    rows = hood.rows
+    # np.maximum(a, b) returns b on a tie, which decides a +0.0/-0.0 tie.  As in
+    # the per-agent definition, a scalar state then keeps the decayed value and
+    # a vector state takes the input.  The neighborhood max needs no such care:
+    # subtracting alpha erases the sign of a zero.
+    X[rows] = np.maximum(U[rows], decayed) if X.ndim == 1 else np.maximum(decayed, U[rows])
+
+
+def edmc_kernel(X: np.ndarray, U: np.ndarray, hood: Neighborhoods) -> None:
+    """Exact max step of ``hood``'s rows, in place: shift the cascades up one
+    level through the neighborhood max, then load the inputs at level 0."""
+    rows, levels = hood.by_degree
+    agg = X[rows, :-1]
+    for nbr in levels:
+        part = agg[: len(nbr)]
+        np.maximum(part, X[nbr, :-1], out=part)
+    X[rows, 1:] = agg
+    X[rows, 0] = U[rows]
+
+
+def _on_slots(kernel, g: NetworkSnapshot, x: Mapping[int, State], u: Mapping[int, object], *args):
+    """Run an array kernel on dict states; slot ``k`` is ``g.sorted_nodes[k]``."""
+    nodes = g.sorted_nodes
+    X = np.array([x[i] for i in nodes], dtype=float)
+    U = np.array([u[i] for i in nodes], dtype=float)
+    kernel(X, U, Neighborhoods(g, np.arange(len(nodes))), *args)
+    return dict(zip(nodes, X.tolist() if X.ndim == 1 else X))
+
+
 def admc_step(
     g: NetworkSnapshot,
     x: Mapping[int, State],
@@ -145,24 +218,7 @@ def admc_step(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     _check_cover(g, x, u)
-    new: dict[int, State] = {}
-    for i in g.sorted_nodes:
-        xi = x[i]
-        if isinstance(xi, float):
-            best = xi
-            for j in g.adjacency[i]:
-                xj = x[j]
-                if xj > best:
-                    best = xj
-            decayed = best - alpha
-            ui = u[i]
-            new[i] = ui if ui > decayed else decayed
-        else:
-            best = xi
-            for j in g.adjacency[i]:
-                best = np.maximum(best, x[j])
-            new[i] = np.maximum(best - alpha, u[i])
-    return new
+    return _on_slots(admc_kernel, g, x, u, alpha)
 
 
 def edmc_step(
@@ -173,17 +229,7 @@ def edmc_step(
     """One synchronous exact max step: shift the cascade, load the input."""
     _check_cover(g, x, u)
     _check_cascades(g, x)
-    new: dict[int, State] = {}
-    for i in g.sorted_nodes:
-        own = x[i]
-        agg = own[:-1]
-        for j in g.adjacency[i]:
-            agg = np.maximum(agg, x[j][:-1])
-        arr = np.empty_like(own)
-        arr[0] = np.asarray(u[i], dtype=float)
-        arr[1:] = agg
-        new[i] = arr
-    return new
+    return _on_slots(edmc_kernel, g, x, u)
 
 
 def step(

@@ -247,9 +247,15 @@ def build_spec(
 ) -> SignalSpec:
     """Construct a signal from a config mapping; used by scenario loading.
 
-    Missing or malformed parameters raise ``ValueError``.
+    Missing, malformed or non-finite parameters raise ``ValueError``.
     """
     opts = dict(params)
+
+    def num(key: str, *default: float) -> float:
+        value = float(opts.pop(key, *default))
+        if not math.isfinite(value):
+            raise ValueError(f"signal kind {kind!r} needs a finite {key!r}, got {value}")
+        return value
 
     def done(spec: SignalSpec) -> SignalSpec:
         if opts:
@@ -258,16 +264,18 @@ def build_spec(
 
     try:
         if kind == "constant":
-            return done(Constant(float(opts.pop("value"))))
+            return done(Constant(num("value")))
         if kind == "piecewise_linear":
             points = tuple((int(k), float(v)) for k, v in opts.pop("points"))
+            if not all(math.isfinite(v) for _, v in points):
+                raise ValueError(f"the points of signal kind {kind!r} must be finite")
             return done(PiecewiseLinear(points))
         if kind == "sinusoid":
             return done(Sinusoid(
-                amplitude=float(opts.pop("amplitude")),
-                period=float(opts.pop("period")),
-                phase=float(opts.pop("phase", 0.0)),
-                offset=float(opts.pop("offset", 0.0)),
+                amplitude=num("amplitude"),
+                period=num("period"),
+                phase=num("phase", 0.0),
+                offset=num("offset", 0.0),
             ))
         if kind == "random_walk_clamped":
             if rng is None or horizon is None:
@@ -275,10 +283,10 @@ def build_spec(
             return done(ClampedRandomWalk.generate(
                 rng,
                 horizon,
-                step_bound=float(opts.pop("step_bound")),
-                start=float(opts.pop("start", 0.0)),
-                lo=(None if "lo" not in opts else float(opts.pop("lo"))),
-                hi=(None if "hi" not in opts else float(opts.pop("hi"))),
+                step_bound=num("step_bound"),
+                start=num("start", 0.0),
+                lo=(None if "lo" not in opts else num("lo")),
+                hi=(None if "hi" not in opts else num("hi")),
             ))
     except KeyError as exc:
         raise ValueError(f"signal kind {kind!r} needs the parameter {exc.args[0]!r}") from None

@@ -31,7 +31,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -56,7 +57,12 @@ from .graph import (
     snapshot_from_text,
     snapshot_to_text,
 )
-from .protocols import ProtocolParams, init_agent, open_step, output, resume_agent
+from .protocols import (
+    Neighborhoods,
+    ProtocolParams,
+    admc_kernel,
+    edmc_kernel,
+)
 from .signals import SignalBank, build_spec, certify_slope, sample
 from .size_estimation import (
     dse_generate,
@@ -413,6 +419,8 @@ def _build_bank(
     declared = section.pop("slope_bound", None)
     if declared is not None:
         declared = float(declared)
+        if not math.isfinite(declared):
+            raise ScenarioError(f"signals: slope_bound must be finite, got {declared}")
     default = section.pop("default", None)
     per_agent = _section(section, "agents")
     section.pop("agents", None)
@@ -685,21 +693,20 @@ class _ConsensusObserver:
     def __init__(self, scenario: Scenario) -> None:
         self.bank = scenario.bank
         self.sign = 1.0 if scenario.params.mode == "max" else -1.0
+        self.U = np.zeros(scenario.reference.n)
         self.targets: list[float] = []
         self.outputs: list[dict[int, float]] = []
         self.inputs_by_tick: list[dict[int, float]] = []
 
-    def inputs(self, k: int, g: NetworkSnapshot) -> tuple[dict[int, float], float]:
-        sampled = {i: sample(self.bank, i, k) for i in g.sorted_nodes}
-        self.inputs_by_tick.append(sampled)
-        u = sampled if self.sign > 0 else {i: -v for i, v in sampled.items()}
-        return u, max(u.values())
+    def inputs(self, k: int, g: NetworkSnapshot, act: np.ndarray) -> tuple[np.ndarray, float]:
+        sampled = [sample(self.bank, i, k) for i in g.sorted_nodes]
+        self.inputs_by_tick.append(dict(zip(g.sorted_nodes, sampled)))
+        self.U[act] = u = self.sign * np.array(sampled)
+        return self.U, float(u[np.argmax(u)])  # the first maximum, as max() picks it
 
-    def observe(self, g: NetworkSnapshot, outs: list[float], target: float) -> float:
-        sign = self.sign
-        self.targets.append(sign * target)
-        self.outputs.append({i: sign * x for i, x in zip(g.sorted_nodes, outs)})
-        return max(abs(x - target) for x in outs)
+    def observe(self, g: NetworkSnapshot, outs: np.ndarray, target: float) -> None:
+        self.targets.append(self.sign * target)
+        self.outputs.append(dict(zip(g.sorted_nodes, (self.sign * outs).tolist())))
 
 
 class _SizeObserver:
@@ -714,91 +721,98 @@ class _SizeObserver:
     def __init__(self, scenario: Scenario) -> None:
         self.p = scenario.dse.p
         self.rng = np.random.default_rng(np.random.SeedSequence((scenario.seed, 2)))
-        self.graph: NetworkSnapshot | None = None
-        self.u: dict[int, np.ndarray] = {}
+        self.act = np.empty(0, dtype=np.intp)
+        self.U = np.zeros((scenario.reference.n, self.p))
         self.estimates: list[dict[int, float]] = []
         self.target_estimates: list[float] = []
 
-    def inputs(self, k: int, g: NetworkSnapshot) -> tuple[dict[int, np.ndarray], np.ndarray]:
-        if g is not self.graph:
-            old = self.u
-            self.u = {
-                i: old[i] if i in old else dse_generate(self.p, self.rng)
-                for i in g.sorted_nodes
-            }
-            self.maxima = np.max(np.stack(list(self.u.values())), axis=0)
+    def inputs(self, k: int, g: NetworkSnapshot, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if act is not self.act:  # the engine passes one array per window
+            for s in np.setdiff1d(act, self.act, assume_unique=True):
+                self.U[s] = dse_generate(self.p, self.rng)
+            self.maxima = self.U[act].max(axis=0)
             self.target_estimate = mle_estimate(self.maxima)
-            self.graph = g
-        return self.u, self.maxima
+            self.act = act
+        return self.U, self.maxima
 
-    def observe(self, g: NetworkSnapshot, outs: list[np.ndarray], target: np.ndarray) -> float:
+    def observe(self, g: NetworkSnapshot, outs: np.ndarray, target: np.ndarray) -> None:
         self.target_estimates.append(self.target_estimate)
-        self.estimates.append({i: mle_estimate(x) for i, x in zip(g.sorted_nodes, outs)})
-        return max(float(np.max(np.abs(x - target))) for x in outs)
+        self.estimates.append(dict(zip(g.sorted_nodes, mle_estimate(outs).tolist())))
 
 
 def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     """The tick loop of both run kinds, on the max side of the mirror.
 
-    The kernel always runs in max mode.  ``observer.inputs(k, g)`` returns
-    the max-side inputs of the agents active at tick ``k`` and their
-    extremum, the target; ``observer.observe(g, outs, target)`` records one
-    tick's max-side outputs and returns the tracking error.  Returns the
-    per-tick errors and active counts, and each window with its diameter,
-    bounds report, and audit dict.
+    Row ``s`` of the state and input arrays is slot ``s``, the ``s``-th
+    reference node.  ``observer.inputs(k, g, act)`` fills tick ``k``'s inputs
+    at the active slots ``act`` and returns them with their extremum, the
+    target; ``observer.observe(g, outs, target)`` records one tick's outputs.
+    Returns the per-tick errors and active counts, and each window with its
+    diameter, bounds report, and audit dict.
     """
-    params = replace(scenario.params, mode="max")
-    graphs = [w.graph for w in scenario.windows for _ in range(w.start, w.end + 1)]
-    starts = {w.start for w in scenario.windows}
-    g = graphs[0]
-    u_now, target = observer.inputs(0, g)
-    init = scenario.initial_states
-    if init is None:
-        states = {i: init_agent(params, u_now[i]) for i in g.sorted_nodes}
-    else:
-        states = {
-            i: resume_agent(params, observer.sign * init[i], u_now[i]) for i in g.sorted_nodes
-        }
+    params = scenario.params
+    exact = params.variant == "exact"
+    kernel = edmc_kernel if exact else partial(admc_kernel, alpha=params.alpha)
+    windows = scenario.windows
+    nodes = np.asarray(scenario.reference.sorted_nodes)
+    acts = [np.searchsorted(nodes, w.graph.sorted_nodes) for w in windows]
+    U, target = observer.inputs(0, windows[0].graph, acts[0])
+    init, a0 = scenario.initial_states, acts[0]
+    prior = U[a0] if init is None else observer.sign * np.array([init[i] for i in nodes[a0]])
+    X = np.zeros((len(nodes), *((params.delta + 1,) if exact else ()), *U.shape[1:]))
+    X[a0] = prior[:, None] if exact else prior  # as resume_agent: level 0 holds the input
+    if exact:
+        X[a0, 0] = U[a0]
 
     errors: list[float] = []
     bounds: list[tuple[int, BoundsReport]] = []
-    for k in range(scenario.horizon + 1):
-        g = graphs[k]
-        outs = [output(params, states[i]) for i in g.sorted_nodes]
-        if k in starts:
-            if not is_connected(g):
-                raise ConnectivityLost(
-                    f"the snapshot in effect from tick {k} is disconnected; aborting the run"
+    for i, (w, act) in enumerate(zip(windows, acts)):
+        g = w.graph
+        hood = last = Neighborhoods(g, act)
+        nxt = windows[i + 1].graph if i + 1 < len(windows) else None
+        if nxt is not None and not params.read_departing and not g.nodes <= nxt.nodes:
+            stay = induced_subgraph(g, g.nodes & nxt.nodes)
+            last = Neighborhoods(stay, np.searchsorted(nodes, stay.sorted_nodes))
+        for k in range(w.start, w.end + 1):
+            outs = X[act, -1] if exact else X[act]
+            if k == w.start:
+                bounds.append(_window_bounds(scenario, w, outs, target))
+            if not np.isfinite(outs).all():
+                raise RunExecutionError(
+                    f"non-finite state encountered at tick {k}; aborting the run"
                 )
-            bounds.append(_window_bounds(scenario, g, outs, target))
-        if not all(np.all(np.isfinite(x)) for x in outs):
-            raise RunExecutionError(f"non-finite state encountered at tick {k}; aborting the run")
-        errors.append(observer.observe(g, outs, target))
-
-        if k < scenario.horizon:
-            g_next = graphs[k + 1]
-            u_next, target = observer.inputs(k + 1, g_next)
-            states = open_step(params, g, g_next, states, u_now, u_next)
-            u_now = u_next
+            observer.observe(g, outs, target)
+            errors.append(float(np.abs(outs - target).max()))
+            if k < w.end:
+                kernel(X, U, hood)
+                U, target = observer.inputs(k + 1, g, act)
+            elif nxt is not None:
+                kernel(X, U, last)
+                arriving = np.setdiff1d(acts[i + 1], act, assume_unique=True)
+                U, target = observer.inputs(k + 1, nxt, acts[i + 1])
+                X[arriving] = U[arriving, None] if exact else U[arriving]
 
     errors = np.asarray(errors)
     windows = [
         (w, d, report, _empirical_dict(errors[w.start : w.end + 1], report))
         for w, (d, report) in zip(scenario.windows, bounds)
     ]
-    return errors, np.asarray([g.n for g in graphs]), windows
+    counts = np.asarray([w.graph.n for w in scenario.windows for _ in range(w.start, w.end + 1)])
+    return errors, counts, windows
 
 
 def _window_bounds(
-    scenario: Scenario, g: NetworkSnapshot, outs: list, target: object
+    scenario: Scenario, w: Window, outs: np.ndarray, target: object
 ) -> tuple[int, BoundsReport]:
-    """Diameter and bounds of the window starting on ``g``.
+    """Diameter and bounds of window ``w``.
 
     The outputs and target are max-side values, so min-mode windows are
     bounded through the mirror.
     """
     params = scenario.params
-    d = int(diameter(g))
+    d = diameter(w.graph)
+    if d == math.inf:
+        raise ConnectivityLost(f"the window from tick {w.start} is disconnected; aborting the run")
     if params.variant == "exact":
         return d, edmc_bounds(params.delta, scenario.slope_bound, diameter=d, dwell=scenario.dwell)
     return d, admc_bounds(d, params.alpha, scenario.slope_bound, outs, target, dwell=scenario.dwell)

@@ -58,14 +58,16 @@ def dse_generate(p: int, rng: np.random.Generator) -> np.ndarray:
         vals[zeros] = rng.random(int(zeros.sum()))
 
 
-def mle_estimate(x: object) -> float:
-    """Maximum-likelihood size estimate from one agent's consensus vector."""
+def mle_estimate(x: object) -> float | np.ndarray:
+    """Maximum-likelihood size estimate from one agent's consensus vector, or
+    one estimate per row of a 2-D stack of such vectors."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
+    if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
         raise ValueError("estimate needs a vector of at least two coordinates")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("all coordinates must lie strictly inside (0, 1)")
-    return float(-arr.size / np.log(arr).sum())
+    est = -arr.shape[-1] / np.log(arr).sum(-1)
+    return float(est) if arr.ndim == 1 else est
 
 
 def exp_scaled_expn(order: int, x: float) -> float:

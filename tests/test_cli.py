@@ -195,6 +195,37 @@ def test_malformed_config_exits_1_without_traceback(old, new, section, tmp_path,
     assert section in err
 
 
+@pytest.mark.parametrize(
+    "old, new, section",
+    [
+        ("value: 0.1}", "value: .nan}", "agent 1"),
+        ("value: 0.8}", "value: .inf}", "agent 3"),
+        (
+            "3: {kind: constant, value: 0.8}",
+            "3: {kind: piecewise_linear, points: [[0, 0.1], [5, .nan]]}",
+            "agent 3",
+        ),
+        (
+            "3: {kind: constant, value: 0.8}",
+            "3: {kind: sinusoid, amplitude: .nan, period: 10}",
+            "agent 3",
+        ),
+        ("signals:\n", "signals:\n  slope_bound: .nan\n", "slope_bound"),
+    ],
+    ids=["nan-default", "inf-agent", "nan-point", "nan-amplitude", "nan-slope-bound"],
+)
+def test_non_finite_signal_numbers_exit_1(old, new, section, tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MINI_CONSENSUS.replace(old, new))
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert section in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_size_est_rejects_min_mode(tmp_path, capsys):
     # the estimator reads the coordinatewise maxima, so it needs max consensus
     low = tmp_path / "low.yaml"

@@ -69,6 +69,21 @@ def test_diameter_matches_floyd_warshall_oracle():
     for _ in range(40):
         g = random_connected_graph(rng, int(rng.integers(2, 10)))
         assert diameter(g) == floyd_warshall_diameter(g)
+    # sizes around the 64-bit word boundaries of the bit-parallel search
+    for n in (63, 64, 65, 129):
+        for prob in (0.0, 2.0 / n, 0.3):
+            g = random_connected_graph(rng, n, extra_edge_prob=prob)
+            assert diameter(g) == floyd_warshall_diameter(g)
+    g = random_connected_graph(rng, 64, extra_edge_prob=2.0 / 64)
+    isolated = NetworkSnapshot(g.nodes | {65}, g.edges)
+    h = random_connected_graph(rng, 65, extra_edge_prob=2.0 / 65)
+    two = NetworkSnapshot(
+        g.nodes | {v + 64 for v in h.nodes},
+        g.edges | {(a + 64, b + 64) for a, b in h.edges},
+    )
+    single = NetworkSnapshot(frozenset({7}), frozenset())
+    for g, want in ((isolated, math.inf), (two, math.inf), (single, 0)):
+        assert diameter(g) == want == floyd_warshall_diameter(g)
 
 
 def test_partition_example():

@@ -17,7 +17,7 @@ from openmax.protocols import (
     step,
 )
 
-from util import random_connected_graph
+from util import admc_step_reference, edmc_step_reference, random_connected_graph, same_bits
 
 MAX_APPROX = ProtocolParams("max", "approximate", alpha=0.1)
 
@@ -311,3 +311,27 @@ def test_cascade_shape_mismatch_errors():
         edmc_step(g, x, {1: 0.0, 2: 0.0})
     with pytest.raises(TypeError):
         edmc_step(g, {1: 0.0, 2: 0.0}, {1: 0.0, 2: 0.0})
+
+
+def test_kernels_match_per_agent_reference_bit_for_bit():
+    """Scalar and p=3 vector states on a grid of quarters that includes both
+    zeros, so decayed values and inputs tie at +0.0/-0.0."""
+    rng = np.random.default_rng(8)
+    grid = np.array([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5])
+    zeros = set()
+    for trial in range(40):
+        g = random_connected_graph(rng, int(rng.integers(1, 9)))
+        shape = () if trial % 2 else (3,)
+
+        def draw(*lead):
+            v = rng.choice(grid, size=(*lead, *shape))
+            return float(v) if v.ndim == 0 else v
+
+        x = {i: draw() for i in g.sorted_nodes}
+        u = {i: draw() for i in g.sorted_nodes}
+        want = admc_step_reference(g, x, u, 0.25)
+        assert same_bits(admc_step(g, x, u, 0.25), want)
+        zeros.update(bool(np.signbit(v)) for w in want.values() for v in np.ravel(w) if v == 0)
+        cascades = {i: draw(3) for i in g.sorted_nodes}
+        assert same_bits(edmc_step(g, cascades, u), edmc_step_reference(g, cascades, u))
+    assert zeros == {False, True}

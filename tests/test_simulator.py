@@ -9,9 +9,16 @@ import numpy as np
 import pytest
 
 from openmax.bounds import AssumptionViolation
-from openmax.graph import NetworkSnapshot, induced_subgraph, line_graph, snapshot_from_text
+from openmax.graph import (
+    NetworkSnapshot,
+    induced_subgraph,
+    is_connected,
+    line_graph,
+    snapshot_from_text,
+)
 from openmax.protocols import ProtocolParams, open_step, output, resume_agent
 from openmax.signals import Constant, PiecewiseLinear, SignalBank, sample
+from openmax.size_estimation import dse_generate, mle_estimate
 from openmax.simulator import (
     ConnectivityLost,
     DseConfig,
@@ -29,7 +36,7 @@ from openmax.simulator import (
     write_outputs,
 )
 
-from util import line4_churn_scenario
+from util import line4_churn_scenario, random_connected_graph, reference_outputs, same_bits
 
 
 def test_presets_ship_with_the_package():
@@ -463,3 +470,85 @@ def test_dse_outputs_layout(tmp_path):
     plot = (paths["plotdata"] / "size_estimates.csv").read_text().splitlines()
     assert plot[0] == "tick,n_true,target_estimate,nhat_1,nhat_2,nhat_3,nhat_4,nhat_5"
     assert plot[1 + 10].split(",")[1] == "4"  # the staircase dips with the departure
+
+
+def _churned_scenario(rng, variant, mode, read_departing, **kw):
+    """Random connected reference graph whose agents leave and rejoin at
+    ticks 8, 16 and 24; every window stays connected."""
+    ref = random_connected_graph(rng, int(rng.integers(6, 12)), extra_edge_prob=0.25)
+    changes, active = [], ref.nodes
+    for tick in (8, 16, 24):
+        while True:
+            keep = frozenset(v for v in ref.sorted_nodes if rng.random() < 0.7)
+            if keep and keep != active and is_connected(induced_subgraph(ref, keep)):
+                break
+        changes.append((tick, keep))
+        active = keep
+    exact = variant == "exact"
+    params = ProtocolParams(
+        mode,
+        variant,
+        alpha=None if exact else 0.25,
+        delta=3 if exact else None,
+        read_departing=read_departing,
+    )
+    return make_scenario(
+        name="oracle", params=params, reference=ref, horizon=32, seed=int(rng.integers(1000)),
+        changes=changes, **kw,
+    )
+
+
+@pytest.mark.parametrize("read_departing", [True, False])
+@pytest.mark.parametrize("variant", ["approximate", "exact"])
+@pytest.mark.parametrize("mode", ["max", "min"])
+def test_consensus_engine_matches_per_agent_oracle(mode, variant, read_departing):
+    """Scalar states under churn; inputs on a grid of quarters with both zeros,
+    so +0.0/-0.0 ties happen, and every output matches bit for bit."""
+    rng = np.random.default_rng([mode == "min", variant == "exact", read_departing])
+    sign = 1.0 if mode == "max" else -1.0
+    grid = [-0.5, -0.25, -0.0, 0.0, 0.25, 0.5]
+    zeros = set()
+    for _ in range(6):
+        def signal():
+            a, b = (float(v) for v in rng.choice(grid, size=2))
+            return Constant(a) if rng.random() < 0.5 else PiecewiseLinear(((4, a), (12, b)))
+
+        sc = _churned_scenario(
+            rng, variant, mode, read_departing, kind="consensus",
+            bank=SignalBank({i: signal() for i in range(1, 12)}),
+        )
+        want = reference_outputs(
+            sc, lambda k, g: {i: sign * sample(sc.bank, i, k) for i in g.sorted_nodes}
+        )
+        got = run(sc).trace.outputs
+        assert len(got) == len(want)
+        for k in range(len(want)):
+            assert same_bits(got[k], {i: sign * v for i, v in want[k].items()}), k
+            zeros.update(bool(np.signbit(v)) for v in got[k].values() if v == 0)
+    assert zeros == {False, True}
+
+
+@pytest.mark.parametrize("read_departing", [True, False])
+@pytest.mark.parametrize("variant", ["approximate", "exact"])
+def test_size_engine_matches_per_agent_oracle(variant, read_departing):
+    """p=3 vector states under churn: every agent's estimate, every tick."""
+    rng = np.random.default_rng([20, variant == "exact", read_departing])
+    for _ in range(4):
+        sc = _churned_scenario(
+            rng, variant, "max", read_departing, kind="size_estimation",
+            dse=DseConfig(p=3, mc_trials=2),
+        )
+        draws = np.random.default_rng(np.random.SeedSequence((sc.seed, 2)))
+        held = {"graph": None, "u": {}}
+
+        def inputs(k, g):
+            if g is not held["graph"]:
+                old = held["u"]
+                held["u"] = {i: old[i] if i in old else dse_generate(3, draws) for i in g.sorted_nodes}
+                held["graph"] = g
+            return held["u"]
+
+        want = reference_outputs(sc, inputs)
+        got = run_size_estimation(sc).trace.estimates
+        for k in range(len(want)):
+            assert same_bits(got[k], {i: mle_estimate(v) for i, v in want[k].items()}), k

@@ -1,11 +1,15 @@
-"""Shared helpers for the test suite: small random graphs and churn scripts."""
+"""Shared helpers for the test suite: small random graphs, churn scripts, and
+the per-agent reference kernels the slot-array engine is checked against."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Callable, Mapping
+
 import numpy as np
 
-from openmax.graph import NetworkSnapshot, snapshot_from_text
-from openmax.protocols import ProtocolParams
+from openmax.graph import NetworkSnapshot, induced_subgraph, partition_nodes, snapshot_from_text
+from openmax.protocols import ProtocolParams, State, init_agent, output
 from openmax.signals import Constant, SignalBank
 from openmax.simulator import Scenario, make_scenario
 
@@ -62,3 +66,96 @@ def floyd_warshall_diameter(g: NetworkSnapshot) -> float:
     for k in range(size):
         dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
     return float(dist.max())
+
+
+def admc_step_reference(
+    g: NetworkSnapshot, x: Mapping[int, State], u: Mapping[int, object], alpha: float
+) -> dict[int, State]:
+    """Per-agent approximate max step, one Python loop over the agents."""
+    new: dict[int, State] = {}
+    for i in g.sorted_nodes:
+        xi = x[i]
+        if isinstance(xi, float):
+            best = xi
+            for j in g.adjacency[i]:
+                xj = x[j]
+                if xj > best:
+                    best = xj
+            decayed = best - alpha
+            ui = u[i]
+            new[i] = ui if ui > decayed else decayed
+        else:
+            best = xi
+            for j in g.adjacency[i]:
+                best = np.maximum(best, x[j])
+            new[i] = np.maximum(best - alpha, u[i])
+    return new
+
+
+def edmc_step_reference(
+    g: NetworkSnapshot, x: Mapping[int, State], u: Mapping[int, object]
+) -> dict[int, State]:
+    """Per-agent exact max step: shift each cascade, load the input."""
+    new: dict[int, State] = {}
+    for i in g.sorted_nodes:
+        own = x[i]
+        agg = own[:-1]
+        for j in g.adjacency[i]:
+            agg = np.maximum(agg, x[j][:-1])
+        arr = np.empty_like(own)
+        arr[0] = np.asarray(u[i], dtype=float)
+        arr[1:] = agg
+        new[i] = arr
+    return new
+
+
+def open_step_reference(
+    params: ProtocolParams,
+    g_now: NetworkSnapshot,
+    g_next: NetworkSnapshot,
+    x: Mapping[int, State],
+    u_now: Mapping[int, object],
+    u_next: Mapping[int, object],
+) -> dict[int, State]:
+    """Per-agent step across a membership change, on the reference kernels."""
+    part = partition_nodes(g_now.nodes, g_next.nodes)
+    base = g_now
+    if not params.read_departing and part.departing:
+        base = induced_subgraph(g_now, g_now.nodes - part.departing)
+    if params.variant == "approximate":
+        stepped = admc_step_reference(base, x, u_now, params.alpha)
+    else:
+        stepped = edmc_step_reference(base, x, u_now)
+    new = {i: stepped[i] for i in sorted(part.remaining)}
+    new.update((i, init_agent(params, u_next[i])) for i in sorted(part.arriving))
+    return new
+
+
+def reference_outputs(
+    scenario: Scenario, inputs: Callable[[int, NetworkSnapshot], Mapping[int, object]]
+) -> list[dict[int, object]]:
+    """Per-tick max-side outputs of a scenario run on the reference kernels.
+
+    ``inputs(k, g)`` gives the max-side inputs of ``g``'s agents at tick ``k``;
+    agents start from their inputs.
+    """
+    params = replace(scenario.params, mode="max")
+    graphs = [w.graph for w in scenario.windows for _ in range(w.start, w.end + 1)]
+    u = inputs(0, graphs[0])
+    states = {i: init_agent(params, u[i]) for i in graphs[0].sorted_nodes}
+    outs = []
+    for k, g in enumerate(graphs):
+        outs.append({i: output(params, states[i]) for i in g.sorted_nodes})
+        if k < scenario.horizon:
+            u_next = inputs(k + 1, graphs[k + 1])
+            states = open_step_reference(params, g, graphs[k + 1], states, u, u_next)
+            u = u_next
+    return outs
+
+
+def same_bits(got: Mapping[int, object], want: Mapping[int, object]) -> bool:
+    """Same agents in the same order with bit-identical values, signs of zero included."""
+    return list(got) == list(want) and all(
+        np.asarray(got[i], dtype=float).tobytes() == np.asarray(want[i], dtype=float).tobytes()
+        for i in want
+    )
