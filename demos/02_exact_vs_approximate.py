@@ -49,7 +49,8 @@ def main() -> None:
     print("exact-delay identity: every agent's output at tick k equals the")
     print("network-wide input maximum from tick k-6 (depth 5 + 1):")
     for k in (50, 100, 130, 200):
-        outs = set(round(v, 12) for v in exact.outputs[k].values())
+        row = exact.outputs[k]  # one column per agent, NaN while inactive
+        outs = set(round(v, 12) for v in row[~np.isnan(row)].tolist())
         print(f"  k={k:3d}  outputs={sorted(outs)}  target(k-6)={exact.targets[k - 6]:.4f}")
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 from typing import Mapping, Union
 
 import numpy as np
@@ -59,6 +60,15 @@ __all__ = [
 State = Union[float, np.ndarray]
 
 
+def _is_whole(value: object) -> bool:
+    """True for an integer or an integral float; False for bools and non-numbers."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, Integral):
+        return True
+    return isinstance(value, Real) and float(value).is_integer()
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Validated protocol selection: mode, variant, and tuning constants."""
@@ -79,15 +89,18 @@ class ProtocolParams:
         if self.variant == "approximate":
             if self.alpha is None:
                 raise ValueError("the approximate variant needs a decay alpha")
+            if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
+                raise ValueError(f"alpha must be a number, got {self.alpha!r}")
             if not 0.0 < self.alpha < 1.0:
                 raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+            object.__setattr__(self, "alpha", float(self.alpha))
             if self.delta is not None:
                 raise ValueError("delta applies only to the exact variant")
         else:
             if self.delta is None:
                 raise ValueError("the exact variant needs a cascade depth delta")
-            if int(self.delta) != self.delta or self.delta < 0:
-                raise ValueError(f"delta must be a nonnegative integer, got {self.delta}")
+            if not _is_whole(self.delta) or self.delta < 0:
+                raise ValueError(f"delta must be a nonnegative integer, got {self.delta!r}")
             object.__setattr__(self, "delta", int(self.delta))
             if self.alpha is not None:
                 raise ValueError("alpha applies only to the approximate variant")

@@ -162,8 +162,9 @@ class ClampedRandomWalk:
         if hi is not None:
             x = min(x, hi)
         vals = [x]
-        for _ in range(horizon):
-            x = x + float(rng.uniform(-step_bound, step_bound))
+        # one sized draw yields the same stream as ``horizon`` scalar draws
+        for step in rng.uniform(-step_bound, step_bound, size=horizon).tolist():
+            x = x + step
             if lo is not None:
                 x = max(x, lo)
             if hi is not None:

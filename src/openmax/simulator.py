@@ -28,9 +28,9 @@ a single network change for dwell-time accounting.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
@@ -164,27 +164,30 @@ class Scenario:
 class ErrorTrace:
     """Tick-indexed record of a consensus run.
 
-    ``outputs[k]`` and ``inputs[k]`` map each active agent to its exposed
-    state and its reference value at tick ``k``; ``targets[k]`` is the input
-    extremum over the active set and ``errors[k]`` the worst absolute
-    deviation from it.
+    ``outputs`` and ``inputs`` are float64 arrays of shape ``(horizon + 1,
+    slots)``: cell ``[k, s]`` holds the exposed state and the reference value
+    at tick ``k`` of agent ``scenario.reference.sorted_nodes[s]``, and NaN
+    while that agent is inactive.  ``targets[k]`` is the input extremum over
+    the active set and ``errors[k]`` the worst absolute deviation from it.
     """
 
     ticks: np.ndarray
     errors: np.ndarray
     targets: np.ndarray
     n_active: np.ndarray
-    outputs: tuple[dict[int, float], ...]
-    inputs: tuple[dict[int, float], ...]
+    outputs: np.ndarray
+    inputs: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class DseTrace:
     """Tick-indexed record of a size-estimation run.
 
-    ``estimates[k]`` maps each active agent to its size estimate;
-    ``target_estimates[k]`` is the estimate an agent holding the exact
-    per-coordinate maxima would produce, and ``errors[k]`` the worst
+    ``estimates`` is a float64 array of shape ``(horizon + 1, slots)``: cell
+    ``[k, s]`` holds the size estimate at tick ``k`` of agent
+    ``scenario.reference.sorted_nodes[s]``, and NaN while that agent is
+    inactive.  ``target_estimates[k]`` is the estimate an agent holding the
+    exact per-coordinate maxima would produce, and ``errors[k]`` the worst
     per-coordinate consensus deviation from those maxima.
     """
 
@@ -192,7 +195,7 @@ class DseTrace:
     errors: np.ndarray
     true_sizes: np.ndarray
     target_estimates: np.ndarray
-    estimates: tuple[dict[int, float], ...]
+    estimates: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -694,19 +697,19 @@ class _ConsensusObserver:
         self.bank = scenario.bank
         self.sign = 1.0 if scenario.params.mode == "max" else -1.0
         self.U = np.zeros(scenario.reference.n)
-        self.targets: list[float] = []
-        self.outputs: list[dict[int, float]] = []
-        self.inputs_by_tick: list[dict[int, float]] = []
+        self.targets = np.empty(scenario.horizon + 1)
+        self.outputs = np.full((scenario.horizon + 1, scenario.reference.n), np.nan)
+        self.drawn = np.full_like(self.outputs, np.nan)
 
     def inputs(self, k: int, g: NetworkSnapshot, act: np.ndarray) -> tuple[np.ndarray, float]:
-        sampled = [sample(self.bank, i, k) for i in g.sorted_nodes]
-        self.inputs_by_tick.append(dict(zip(g.sorted_nodes, sampled)))
-        self.U[act] = u = self.sign * np.array(sampled)
+        sampled = np.array([sample(self.bank, i, k) for i in g.sorted_nodes])
+        self.drawn[k, act] = sampled
+        self.U[act] = u = self.sign * sampled
         return self.U, float(u[np.argmax(u)])  # the first maximum, as max() picks it
 
-    def observe(self, g: NetworkSnapshot, outs: np.ndarray, target: float) -> None:
-        self.targets.append(self.sign * target)
-        self.outputs.append(dict(zip(g.sorted_nodes, (self.sign * outs).tolist())))
+    def observe(self, k: int, act: np.ndarray, outs: np.ndarray, target: float) -> None:
+        self.targets[k] = self.sign * target
+        self.outputs[k, act] = self.sign * outs
 
 
 class _SizeObserver:
@@ -723,8 +726,8 @@ class _SizeObserver:
         self.rng = np.random.default_rng(np.random.SeedSequence((scenario.seed, 2)))
         self.act = np.empty(0, dtype=np.intp)
         self.U = np.zeros((scenario.reference.n, self.p))
-        self.estimates: list[dict[int, float]] = []
-        self.target_estimates: list[float] = []
+        self.target_estimates = np.empty(scenario.horizon + 1)
+        self.estimates = np.full((scenario.horizon + 1, scenario.reference.n), np.nan)
 
     def inputs(self, k: int, g: NetworkSnapshot, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if act is not self.act:  # the engine passes one array per window
@@ -735,9 +738,15 @@ class _SizeObserver:
             self.act = act
         return self.U, self.maxima
 
-    def observe(self, g: NetworkSnapshot, outs: np.ndarray, target: np.ndarray) -> None:
-        self.target_estimates.append(self.target_estimate)
-        self.estimates.append(dict(zip(g.sorted_nodes, mle_estimate(outs).tolist())))
+    def observe(self, k: int, act: np.ndarray, outs: np.ndarray, target: np.ndarray) -> None:
+        self.target_estimates[k] = self.target_estimate
+        self.estimates[k, act] = mle_estimate(outs)
+
+
+def _window_slots(scenario: Scenario) -> list[np.ndarray]:
+    """Each window's active slots, ascending: indices into the reference's sorted nodes."""
+    nodes = np.asarray(scenario.reference.sorted_nodes)
+    return [np.searchsorted(nodes, w.graph.sorted_nodes) for w in scenario.windows]
 
 
 def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
@@ -746,16 +755,16 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
     Row ``s`` of the state and input arrays is slot ``s``, the ``s``-th
     reference node.  ``observer.inputs(k, g, act)`` fills tick ``k``'s inputs
     at the active slots ``act`` and returns them with their extremum, the
-    target; ``observer.observe(g, outs, target)`` records one tick's outputs.
-    Returns the per-tick errors and active counts, and each window with its
-    diameter, bounds report, and audit dict.
+    target; ``observer.observe(k, act, outs, target)`` records tick ``k``'s
+    outputs at those slots.  Returns the per-tick errors and active counts,
+    and each window with its diameter, bounds report, and audit dict.
     """
     params = scenario.params
     exact = params.variant == "exact"
     kernel = edmc_kernel if exact else partial(admc_kernel, alpha=params.alpha)
     windows = scenario.windows
     nodes = np.asarray(scenario.reference.sorted_nodes)
-    acts = [np.searchsorted(nodes, w.graph.sorted_nodes) for w in windows]
+    acts = _window_slots(scenario)
     U, target = observer.inputs(0, windows[0].graph, acts[0])
     init, a0 = scenario.initial_states, acts[0]
     prior = U[a0] if init is None else observer.sign * np.array([init[i] for i in nodes[a0]])
@@ -781,7 +790,7 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
                 raise RunExecutionError(
                     f"non-finite state encountered at tick {k}; aborting the run"
                 )
-            observer.observe(g, outs, target)
+            observer.observe(k, act, outs, target)
             errors.append(float(np.abs(outs - target).max()))
             if k < w.end:
                 kernel(X, U, hood)
@@ -865,10 +874,10 @@ def run(scenario: Scenario) -> RunResult:
     trace = ErrorTrace(
         ticks=np.arange(scenario.horizon + 1),
         errors=errors,
-        targets=np.asarray(observer.targets),
+        targets=observer.targets,
         n_active=counts,
-        outputs=tuple(observer.outputs),
-        inputs=tuple(observer.inputs_by_tick),
+        outputs=observer.outputs,
+        inputs=observer.drawn,
     )
     rows = [
         {
@@ -900,13 +909,13 @@ def run_size_estimation(scenario: Scenario) -> RunResult:
         ticks=np.arange(scenario.horizon + 1),
         errors=errors,
         true_sizes=counts,
-        target_estimates=np.asarray(observer.target_estimates),
-        estimates=tuple(observer.estimates),
+        target_estimates=observer.target_estimates,
+        estimates=observer.estimates,
     )
     params = scenario.params
     p = scenario.dse.p
     rows = []
-    for w, d, report, empirical in windows:
+    for (w, d, report, empirical), act in zip(windows, _window_slots(scenario)):
         eps = params.alpha * d if params.variant == "approximate" else 0.0
         n_true = w.graph.n
         expected = (
@@ -914,8 +923,7 @@ def run_size_estimation(scenario: Scenario) -> RunResult:
             if params.variant == "approximate"
             else expected_estimate_edmc(n_true, p)
         )
-        ests = trace.estimates[w.end]
-        values = [ests[i] for i in w.graph.sorted_nodes]
+        values = trace.estimates[w.end, act].tolist()
         spread = float(max(values) - min(values))
         rows.append(
             {
@@ -961,48 +969,66 @@ def run_size_estimation(scenario: Scenario) -> RunResult:
 # artifact writing
 
 
-def _write_consensus_csv(path: Path, trace: ErrorTrace) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tick", "agent", "x", "u", "e", "n_active"])
-        for k in range(len(trace.ticks)):
-            e = float(trace.errors[k])
-            n = int(trace.n_active[k])
-            for agent in sorted(trace.outputs[k]):
-                writer.writerow(
-                    [k, agent, trace.outputs[k][agent], trace.inputs[k][agent], e, n]
-                )
+def _format_floats(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64 in ``values``, as an object array of strings.
+
+    Each distinct bit pattern is formatted once, so agents that agree cost one
+    ``repr`` between them and ``-0.0`` stays apart from ``0.0``.
+    """
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)[inverse]
 
 
-def _write_dse_csv(path: Path, trace: DseTrace) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tick", "agent", "n_hat"])
-        for k in range(len(trace.ticks)):
-            for agent in sorted(trace.estimates[k]):
-                writer.writerow([k, agent, trace.estimates[k][agent]])
+def _write_tables(
+    scenario: Scenario,
+    trace: ErrorTrace | DseTrace,
+    trace_path: Path | None,
+    plot_path: Path | None,
+) -> None:
+    """Write ``trace.csv`` and the plot CSV in one pass over windows and ticks.
 
-
-def _write_state_plot(path: Path, scenario: Scenario, trace: ErrorTrace) -> None:
+    The trace has a line per active agent and tick; the plot CSV has a line
+    per tick and a column per reference node, empty while it is inactive.
+    Each tick's states are formatted once for both files, and each file gets
+    one string per tick.  Floats print as ``repr``; no field is quoted.
+    """
     nodes = scenario.reference.sorted_nodes
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tick", "target"] + [f"x_{i}" for i in nodes])
-        for k in range(len(trace.ticks)):
-            row: list[object] = [k, float(trace.targets[k])]
-            row.extend(trace.outputs[k].get(i, "") for i in nodes)
-            writer.writerow(row)
+    ticks = range(len(trace.ticks))
+    if scenario.kind == "consensus":
+        states, more_columns = trace.outputs, (trace.inputs,)
+        trace_head = ["tick", "agent", "x", "u", "e", "n_active"]
+        plot_head = ["tick", "target", *(f"x_{i}" for i in nodes)]
+        errors, counts = trace.errors.tolist(), trace.n_active.tolist()
+        lines = [f"{k},{{}},{{}},{{}},{errors[k]!r},{counts[k]}\n" for k in ticks]
+        leads = [f"{k},{t!r}," for k, t in zip(ticks, trace.targets.tolist())]
+    else:
+        states, more_columns = trace.estimates, ()
+        trace_head = ["tick", "agent", "n_hat"]
+        plot_head = ["tick", "n_true", "target_estimate", *(f"nhat_{i}" for i in nodes)]
+        sizes, targets = trace.true_sizes.tolist(), trace.target_estimates.tolist()
+        lines = [f"{k},{{}},{{}}\n" for k in ticks]
+        leads = [f"{k},{sizes[k]},{targets[k]!r}," for k in ticks]
 
-
-def _write_estimate_plot(path: Path, scenario: Scenario, trace: DseTrace) -> None:
-    nodes = scenario.reference.sorted_nodes
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tick", "n_true", "target_estimate"] + [f"nhat_{i}" for i in nodes])
-        for k in range(len(trace.ticks)):
-            row: list[object] = [k, int(trace.true_sizes[k]), float(trace.target_estimates[k])]
-            row.extend(trace.estimates[k].get(i, "") for i in nodes)
-            writer.writerow(row)
+    cells = np.empty(len(nodes), dtype=object)
+    with ExitStack() as stack:
+        tf = pf = None
+        if trace_path is not None:
+            tf = stack.enter_context(trace_path.open("w", newline=""))
+            tf.write(",".join(trace_head) + "\n")
+        if plot_path is not None:
+            pf = stack.enter_context(plot_path.open("w", newline=""))
+            pf.write(",".join(plot_head) + "\n")
+        for w, act in zip(scenario.windows, _window_slots(scenario)):
+            agents = [str(i) for i in w.graph.sorted_nodes]
+            cells[:] = ""
+            for k in range(w.start, w.end + 1):
+                xs = _format_floats(states[k, act])
+                if tf is not None:
+                    cols = [_format_floats(c[k, act]).tolist() for c in more_columns]
+                    tf.write("".join(map(lines[k].format, agents, xs.tolist(), *cols)))
+                if pf is not None:
+                    cells[act] = xs
+                    pf.write(leads[k] + ",".join(cells.tolist()) + "\n")
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> dict[str, Path]:
@@ -1018,22 +1044,16 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> dict[str, Path]:
         fh.write("\n")
     paths["summary"] = summary_path
 
+    plot_path = None
     if scenario.trace.csv:
-        trace_path = out / "trace.csv"
-        if scenario.kind == "consensus":
-            _write_consensus_csv(trace_path, result.trace)
-        else:
-            _write_dse_csv(trace_path, result.trace)
-        paths["trace"] = trace_path
-
+        paths["trace"] = out / "trace.csv"
     if scenario.trace.plotdata:
-        plot_dir = out / "plotdata"
+        plot_dir = paths["plotdata"] = out / "plotdata"
         plot_dir.mkdir(exist_ok=True)
-        if scenario.kind == "consensus":
-            _write_state_plot(plot_dir / "state_trajectories.csv", scenario, result.trace)
-        else:
-            _write_estimate_plot(plot_dir / "size_estimates.csv", scenario, result.trace)
+        plot_name = "state_trajectories" if scenario.kind == "consensus" else "size_estimates"
+        plot_path = plot_dir / f"{plot_name}.csv"
         for w in scenario.windows:
             (plot_dir / f"graph_window_{w.start}.txt").write_text(snapshot_to_text(w.graph))
-        paths["plotdata"] = plot_dir
+    if scenario.trace.csv or scenario.trace.plotdata:
+        _write_tables(scenario, result.trace, paths.get("trace"), plot_path)
     return paths

@@ -182,9 +182,11 @@ def test_missing_scenario_exits_1(capsys):
         ),
         ("alpha: 0.2}", 'alpha: 0.2, read_departing: "false"}', "protocol"),
         ("topology:", 'trace: {csv: "false"}\ntopology:', "trace"),
+        ("alpha: 0.2}", "alpha: '0.5'}", "alpha"),
+        ("variant: approximate, alpha: 0.2}", "variant: exact, delta: true}", "delta"),
     ],
     ids=["line-without-n", "constant-without-value", "points-not-pairs",
-         "read-departing-string", "trace-flag-string"],
+         "read-departing-string", "trace-flag-string", "alpha-string", "delta-bool"],
 )
 def test_malformed_config_exits_1_without_traceback(old, new, section, tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
@@ -192,6 +194,7 @@ def test_malformed_config_exits_1_without_traceback(old, new, section, tmp_path,
     assert main(["validate", "--scenario", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert "Traceback" not in err
     assert section in err
 
 

@@ -94,6 +94,31 @@ def test_random_walk_is_pure_and_bounded():
     assert again.table == w.table
 
 
+def _scalar_draw_walk(rng, horizon, step_bound, start, lo=None, hi=None):
+    """The walk drawn one step at a time, the reference for the sized draw."""
+    x = start if lo is None else max(start, lo)
+    x = x if hi is None else min(x, hi)
+    vals = [x]
+    for _ in range(horizon):
+        x = x + float(rng.uniform(-step_bound, step_bound))
+        x = x if lo is None else max(x, lo)
+        x = x if hi is None else min(x, hi)
+        vals.append(x)
+    return tuple(vals)
+
+
+@pytest.mark.parametrize("lo, hi", [(None, None), (-0.1, 0.1), (0.0, None), (None, 0.0)])
+def test_random_walk_equals_scalar_draws(lo, hi):
+    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    w = ClampedRandomWalk.generate(got_rng, 1000, 0.05, 0.02, lo, hi)
+    want = _scalar_draw_walk(want_rng, 1000, 0.05, 0.02, lo, hi)
+    assert np.array(w.table).tobytes() == np.array(want).tobytes()
+    assert [type(v) for v in w.table] == [float] * 1001
+    assert all(bound in w.table for bound in (lo, hi) if bound is not None)  # clamps hit
+    # the stream continues where the scalar draws left it
+    assert got_rng.uniform() == want_rng.uniform()
+
+
 def test_bank_slope_bound_is_max_over_agents():
     bank = line6_bank()
     assert bank.slope_bound == pytest.approx(0.02, rel=1e-12)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from openmax.simulator import (
     ConnectivityLost,
     DseConfig,
     RunExecutionError,
+    RunResult,
     Scenario,
     ScenarioError,
     TraceOptions,
@@ -34,9 +36,16 @@ from openmax.simulator import (
     run,
     run_size_estimation,
     write_outputs,
+    _format_floats,
 )
 
-from util import line4_churn_scenario, random_connected_graph, reference_outputs, same_bits
+from util import (
+    line4_churn_scenario,
+    random_connected_graph,
+    reference_outputs,
+    same_bits,
+    trace_row,
+)
 
 
 def test_presets_ship_with_the_package():
@@ -91,7 +100,7 @@ def test_line6_edmc_run_times_and_delay_identity():
     # the top level reproduces the input maximum delayed by depth + 1
     for k in range(6, 251):
         expected = res.trace.targets[k - 6]
-        for agent, value in res.trace.outputs[k].items():
+        for agent, value in trace_row(res, res.trace.outputs, k).items():
             assert value == pytest.approx(expected, abs=1e-12)
 
 
@@ -103,7 +112,7 @@ def test_run_matches_inline_loop():
     states = {i: resume_agent(sc.params, sc.initial_states[i], u[i]) for i in g.sorted_nodes}
     for k in range(40):
         outs = {i: float(output(sc.params, states[i])) for i in g.sorted_nodes}
-        assert outs == res.trace.outputs[k]
+        assert outs == trace_row(res, res.trace.outputs, k)
         target = max(u.values())
         assert res.trace.targets[k] == target
         assert res.trace.errors[k] == max(abs(v - target) for v in outs.values())
@@ -137,7 +146,7 @@ def test_explicit_churn_windows_and_arrival_reset():
     assert res.trace.targets[5] == 0.9
     assert res.trace.targets[15] == 0.3
     # the returning agent restarts from its own current input
-    assert res.trace.outputs[20][4] == res.trace.inputs[20][4] == 0.9
+    assert trace_row(res, res.trace.outputs, 20)[4] == trace_row(res, res.trace.inputs, 20)[4] == 0.9
     # and its edge to agent 3 is restored, so agent 1 re-converges
     tail = res.trace.errors[res.summary["windows"][2]["bounds"]["convergence_time"] + 20 :]
     assert np.all(tail <= res.summary["windows"][2]["bounds"]["tracking_bound"] + 1e-9)
@@ -178,8 +187,9 @@ def test_min_mode_mirrors_negated_max():
     assert np.array_equal(low.trace.errors, high.trace.errors)
     assert np.array_equal(low.trace.targets, -high.trace.targets)
     for k in range(26):
-        for i, v in low.trace.outputs[k].items():
-            assert v == -high.trace.outputs[k][i]
+        mirror = trace_row(high, high.trace.outputs, k)
+        for i, v in trace_row(low, low.trace.outputs, k).items():
+            assert v == -mirror[i]
 
 
 def test_ba_preset_churn_touches_only_the_pool():
@@ -390,8 +400,9 @@ def test_dse_exact_agreement_and_regeneration():
         assert w["expected_closed_form"] == pytest.approx(5 * 6 / 5 * w["n_true"] / 5, rel=0.5)
     # the returning agent drew a fresh vector, so its first estimate after
     # the rejoin differs from its original one
-    assert res.trace.estimates[16][5] != res.trace.estimates[0][5]
-    assert res.trace.estimates[16][5] == pytest.approx(res.summary["windows"][2]["steady"]["target_estimate"], rel=10)
+    rejoined = trace_row(res, res.trace.estimates, 16)[5]
+    assert rejoined != trace_row(res, res.trace.estimates, 0)[5]
+    assert rejoined == pytest.approx(res.summary["windows"][2]["steady"]["target_estimate"], rel=10)
     # summary carries the comparison keys
     for key in ("expected_closed_form", "monte_carlo_mean", "ci99"):
         assert key in res.summary
@@ -401,7 +412,7 @@ def test_dse_approximate_underestimates_at_steady():
     res = run_size_estimation(dse_line5_scenario("approximate"))
     for w in res.summary["windows"]:
         assert w["empirical"]["converged"]
-        ests = res.trace.estimates[w["end"]]
+        ests = trace_row(res, res.trace.estimates, w["end"])
         assert max(ests.values()) <= w["steady"]["target_estimate"] + 1e-12
         assert w["epsilon"] == pytest.approx(0.05 * w["diameter"])
 
@@ -410,7 +421,8 @@ def test_dse_run_is_deterministic():
     a = run_size_estimation(dse_line5_scenario("exact"))
     b = run_size_estimation(dse_line5_scenario("exact"))
     assert np.array_equal(a.trace.target_estimates, b.trace.target_estimates)
-    assert a.trace.estimates == b.trace.estimates
+    for k in a.trace.ticks:
+        assert trace_row(a, a.trace.estimates, k) == trace_row(b, b.trace.estimates, k)
     assert json.dumps(a.summary) == json.dumps(b.summary)
 
 
@@ -460,6 +472,36 @@ def test_write_outputs_respects_trace_options(tmp_path):
     assert set(paths) == {"summary"}
     assert not (tmp_path / "trace.csv").exists()
     assert not (tmp_path / "plotdata").exists()
+
+
+def test_format_floats_equals_repr():
+    tiny = 5e-324  # the smallest subnormal
+    values = [0.0, -0.0, 0.1, 0.1, -0.0, 1e-5, -1e-5, 1e16, 1e-5, tiny, -tiny, 2.5e-310, 0.0, 1 / 3]
+    got = _format_floats(np.array(values))
+    assert got.tolist() == [repr(v) for v in values]
+
+
+@pytest.mark.parametrize("kind", ["consensus", "size_estimation"])
+def test_trace_and_plot_written_alone_match_a_full_write(kind, tmp_path):
+    if kind == "consensus":
+        res = run(line4_churn_scenario(params=ProtocolParams(mode="min", variant="exact", delta=3)))
+    else:
+        res = run_size_estimation(dse_line5_scenario("approximate"))
+
+    def write(name, **flags):
+        alone = RunResult(replace(res.scenario, trace=TraceOptions(**flags)), res.trace, res.summary)
+        return write_outputs(alone, tmp_path / name)
+
+    full = write("full")
+    trace_only = write("trace", plotdata=False)
+    plot_only = write("plot", csv=False)
+    assert set(trace_only) == {"summary", "trace"}
+    assert set(plot_only) == {"summary", "plotdata"}
+    assert trace_only["trace"].read_bytes() == full["trace"].read_bytes()
+    files = sorted(f.name for f in full["plotdata"].iterdir())
+    assert sorted(f.name for f in plot_only["plotdata"].iterdir()) == files
+    for name in files:
+        assert (plot_only["plotdata"] / name).read_bytes() == (full["plotdata"] / name).read_bytes()
 
 
 def test_dse_outputs_layout(tmp_path):
@@ -520,11 +562,12 @@ def test_consensus_engine_matches_per_agent_oracle(mode, variant, read_departing
         want = reference_outputs(
             sc, lambda k, g: {i: sign * sample(sc.bank, i, k) for i in g.sorted_nodes}
         )
-        got = run(sc).trace.outputs
-        assert len(got) == len(want)
+        res = run(sc)
+        assert len(res.trace.outputs) == len(want)
         for k in range(len(want)):
-            assert same_bits(got[k], {i: sign * v for i, v in want[k].items()}), k
-            zeros.update(bool(np.signbit(v)) for v in got[k].values() if v == 0)
+            got = trace_row(res, res.trace.outputs, k)
+            assert same_bits(got, {i: sign * v for i, v in want[k].items()}), k
+            zeros.update(bool(np.signbit(v)) for v in got.values() if v == 0)
     assert zeros == {False, True}
 
 
@@ -549,6 +592,7 @@ def test_size_engine_matches_per_agent_oracle(variant, read_departing):
             return held["u"]
 
         want = reference_outputs(sc, inputs)
-        got = run_size_estimation(sc).trace.estimates
+        res = run_size_estimation(sc)
         for k in range(len(want)):
-            assert same_bits(got[k], {i: mle_estimate(v) for i, v in want[k].items()}), k
+            got = trace_row(res, res.trace.estimates, k)
+            assert same_bits(got, {i: mle_estimate(v) for i, v in want[k].items()}), k

@@ -11,7 +11,7 @@ import numpy as np
 from openmax.graph import NetworkSnapshot, induced_subgraph, partition_nodes, snapshot_from_text
 from openmax.protocols import ProtocolParams, State, init_agent, output
 from openmax.signals import Constant, SignalBank
-from openmax.simulator import Scenario, make_scenario
+from openmax.simulator import RunResult, Scenario, make_scenario
 
 LINE4_TEXT = """
 nodes: 1 2 3 4
@@ -159,3 +159,16 @@ def same_bits(got: Mapping[int, object], want: Mapping[int, object]) -> bool:
         np.asarray(got[i], dtype=float).tobytes() == np.asarray(want[i], dtype=float).tobytes()
         for i in want
     )
+
+
+def trace_row(result: RunResult, table: np.ndarray, k: int) -> dict[int, float]:
+    """Row ``k`` of a trace table as ``{agent: value}`` over the agents active at tick ``k``.
+
+    Checks the layout on the way: column ``s`` is the ``s``-th reference node,
+    and the columns of inactive agents hold NaN.
+    """
+    sc = result.scenario
+    active = next(w for w in sc.windows if w.start <= k <= w.end).graph.sorted_nodes
+    slots = np.searchsorted(sc.reference.sorted_nodes, active)
+    assert np.isnan(np.delete(table[k], slots)).all()
+    return dict(zip(active, table[k, slots].tolist()))
