@@ -238,6 +238,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     text, name = _scenario_text(args.scenario)
     seed = _parse_seed(args.seed)
     param, values = _parse_grid(args.grid)
+    if args.trials is not None:
+        DseConfig(p=2, mc_trials=args.trials)  # reject a bad count before any point runs
     jobs = [(text, name, param, value, seed, args.trials) for value in values]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

@@ -212,30 +212,36 @@ def sample(bank: SignalBank, agent: int, k: int) -> float:
     return spec.value(k)
 
 
+def _values(spec: SignalSpec, horizon: int) -> np.ndarray:
+    """One agent's values over ``[0, horizon]`` as a float64 array."""
+    if isinstance(spec, ClampedRandomWalk):
+        table = np.asarray(spec.table[: horizon + 1], dtype=float)
+        return np.pad(table, (0, horizon + 1 - table.size), mode="edge")
+    return np.fromiter(map(spec.value, range(horizon + 1)), dtype=float, count=horizon + 1)
+
+
 def certify_slope(
     bank: SignalBank, horizon: int, declared_bound: float | None = None
 ) -> float:
     """Scan all agents over ``[0, horizon]`` and return the observed max change.
 
     Raises :class:`SlopeCertificationError` if any per-tick change exceeds the
-    declared bound (the bank's own bound by default) beyond float tolerance.
+    declared bound (the bank's own bound by default) beyond float tolerance,
+    or is NaN; the message names the first such agent and tick.
     """
     bound = bank.slope_bound if declared_bound is None else float(declared_bound)
     tol = 1e-9 * max(1.0, abs(bound)) + 1e-12
     worst = 0.0
     for agent, spec in sorted(bank.specs.items()):
-        prev = spec.value(0)
-        for k in range(1, horizon + 1):
-            cur = spec.value(k)
-            change = abs(cur - prev)
-            if change > worst:
-                worst = change
-            if change > bound + tol:
-                raise SlopeCertificationError(
-                    f"agent {agent} moves by {change:.6g} from tick {k - 1} to {k}, "
-                    f"above the declared per-tick slope bound {bound:.6g}"
-                )
-            prev = cur
+        change = np.abs(np.diff(_values(spec, horizon)))
+        bad = np.flatnonzero(~(change <= bound + tol))
+        if bad.size:
+            k = int(bad[0]) + 1
+            raise SlopeCertificationError(
+                f"agent {agent} moves by {change[k - 1]:.6g} from tick {k - 1} to {k}, "
+                f"above the declared per-tick slope bound {bound:.6g}"
+            )
+        worst = max(worst, float(change.max(initial=0.0)))
     return worst
 
 

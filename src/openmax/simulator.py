@@ -117,8 +117,11 @@ class DseConfig:
     def __post_init__(self) -> None:
         if int(self.p) != self.p or self.p < 2:
             raise ScenarioError(f"the coordinate count p must be an integer >= 2, got {self.p}")
-        if int(self.mc_trials) != self.mc_trials or self.mc_trials < 1:
-            raise ScenarioError(f"mc_trials must be a positive integer, got {self.mc_trials}")
+        if int(self.mc_trials) != self.mc_trials or self.mc_trials < 2:
+            raise ScenarioError(
+                f"mc_trials must be an integer >= 2 (a confidence interval needs two "
+                f"trials), got {self.mc_trials}"
+            )
         object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "mc_trials", int(self.mc_trials))
 

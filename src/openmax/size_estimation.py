@@ -42,6 +42,16 @@ _EULER = 0.5772156649015328606
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
+def _open_uniform(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+    """Uniforms on (0, 1): draw from [0, 1), then redraw exact zeros in draw order."""
+    vals = rng.random(size)
+    while True:
+        zeros = vals == 0.0
+        if not zeros.any():
+            return vals
+        vals[zeros] = rng.random(int(zeros.sum()))
+
+
 def dse_generate(p: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the ``p`` uniform coordinates one agent contributes.
 
@@ -50,12 +60,7 @@ def dse_generate(p: int, rng: np.random.Generator) -> np.ndarray:
     """
     if p < 2:
         raise ValueError("at least two coordinates are needed, got p={p}".format(p=p))
-    vals = rng.random(p)
-    while True:
-        zeros = vals == 0.0
-        if not zeros.any():
-            return vals
-        vals[zeros] = rng.random(int(zeros.sum()))
+    return _open_uniform(rng, p)
 
 
 def mle_estimate(x: object) -> float | np.ndarray:
@@ -222,16 +227,22 @@ def dse_worst_case_monte_carlo(
 ) -> MonteCarloResult:
     """Monte Carlo of the size estimate on worst-case degraded maxima.
 
-    Per trial, draw ``n * p`` uniforms, take the coordinatewise maxima over
-    the ``n`` agents, degrade every maximum by ``eps``, and apply the
-    estimator.  ``degrade="log"`` multiplies by ``e^-eps`` (the degradation
-    model behind :func:`expected_estimate_admc`, so the means agree);
+    Per trial, take the ``p`` coordinatewise maxima over ``n`` agents'
+    uniforms, degrade every maximum by ``eps``, and apply the estimator.  The
+    maximum of ``n`` uniforms is Beta(n, 1), so each maximum is sampled
+    directly as ``V^(1/n)`` with ``V`` uniform on (0, 1), in log space as
+    ``log(V) / n``: a call costs O(trials * p), not O(trials * n * p), and
+    every log is strictly negative, so every estimate is finite and positive.
+    ``degrade="log"`` multiplies by ``e^-eps`` (the degradation model behind
+    :func:`expected_estimate_admc`, so the means agree);
     ``degrade="subtract"`` subtracts ``eps`` outright, which degrades more
     and therefore averages below the closed form.  Subtracted coordinates
-    that fall to zero or below are clamped at ``floor`` and counted.
+    that fall below ``floor`` are clamped to it and counted.
 
-    Trials are independent: trial ``t`` uses ``SeedSequence((seed, t))``, so
-    any execution order or partition gives bit-identical aggregates.
+    One generator, ``default_rng(seed)``, draws the whole ``(trials, p)``
+    block of ``V`` row by row, so a run's trials are a prefix of any longer
+    run's with the same seed (barring a redrawn exact zero, which has
+    probability 2^-53 per draw).
     """
     if trials < 2:
         raise ValueError("need at least two trials for a confidence interval")
@@ -242,21 +253,17 @@ def dse_worst_case_monte_carlo(
     if n < 1 or p < 2:
         raise ValueError("need n >= 1 agents and p >= 2 coordinates")
 
-    estimates = np.empty(trials)
+    log_max = np.log(_open_uniform(np.random.default_rng(seed), (trials, p))) / n
     floored = 0
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        u_max = rng.random((n, p)).max(axis=0)
-        if degrade == "log":
-            logs = np.log(u_max) - eps
-        else:
-            x = u_max - eps
-            low = x < floor
-            if low.any():
-                floored += int(low.sum())
-                x[low] = floor
-            logs = np.log(x)
-        estimates[t] = -p / logs.sum()
+    if degrade == "log":
+        logs = log_max - eps
+    else:
+        x = np.exp(log_max) - eps
+        low = x < floor
+        floored = int(low.sum())
+        x[low] = floor
+        logs = np.log(x)
+    estimates = -p / logs.sum(axis=1)
     mean = float(estimates.mean())
     std_error = float(estimates.std(ddof=1) / math.sqrt(trials))
     return MonteCarloResult(

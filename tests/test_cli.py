@@ -171,31 +171,42 @@ def test_missing_scenario_exits_1(capsys):
 
 
 @pytest.mark.parametrize(
-    "old, new, section",
+    "command, old, new, section",
     [
-        ("topology: {kind: line, n: 3}", "topology: {kind: line}", "topology"),
-        ("default: {kind: constant, value: 0.1}", "default: {kind: constant}", "signal"),
+        ("validate", "topology: {kind: line, n: 3}", "topology: {kind: line}", "topology"),
+        ("validate", "default: {kind: constant, value: 0.1}", "default: {kind: constant}", "signal"),
         (
+            "validate",
             "default: {kind: constant, value: 0.1}",
             "default: {kind: piecewise_linear, points: [1, 2]}",
             "signal",
         ),
-        ("alpha: 0.2}", 'alpha: 0.2, read_departing: "false"}', "protocol"),
-        ("topology:", 'trace: {csv: "false"}\ntopology:', "trace"),
-        ("alpha: 0.2}", "alpha: '0.5'}", "alpha"),
-        ("variant: approximate, alpha: 0.2}", "variant: exact, delta: true}", "delta"),
+        ("validate", "alpha: 0.2}", 'alpha: 0.2, read_departing: "false"}', "protocol"),
+        ("validate", "topology:", 'trace: {csv: "false"}\ntopology:', "trace"),
+        ("validate", "alpha: 0.2}", "alpha: '0.5'}", "alpha"),
+        ("validate", "variant: approximate, alpha: 0.2}", "variant: exact, delta: true}", "delta"),
+        ("validate", "mc_trials: 120", "mc_trials: 1", "mc_trials"),
+        ("size-est", "mc_trials: 120", "mc_trials: 1", "mc_trials"),
+        ("size-est --trials 1", "", "", "mc_trials"),
+        ("sweep --grid p=3,5 --trials 1", "", "", "mc_trials"),
     ],
     ids=["line-without-n", "constant-without-value", "points-not-pairs",
-         "read-departing-string", "trace-flag-string", "alpha-string", "delta-bool"],
+         "read-departing-string", "trace-flag-string", "alpha-string", "delta-bool",
+         "validate-one-trial", "size-est-one-trial", "size-est-trials-flag", "sweep-trials-flag"],
 )
-def test_malformed_config_exits_1_without_traceback(old, new, section, tmp_path, capsys):
+def test_malformed_config_exits_1_without_traceback(command, old, new, section, tmp_path, capsys):
+    base = MINI_DSE if section == "mc_trials" else MINI_CONSENSUS
     bad = tmp_path / "bad.yaml"
-    bad.write_text(MINI_CONSENSUS.replace(old, new))
-    assert main(["validate", "--scenario", str(bad)]) == 1
+    bad.write_text(base.replace(old, new))
+    argv = [*command.split(), "--scenario", str(bad)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert section in err
+    assert not (tmp_path / "out").exists()  # failed at load, before any run
 
 
 @pytest.mark.parametrize(

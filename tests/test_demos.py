@@ -13,7 +13,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_track_moving_extremum", "02_exact_vs_approximate", "03_churn_size_estimation"]
+    "demo",
+    [
+        "01_track_moving_extremum",
+        "02_exact_vs_approximate",
+        "03_churn_size_estimation",
+        "04_worst_case_bias",
+    ],
 )
 def test_demo_exits_0(demo, tmp_path):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)

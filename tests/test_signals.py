@@ -19,6 +19,8 @@ from openmax.signals import (
     sample,
 )
 
+from util import certify_slope_reference
+
 # Reference profile used by the line-topology presets: ramps with |step| 0.02,
 # held flat after the last breakpoint.
 RAMP_POINTS = ((0, 0.2), (60, 0.2), (80, -0.2), (100, -0.2), (140, 0.6))
@@ -139,6 +141,59 @@ def test_certify_slope_rejects_step_reading_at_ramp_bound():
     assert certify_slope(bank, 300) == pytest.approx(0.04, rel=1e-12)
     with pytest.raises(SlopeCertificationError):
         certify_slope(bank, 300, declared_bound=0.02)
+
+
+def _banks_of_every_kind() -> dict[str, SignalBank]:
+    rng = np.random.default_rng(11)
+    walks = {
+        i: ClampedRandomWalk.generate(rng, 300, 0.02, start=0.5 * i - 1.0, lo=-1.0, hi=1.0)
+        for i in range(1, 6)
+    }
+    walks[6] = ClampedRandomWalk.generate(rng, 120, 0.03)  # shorter: held at its last value
+    return {
+        "constant": SignalBank({i: Constant(0.1 * i) for i in range(1, 4)}),
+        "piecewise_linear": SignalBank(
+            {1: ramp_profile(), 2: PiecewiseLinear(STEP_POINTS), 3: PiecewiseLinear(((5, 1.0),))}
+        ),
+        "sinusoid": SignalBank(
+            {1: Sinusoid(0.3, 37.0), 2: Sinusoid(-1.2, 250.0, phase=0.4, offset=2.0)}
+        ),
+        "random_walk": SignalBank(walks),
+    }
+
+
+@pytest.mark.parametrize("kind", ["constant", "piecewise_linear", "sinusoid", "random_walk"])
+def test_certify_slope_equals_scalar_reference(kind):
+    bank = _banks_of_every_kind()[kind]
+    for horizon in (0, 1, 300):
+        got = certify_slope(bank, horizon)
+        assert got.hex() == certify_slope_reference(bank, horizon).hex()
+    assert kind == "constant" or got > 0.0
+
+
+def test_certify_slope_names_first_failing_agent_like_reference():
+    banks = _banks_of_every_kind()
+    # inserted out of order: agents 4 and 7 both fail, 4 first in sorted order
+    bank = SignalBank(
+        {
+            7: PiecewiseLinear(STEP_POINTS),
+            4: banks["random_walk"].specs[2],
+            1: Constant(0.0),
+        }
+    )
+    messages = []
+    for certify in (certify_slope, certify_slope_reference):
+        with pytest.raises(SlopeCertificationError) as info:
+            certify(bank, 300, declared_bound=0.015)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("agent 4 moves by")
+
+
+def test_certify_slope_rejects_nan():
+    walk = ClampedRandomWalk((0.0, 0.01, math.nan, 0.0), 0.02)
+    with pytest.raises(SlopeCertificationError, match="from tick 1 to 2"):
+        certify_slope(SignalBank({1: Constant(0.0), 2: walk}), 10)
 
 
 def test_sample_and_errors():

@@ -18,7 +18,7 @@ from openmax.graph import (
     snapshot_from_text,
 )
 from openmax.protocols import ProtocolParams, open_step, output, resume_agent
-from openmax.signals import Constant, PiecewiseLinear, SignalBank, sample
+from openmax.signals import Constant, PiecewiseLinear, SignalBank, SlopeCertificationError, sample
 from openmax.size_estimation import dse_generate, mle_estimate
 from openmax.simulator import (
     ConnectivityLost,
@@ -434,17 +434,22 @@ def test_run_rejects_kind_mismatch():
 
 
 def test_non_finite_states_abort_with_tick_context():
-    sc = make_scenario(
+    parts = dict(
         name="nan_case",
         kind="consensus",
         params=ProtocolParams(mode="max", variant="approximate", alpha=0.1),
         reference=line_graph(2),
         horizon=5,
         seed=0,
-        bank=SignalBank({1: Constant(float("nan")), 2: Constant(0.2)}),
     )
+    nan_bank = SignalBank({1: Constant(float("nan")), 2: Constant(0.2)})
+    # slope certification rejects a NaN input when the scenario is built...
+    with pytest.raises(SlopeCertificationError, match="agent 1"):
+        make_scenario(**parts, bank=nan_bank)
+    # ...and the run-time finite check still stops one that got past it
+    sc = make_scenario(**parts, bank=SignalBank({1: Constant(0.1), 2: Constant(0.2)}))
     with pytest.raises(RunExecutionError, match="tick 0"):
-        run(sc)
+        run(replace(sc, bank=nan_bank))
 
 
 def test_write_outputs_layout_and_formats(tmp_path):

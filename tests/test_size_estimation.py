@@ -18,6 +18,8 @@ from openmax.size_estimation import (
     upper_incomplete_gamma,
 )
 
+from util import worst_case_estimates_reference
+
 
 def test_dse_generate_shape_and_range():
     rng = np.random.default_rng(1)
@@ -171,6 +173,26 @@ def test_worst_case_subtractive_variant_is_biased_low_and_floors():
     assert floored.floored_coordinates > 0
     assert np.all(np.isfinite(floored.estimates))
     assert np.all(floored.estimates > 0)
+
+
+@pytest.mark.parametrize("degrade", ["log", "subtract"])
+@pytest.mark.parametrize("n, p, eps, seed", [(5, 3, 0.05, 17), (2, 3, 0.3, 18)])
+def test_worst_case_sampler_matches_brute_force_maxima(n, p, eps, seed, degrade):
+    # the maximum of n uniforms is Beta(n, 1): the direct draw must have the
+    # distribution of the brute-force maxima over n * p uniforms per trial
+    res = dse_worst_case_monte_carlo(n, p, eps, 4000, seed, degrade=degrade)
+    ref = worst_case_estimates_reference(n, p, eps, 4000, seed + 1000, degrade=degrade)
+    assert stats.ks_2samp(res.estimates, ref).pvalue > 1e-3
+    # subtracting 0.3 from the max of 2 uniforms floors 9% of the coordinates
+    assert (res.floored_coordinates > 0) == (degrade == "subtract" and eps > 0.1)
+
+
+@pytest.mark.parametrize("degrade", ["log", "subtract"])
+def test_worst_case_single_agent_without_degradation_is_finite_positive(degrade):
+    res = dse_worst_case_monte_carlo(1, 2, 0.0, 50_000, 23, degrade=degrade)
+    assert np.all(np.isfinite(res.estimates))
+    assert np.all(res.estimates > 0)
+    assert res.floored_coordinates == 0
 
 
 def test_worst_case_monte_carlo_order_independent_trials():

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: small random graphs, churn scripts, and
-the per-agent reference kernels the slot-array engine is checked against."""
+the scalar reference implementations that the vectorized code is checked
+against (per-agent kernels, slope certification, brute-force Monte Carlo)."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from openmax.graph import NetworkSnapshot, induced_subgraph, partition_nodes, snapshot_from_text
 from openmax.protocols import ProtocolParams, State, init_agent, output
-from openmax.signals import Constant, SignalBank
+from openmax.signals import Constant, SignalBank, SlopeCertificationError
 from openmax.simulator import RunResult, Scenario, make_scenario
 
 LINE4_TEXT = """
@@ -172,3 +173,42 @@ def trace_row(result: RunResult, table: np.ndarray, k: int) -> dict[int, float]:
     slots = np.searchsorted(sc.reference.sorted_nodes, active)
     assert np.isnan(np.delete(table[k], slots)).all()
     return dict(zip(active, table[k, slots].tolist()))
+
+
+def certify_slope_reference(
+    bank: SignalBank, horizon: int, declared_bound: float | None = None
+) -> float:
+    """Scalar slope certification: walk every agent's values tick by tick."""
+    bound = bank.slope_bound if declared_bound is None else float(declared_bound)
+    tol = 1e-9 * max(1.0, abs(bound)) + 1e-12
+    worst = 0.0
+    for agent, spec in sorted(bank.specs.items()):
+        prev = spec.value(0)
+        for k in range(1, horizon + 1):
+            cur = spec.value(k)
+            change = abs(cur - prev)
+            if change > worst:
+                worst = change
+            if change > bound + tol:
+                raise SlopeCertificationError(
+                    f"agent {agent} moves by {change:.6g} from tick {k - 1} to {k}, "
+                    f"above the declared per-tick slope bound {bound:.6g}"
+                )
+            prev = cur
+    return worst
+
+
+def worst_case_estimates_reference(
+    n: int, p: int, eps: float, trials: int, seed: int, degrade: str = "log"
+) -> np.ndarray:
+    """Brute-force worst-case estimates: per trial, the maxima of ``n * p`` uniforms."""
+    estimates = np.empty(trials)
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+        u_max = rng.random((n, p)).max(axis=0)
+        if degrade == "log":
+            logs = np.log(u_max) - eps
+        else:
+            logs = np.log(np.maximum(u_max - eps, 1e-12))
+        estimates[t] = -p / logs.sum()
+    return estimates
