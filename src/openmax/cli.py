@@ -240,6 +240,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     param, values = _parse_grid(args.grid)
     if args.trials is not None:
         DseConfig(p=2, mc_trials=args.trials)  # reject a bad count before any point runs
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError:
+            data = None  # every grid point reports the parse error in its row
+        if isinstance(data, dict) and data.get("kind") == "consensus":
+            raise ScenarioError(
+                f"scenario {name!r} is a consensus scenario; --trials applies to size estimation"
+            )
     jobs = [(text, name, param, value, seed, args.trials) for value in values]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

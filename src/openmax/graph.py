@@ -6,8 +6,8 @@ effect after a change is :func:`induced_subgraph` of the reference topology on
 the active set, so a reactivated node gets back exactly its reference edges to
 currently active endpoints.
 
-:attr:`NetworkSnapshot.csr` is the adjacency in array form, which the kernels
-and the bit-parallel BFS of :func:`diameter` read.
+:attr:`NetworkSnapshot.by_degree` is the adjacency's one array form.  Over it,
+:func:`closed_reduce` folds the kernels' neighbourhood max and each BFS level.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "NetworkSnapshot",
     "NodePartition",
+    "closed_reduce",
     "neighbors",
     "is_connected",
     "diameter",
@@ -74,12 +75,22 @@ class NetworkSnapshot:
         return {n: tuple(sorted(adj[n])) for n in self.sorted_nodes}
 
     @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """:attr:`adjacency` as ``(indptr, indices)`` over positions in ``sorted_nodes``."""
+    def by_degree(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """:attr:`adjacency` over positions in ``sorted_nodes``: the positions by
+        descending degree (stable), and per ``s`` the ``s``-th neighbour of each
+        of them that has one."""
         pos = {v: k for k, v in enumerate(self.sorted_nodes)}
         rows = self.adjacency.values()
         indices = np.array([pos[v] for r in rows for v in r], dtype=np.intp)
-        return np.cumsum([0, *map(len, rows)]), indices
+        degree = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        order = np.argsort(-degree, kind="stable")
+        first = (np.cumsum(degree) - degree)[order]
+        levels = tuple(
+            indices[first[: np.count_nonzero(degree > s)] + s] for s in range(degree.max(initial=0))
+        )
+        for shared in (order, *levels):  # every caller sees the same cached arrays
+            shared.flags.writeable = False
+        return order, levels
 
     @property
     def n(self) -> int:
@@ -116,11 +127,23 @@ def is_connected(g: NetworkSnapshot) -> bool:
     return len(seen) == g.n
 
 
+def closed_reduce(ufunc: np.ufunc, A: np.ndarray, rows: np.ndarray, levels: Iterable) -> np.ndarray:
+    """Fold ``ufunc`` over closed neighbourhoods of a :attr:`~NetworkSnapshot.by_degree`
+    layout mapped to rows of ``A``: result row ``j`` folds ``A[rows[j]]`` first,
+    then its neighbours' rows in adjacency order."""
+    out = A[rows]
+    for nbr in levels:
+        part = out[: len(nbr)]
+        ufunc(part, A[nbr], out=part)
+    return out
+
+
 def diameter(g: NetworkSnapshot) -> float:
     """Longest shortest-path length; 0 for one node, ``math.inf`` if disconnected.
 
     Runs every BFS at once: bit ``j`` of row ``v`` says the search from node
-    ``j`` has reached ``v``, and each level ORs the neighbors' frontier rows.
+    ``j`` has reached ``v``, and each level ORs the closed neighbourhood's
+    frontier rows; the own row's bits are already seen.
     """
     if not g.nodes:
         raise ValueError("diameter of an empty snapshot is undefined")
@@ -128,16 +151,17 @@ def diameter(g: NetworkSnapshot) -> float:
         return math.inf
     if g.n == 1:
         return 0
-    indptr, indices = g.csr
+    order, levels = g.by_degree
     k = np.arange(g.n)
     seen = np.zeros((g.n, -(-g.n // 64)), dtype=np.uint64)
     seen[k, k // 64] = np.uint64(1) << (k % 64).astype(np.uint64)
-    frontier, levels = seen, -1
+    frontier, depth = seen.copy(), -1
     while frontier.any():
-        frontier = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0) & ~seen
+        frontier[order] = closed_reduce(np.bitwise_or, frontier, order, levels)
+        frontier &= ~seen
         seen |= frontier
-        levels += 1
-    return levels
+        depth += 1
+    return depth
 
 
 def partition_nodes(v_now: Iterable[int], v_next: Iterable[int]) -> NodePartition:

@@ -26,7 +26,8 @@ any coordinate axis appended to those shapes is carried through elementwise,
 which is how many independent consensus instances share one network.
 
 The kernels update dense state arrays in place, one row per agent slot, with
-the max-plus neighborhood product ``A(x)`` over a :class:`Neighborhoods`:
+the max-plus neighborhood product ``A(x)X``, a :func:`graph.closed_reduce`
+over the snapshot's degree layout in slot rows (:class:`Neighborhoods`):
 :func:`admc_kernel` computes ``max(A(x)X - alpha, U)`` and :func:`edmc_kernel`
 ``X[:, 1:] <- A(x)X[:, :-1]``.  The per-agent functions are dict adapters.
 """
@@ -34,13 +35,12 @@ the max-plus neighborhood product ``A(x)`` over a :class:`Neighborhoods`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from numbers import Integral, Real
 from typing import Mapping, Union
 
 import numpy as np
 
-from .graph import NetworkSnapshot, induced_subgraph, partition_nodes
+from .graph import NetworkSnapshot, closed_reduce, induced_subgraph, partition_nodes
 
 __all__ = [
     "ProtocolParams",
@@ -158,41 +158,20 @@ def output(params: ProtocolParams, state: State) -> object:
 
 
 class Neighborhoods:
-    """Closed neighborhoods of one snapshot's agents, as state-array rows.
-
-    ``slots[k]`` is the row of ``g.sorted_nodes[k]``.  An agent's own row
-    comes first, then its neighbors' in adjacency order, the order of every
-    max below."""
+    """A snapshot's :attr:`~openmax.graph.NetworkSnapshot.by_degree` layout in
+    state-array rows; ``slots[k]`` is the row of ``g.sorted_nodes[k]``."""
 
     def __init__(self, g: NetworkSnapshot, slots: np.ndarray) -> None:
-        self.rows = np.asarray(slots, dtype=np.intp)
-        self.indptr, indices = g.csr
-        self.neighbors = self.rows[indices]
-
-    @cached_property
-    def closed(self) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated ``[own, *neighbors]`` slots and each agent's offset."""
-        starts = self.indptr[:-1]
-        return np.insert(self.neighbors, starts, self.rows), starts + np.arange(len(self.rows))
-
-    @cached_property
-    def by_degree(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Rows by descending degree; per ``s``, the ``s``-th neighbor of each row that has one."""
-        degree = np.diff(self.indptr)
-        order = np.argsort(-degree, kind="stable")
-        first = self.indptr[order]
-        levels = [
-            self.neighbors[first[: np.count_nonzero(degree > s)] + s]
-            for s in range(degree.max(initial=0))
-        ]
-        return self.rows[order], levels
+        slots = np.asarray(slots, dtype=np.intp)
+        order, levels = g.by_degree
+        self.rows = slots[order]
+        self.levels = [slots[nbr] for nbr in levels]
 
 
 def admc_kernel(X: np.ndarray, U: np.ndarray, hood: Neighborhoods, alpha: float) -> None:
     """Approximate max step of ``hood``'s rows, in place: ``max(A(x)X - alpha, U)``."""
-    cols, starts = hood.closed
-    decayed = np.maximum.reduceat(X[cols], starts, axis=0) - alpha
     rows = hood.rows
+    decayed = closed_reduce(np.maximum, X, rows, hood.levels) - alpha
     # np.maximum(a, b) returns b on a tie, which decides a +0.0/-0.0 tie.  As in
     # the per-agent definition, a scalar state then keeps the decayed value and
     # a vector state takes the input.  The neighborhood max needs no such care:
@@ -203,12 +182,8 @@ def admc_kernel(X: np.ndarray, U: np.ndarray, hood: Neighborhoods, alpha: float)
 def edmc_kernel(X: np.ndarray, U: np.ndarray, hood: Neighborhoods) -> None:
     """Exact max step of ``hood``'s rows, in place: shift the cascades up one
     level through the neighborhood max, then load the inputs at level 0."""
-    rows, levels = hood.by_degree
-    agg = X[rows, :-1]
-    for nbr in levels:
-        part = agg[: len(nbr)]
-        np.maximum(part, X[nbr, :-1], out=part)
-    X[rows, 1:] = agg
+    rows = hood.rows
+    X[rows, 1:] = closed_reduce(np.maximum, X[:, :-1], rows, hood.levels)
     X[rows, 0] = U[rows]
 
 

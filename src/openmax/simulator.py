@@ -34,6 +34,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -216,6 +217,12 @@ def _as_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_float(value: object, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ScenarioError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def make_scenario(
@@ -424,9 +431,7 @@ def _build_bank(
 ) -> tuple[SignalBank, float | None]:
     declared = section.pop("slope_bound", None)
     if declared is not None:
-        declared = float(declared)
-        if not math.isfinite(declared):
-            raise ScenarioError(f"signals: slope_bound must be finite, got {declared}")
+        declared = _as_float(declared, "signals: slope_bound")
     default = section.pop("default", None)
     per_agent = _section(section, "agents")
     section.pop("agents", None)
@@ -464,7 +469,7 @@ def _realize_pool_churn(
 ) -> list[tuple[int, frozenset[int]]]:
     pool_size = _as_int(section.pop("pool_size", 25), "pool_size")
     every = _as_int(_required(section, "every", "pool_random churn"), "churn period")
-    prob = float(section.pop("activation_probability", 0.5))
+    prob = _as_float(section.pop("activation_probability", 0.5), "activation_probability")
     max_redraws = _as_int(section.pop("max_redraws", 100), "max_redraws")
     _reject_unknown("churn", section)
     if not 1 <= pool_size < reference.n:
@@ -499,6 +504,15 @@ def _realize_pool_churn(
     return changes
 
 
+def _node_ids(entry: dict, key: str, tick: int) -> frozenset[int]:
+    raw = entry.pop(key, None)
+    if raw is None:
+        return frozenset()
+    if not isinstance(raw, list):
+        raise ScenarioError(f"churn event at tick {tick}: {key} must be a list, got {raw!r}")
+    return frozenset(_as_int(v, f"churn event at tick {tick}: a {key} entry") for v in raw)
+
+
 def _realize_explicit_churn(
     section: dict, reference: NetworkSnapshot
 ) -> list[tuple[int, frozenset[int]]]:
@@ -513,8 +527,7 @@ def _realize_explicit_churn(
             raise ScenarioError("each churn event must be a mapping")
         entry = dict(raw)
         tick = _as_int(_required(entry, "tick", "each churn event"), "churn event tick")
-        deact = frozenset(int(v) for v in entry.pop("deactivate", []) or [])
-        act = frozenset(int(v) for v in entry.pop("activate", []) or [])
+        deact, act = (_node_ids(entry, key, tick) for key in ("deactivate", "activate"))
         _reject_unknown(f"churn event at tick {tick}", entry)
         if deact & act:
             raise ScenarioError(
@@ -617,7 +630,9 @@ def scenario_from_mapping(
     raw_states = data.pop("initial_states", None)
     if raw_states is not None:
         if isinstance(raw_states, Mapping):
-            initial_states = {int(i): float(v) for i, v in raw_states.items()}
+            initial_states = {
+                int(i): _as_float(v, "initial_states") for i, v in raw_states.items()
+            }
         elif isinstance(raw_states, (list, tuple)):
             nodes = reference.sorted_nodes
             if len(raw_states) != len(nodes):
@@ -625,7 +640,7 @@ def scenario_from_mapping(
                     f"initial_states lists {len(raw_states)} values for "
                     f"{len(nodes)} starting agents"
                 )
-            initial_states = {i: float(v) for i, v in zip(nodes, raw_states)}
+            initial_states = {i: _as_float(v, "initial_states") for i, v in zip(nodes, raw_states)}
         else:
             raise ScenarioError("initial_states must be a list or a mapping")
 

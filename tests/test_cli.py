@@ -31,6 +31,10 @@ dse: {p: 4, mc_trials: 120}
 """
 
 
+POOL_CHURN = "churn: {kind: pool_random, every: 5, pool_size: 1, activation_probability: %s}"
+EXPLICIT_CHURN = "churn: {kind: explicit, events: [{tick: 5, deactivate: %s}]}"
+
+
 @pytest.fixture
 def consensus_file(tmp_path):
     path = tmp_path / "mini.yaml"
@@ -189,10 +193,23 @@ def test_missing_scenario_exits_1(capsys):
         ("size-est", "mc_trials: 120", "mc_trials: 1", "mc_trials"),
         ("size-est --trials 1", "", "", "mc_trials"),
         ("sweep --grid p=3,5 --trials 1", "", "", "mc_trials"),
+        ("validate", "signals:\n", "signals:\n  slope_bound: []\n", "slope_bound"),
+        ("validate", "signals:\n", "signals:\n  slope_bound: {}\n", "slope_bound"),
+        ("validate", "topology:", f"{POOL_CHURN % 'null'}\ntopology:", "activation_probability"),
+        ("validate", "topology:", f"{POOL_CHURN % '[]'}\ntopology:", "activation_probability"),
+        ("validate", "topology:", f"{POOL_CHURN % '{}'}\ntopology:", "activation_probability"),
+        ("validate", "topology:", "initial_states: [[1], 0.2, 0.3]\ntopology:", "initial_states"),
+        ("validate", "topology:", f"{EXPLICIT_CHURN % '[[3]]'}\ntopology:", "deactivate"),
+        ("validate", "topology:", f"{EXPLICIT_CHURN % '3'}\ntopology:", "deactivate"),
+        ("sweep --grid alpha=0.1 --trials 5", "", "", "--trials"),
     ],
     ids=["line-without-n", "constant-without-value", "points-not-pairs",
          "read-departing-string", "trace-flag-string", "alpha-string", "delta-bool",
-         "validate-one-trial", "size-est-one-trial", "size-est-trials-flag", "sweep-trials-flag"],
+         "validate-one-trial", "size-est-one-trial", "size-est-trials-flag", "sweep-trials-flag",
+         "slope-bound-list", "slope-bound-mapping", "activation-probability-null",
+         "activation-probability-list", "activation-probability-mapping",
+         "initial-state-list", "deactivate-nested-list", "deactivate-scalar",
+         "sweep-trials-on-consensus"],
 )
 def test_malformed_config_exits_1_without_traceback(command, old, new, section, tmp_path, capsys):
     base = MINI_DSE if section == "mc_trials" else MINI_CONSENSUS

@@ -22,7 +22,7 @@ from openmax.graph import (
     snapshot_to_text,
 )
 
-from util import floyd_warshall_diameter, random_connected_graph
+from util import floyd_warshall_diameter, hub_graph, random_connected_graph
 
 
 def test_edges_are_normalized_and_value_equal():
@@ -82,8 +82,31 @@ def test_diameter_matches_floyd_warshall_oracle():
         g.edges | {(a + 64, b + 64) for a, b in h.edges},
     )
     single = NetworkSnapshot(frozenset({7}), frozenset())
-    for g, want in ((isolated, math.inf), (two, math.inf), (single, 0)):
+    for g, want in ((isolated, math.inf), (two, math.inf), (single, 0), (hub_graph(), 4)):
         assert diameter(g) == want == floyd_warshall_diameter(g)
+
+
+def test_degree_layout_rebuilds_adjacency_in_order():
+    rng = np.random.default_rng(17)
+    graphs = [NetworkSnapshot(frozenset({7}), frozenset()), hub_graph()]
+    for _ in range(30):
+        g = random_connected_graph(rng, int(rng.integers(2, 16)))
+        extra = int(rng.integers(0, 3))  # isolated nodes
+        graphs.append(NetworkSnapshot(g.nodes | set(range(20, 20 + extra)), g.edges))
+    hub = graphs[1]
+    graphs.append(NetworkSnapshot(hub.nodes | {30, 31}, hub.edges))
+    for g in graphs:
+        order, levels = g.by_degree
+        nodes = g.sorted_nodes
+        degree = [len(g.adjacency[v]) for v in nodes]
+        assert list(order) == sorted(range(g.n), key=lambda k: -degree[k])
+        rebuilt = {v: [] for v in nodes}
+        for nbr in levels:
+            for k, j in zip(order, nbr):  # each level is a prefix of order
+                rebuilt[nodes[k]].append(nodes[j])
+        assert {v: tuple(r) for v, r in rebuilt.items()} == g.adjacency
+        assert g.by_degree is g.by_degree
+        assert not any(a.flags.writeable for a in (order, *levels))
 
 
 def test_partition_example():

@@ -54,6 +54,15 @@ def random_connected_graph(
     return NetworkSnapshot(frozenset(range(1, n + 1)), frozenset(edges))
 
 
+def hub_graph() -> NetworkSnapshot:
+    """Adjacent hubs 1 and 2, both joined to leaves 3..12, and a tail 12-13-14.
+
+    The hubs tie at degree 11 and most leaves at degree 2, so the degree
+    layout has eleven levels, most of them short."""
+    edges = {(1, 2), (12, 13), (13, 14)} | {(h, v) for h in (1, 2) for v in range(3, 13)}
+    return NetworkSnapshot(frozenset(range(1, 15)), frozenset(edges))
+
+
 def floyd_warshall_diameter(g: NetworkSnapshot) -> float:
     """Independent diameter computation used as an oracle against BFS."""
     order = g.sorted_nodes
