@@ -1,20 +1,20 @@
 """Per-agent reference signals with certified per-tick slope bounds.
 
-Every signal kind declares an upper bound on ``|u(k+1) - u(k)|``.  The bank
-of all agents' signals carries the global bound used by the tracking-error
-formulas, and :func:`certify_slope` verifies the declaration against the
-realized values over a horizon.  Signal evaluation is pure: random-walk
-signals are expanded to a fixed table when they are built, never at sampling
-time.
+Every signal kind is a frozen parameter record that declares an upper bound
+on ``|u(k+1) - u(k)|``.  The bank of all agents' signals carries the global
+bound used by the tracking-error formulas.  A run's inputs are realized once,
+by :func:`signal_table`, as a ``(horizon + 1, agents)`` float64 table in
+sorted agent order; :func:`certify_slope` verifies the declared bound against
+that table.  Random walks draw their steps from the generator passed to
+:func:`signal_table`, so the table is fixed once the seed is.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -26,26 +26,25 @@ __all__ = [
     "ClampedRandomWalk",
     "SignalBank",
     "SlopeCertificationError",
-    "sample",
+    "signal_table",
     "certify_slope",
     "build_spec",
 ]
+
+# Breakpoint ticks are interpolated in int64 arithmetic, so their differences
+# must fit in it.
+_MAX_TICK = 2**61
 
 
 class SlopeCertificationError(ValueError):
     """Raised when realized per-tick changes exceed the declared bound."""
 
 
-@runtime_checkable
 class SignalSpec(Protocol):
-    """A pure function of the tick plus a declared per-tick slope bound."""
+    """A signal's parameters plus its declared per-tick slope bound."""
 
     @property
     def slope_bound(self) -> float: ...
-
-    def value(self, k: int) -> float: ...
-
-    def negated(self) -> "SignalSpec": ...
 
 
 @dataclass(frozen=True)
@@ -56,11 +55,8 @@ class Constant:
     def slope_bound(self) -> float:
         return 0.0
 
-    def value(self, k: int) -> float:
-        return float(self.level)
-
-    def negated(self) -> "Constant":
-        return Constant(-self.level)
+    def values(self, horizon: int) -> np.ndarray:
+        return np.full(horizon + 1, float(self.level))
 
 
 @dataclass(frozen=True)
@@ -80,6 +76,8 @@ class PiecewiseLinear:
         ticks = [k for k, _ in pts]
         if any(b <= a for a, b in zip(ticks, ticks[1:])):
             raise ValueError("breakpoint ticks must be strictly increasing")
+        if not all(-_MAX_TICK <= k <= _MAX_TICK for k in ticks):
+            raise ValueError(f"breakpoint ticks must lie within +-2**61, got {ticks}")
         object.__setattr__(self, "points", pts)
 
     @cached_property
@@ -87,23 +85,17 @@ class PiecewiseLinear:
         segs = zip(self.points, self.points[1:])
         return max((abs(v1 - v0) / (k1 - k0) for (k0, v0), (k1, v1) in segs), default=0.0)
 
-    @cached_property
-    def _ticks(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.points)
-
-    def value(self, k: int) -> float:
-        pts = self.points
-        if k <= pts[0][0]:
-            return pts[0][1]
-        if k >= pts[-1][0]:
-            return pts[-1][1]
-        hi = bisect_right(self._ticks, k)
-        k0, v0 = pts[hi - 1]
-        k1, v1 = pts[hi]
-        return v0 + (v1 - v0) * (k - k0) / (k1 - k0)
-
-    def negated(self) -> "PiecewiseLinear":
-        return PiecewiseLinear(tuple((k, -v) for k, v in self.points))
+    def values(self, horizon: int) -> np.ndarray:
+        ticks = np.array([k for k, _ in self.points], dtype=np.int64)
+        vals = np.array([v for _, v in self.points])
+        k = np.arange(horizon + 1, dtype=np.int64)
+        out = np.where(k <= ticks[0], vals[0], vals[-1])
+        inside = (k > ticks[0]) & (k < ticks[-1])
+        k = k[inside]
+        hi = np.searchsorted(ticks, k, side="right")
+        k0, v0, k1, v1 = ticks[hi - 1], vals[hi - 1], ticks[hi], vals[hi]
+        out[inside] = v0 + (v1 - v0) * (k - k0) / (k1 - k0)
+        return out
 
 
 @dataclass(frozen=True)
@@ -122,67 +114,31 @@ class Sinusoid:
         # |u(k+1) - u(k)| = 2|A| sin(pi/T) <= 2 pi |A| / T
         return 2.0 * math.pi * abs(self.amplitude) / self.period
 
-    def value(self, k: int) -> float:
-        return self.offset + self.amplitude * math.sin(2.0 * math.pi * (k + self.phase) / self.period)
-
-    def negated(self) -> "Sinusoid":
-        return Sinusoid(-self.amplitude, self.period, self.phase, -self.offset)
+    def values(self, horizon: int) -> np.ndarray:
+        k = np.arange(horizon + 1)
+        return self.offset + self.amplitude * np.sin(2.0 * math.pi * (k + self.phase) / self.period)
 
 
 @dataclass(frozen=True)
 class ClampedRandomWalk:
-    """Pre-expanded random walk with bounded steps, held at its last value.
+    """Random walk with steps uniform in ``[-step_bound, step_bound]``, clamped
+    to ``[lo, hi]`` after every step (a missing bound does not clamp).
 
-    Build with :meth:`generate`; the stored table makes evaluation pure and
-    runs independent of sampling order.
+    Its values are drawn by :func:`signal_table`.
     """
 
-    table: tuple[float, ...]
     step_bound: float
+    start: float = 0.0
+    lo: float | None = None
+    hi: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.table:
-            raise ValueError("random walk table must not be empty")
         if self.step_bound < 0:
             raise ValueError("step bound must be nonnegative")
-
-    @classmethod
-    def generate(
-        cls,
-        rng: np.random.Generator,
-        horizon: int,
-        step_bound: float,
-        start: float = 0.0,
-        lo: float | None = None,
-        hi: float | None = None,
-    ) -> "ClampedRandomWalk":
-        x = float(start)
-        if lo is not None:
-            x = max(x, lo)
-        if hi is not None:
-            x = min(x, hi)
-        vals = [x]
-        # one sized draw yields the same stream as ``horizon`` scalar draws
-        for step in rng.uniform(-step_bound, step_bound, size=horizon).tolist():
-            x = x + step
-            if lo is not None:
-                x = max(x, lo)
-            if hi is not None:
-                x = min(x, hi)
-            vals.append(x)
-        return cls(tuple(vals), float(step_bound))
 
     @property
     def slope_bound(self) -> float:
         return self.step_bound
-
-    def value(self, k: int) -> float:
-        if k < 0:
-            return self.table[0]
-        return self.table[min(k, len(self.table) - 1)]
-
-    def negated(self) -> "ClampedRandomWalk":
-        return ClampedRandomWalk(tuple(-v for v in self.table), self.step_bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,58 +156,66 @@ class SignalBank:
     def slope_bound(self) -> float:
         return max(spec.slope_bound for spec in self.specs.values())
 
-    def negated(self) -> "SignalBank":
-        return SignalBank({i: spec.negated() for i, spec in self.specs.items()})
 
+def signal_table(
+    bank: SignalBank, agents: Sequence[int], horizon: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The inputs of ``agents`` over ticks ``[0, horizon]``: column ``s`` holds
+    the values of ``agents[s]``, a float64 array of shape ``(horizon + 1, len(agents))``.
 
-def sample(bank: SignalBank, agent: int, k: int) -> float:
-    try:
-        spec = bank.specs[agent]
-    except KeyError:
-        raise KeyError(f"agent {agent} has no signal in the bank") from None
-    return spec.value(k)
-
-
-def _values(spec: SignalSpec, horizon: int) -> np.ndarray:
-    """One agent's values over ``[0, horizon]`` as a float64 array."""
-    if isinstance(spec, ClampedRandomWalk):
-        table = np.asarray(spec.table[: horizon + 1], dtype=float)
-        return np.pad(table, (0, horizon + 1 - table.size), mode="edge")
-    return np.fromiter(map(spec.value, range(horizon + 1)), dtype=float, count=horizon + 1)
-
-
-def certify_slope(
-    bank: SignalBank, horizon: int, declared_bound: float | None = None
-) -> float:
-    """Scan all agents over ``[0, horizon]`` and return the observed max change.
-
-    Raises :class:`SlopeCertificationError` if any per-tick change exceeds the
-    declared bound (the bank's own bound by default) beyond float tolerance,
-    or is NaN; the message names the first such agent and tick.
+    All walks' steps come from one ``(walks, horizon)`` draw of ``rng``, one
+    row per walk in ``agents`` order.  Each clamp keeps Python's ``max``/``min``
+    tie rule, so a walk starting at ``-0.0`` with ``lo=0.0`` stays at ``-0.0``.
     """
-    bound = bank.slope_bound if declared_bound is None else float(declared_bound)
+    specs = [bank.specs[i] for i in agents]
+    table = np.empty((horizon + 1, len(specs)))
+    walks = []
+    for s, spec in enumerate(specs):
+        if isinstance(spec, ClampedRandomWalk):
+            walks.append(s)
+        else:
+            table[:, s] = spec.values(horizon)
+    if not walks:
+        return table
+
+    params = [specs[s] for s in walks]
+    b = np.array([w.step_bound for w in params])[:, None]
+    lo = np.array([-math.inf if w.lo is None else w.lo for w in params])
+    hi = np.array([math.inf if w.hi is None else w.hi for w in params])
+    steps = rng.uniform(-b, b, size=(len(walks), horizon)).T
+    x = np.array([w.start for w in params])
+    path = np.empty((horizon + 1, len(walks)))
+    for k in range(horizon + 1):
+        if k:
+            x = x + steps[k - 1]
+        x = np.where(lo > x, lo, x)
+        path[k] = x = np.where(hi < x, hi, x)
+    table[:, walks] = path
+    return table
+
+
+def certify_slope(table: np.ndarray, agents: Sequence[int], bound: float) -> float:
+    """Check every per-tick change of an input table and return the largest.
+
+    Column ``s`` of ``table`` holds the values of ``agents[s]``, which are
+    sorted.  Raises :class:`SlopeCertificationError` if any change exceeds
+    ``bound`` beyond float tolerance, or is NaN; the message names the first
+    such agent and its tick.
+    """
     tol = 1e-9 * max(1.0, abs(bound)) + 1e-12
-    worst = 0.0
-    for agent, spec in sorted(bank.specs.items()):
-        change = np.abs(np.diff(_values(spec, horizon)))
-        bad = np.flatnonzero(~(change <= bound + tol))
-        if bad.size:
-            k = int(bad[0]) + 1
-            raise SlopeCertificationError(
-                f"agent {agent} moves by {change[k - 1]:.6g} from tick {k - 1} to {k}, "
-                f"above the declared per-tick slope bound {bound:.6g}"
-            )
-        worst = max(worst, float(change.max(initial=0.0)))
-    return worst
+    change = np.abs(np.diff(table, axis=0))
+    bad = ~(change <= bound + tol)
+    if bad.any():
+        s = int(np.argmax(bad.any(axis=0)))
+        k = int(np.argmax(bad[:, s])) + 1
+        raise SlopeCertificationError(
+            f"agent {agents[s]} moves by {change[k - 1, s]:.6g} from tick {k - 1} to {k}, "
+            f"above the declared per-tick slope bound {bound:.6g}"
+        )
+    return float(change.max(initial=0.0))
 
 
-def build_spec(
-    kind: str,
-    params: Mapping[str, object],
-    *,
-    rng: np.random.Generator | None = None,
-    horizon: int | None = None,
-) -> SignalSpec:
+def build_spec(kind: str, params: Mapping[str, object]) -> SignalSpec:
     """Construct a signal from a config mapping; used by scenario loading.
 
     Missing, malformed or non-finite parameters raise ``ValueError``.
@@ -285,11 +249,7 @@ def build_spec(
                 offset=num("offset", 0.0),
             ))
         if kind == "random_walk_clamped":
-            if rng is None or horizon is None:
-                raise ValueError("random walk signals need an rng and a horizon at build time")
-            return done(ClampedRandomWalk.generate(
-                rng,
-                horizon,
+            return done(ClampedRandomWalk(
                 step_bound=num("step_bound"),
                 start=num("start", 0.0),
                 lo=(None if "lo" not in opts else num("lo")),

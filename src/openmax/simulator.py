@@ -1,9 +1,11 @@
 """Declarative scenario runs over open networks.
 
 A scenario bundles a topology, an optional membership-churn schedule, the
-protocol selection, and either a bank of reference signals (consensus runs)
+protocol selection, and either a table of reference inputs (consensus runs)
 or a size-estimation setup.  Loading resolves every random choice up front,
-so a (config, seed) pair fully determines each trace byte.
+so a (config, seed) pair fully determines each trace byte.  A config whose
+per-tick, per-agent tables would pass ``MAX_CELLS`` cells is rejected before
+its topology is grown.
 
 Randomness is split into named streams derived from the root seed, so that
 changing one randomized aspect leaves the others untouched:
@@ -14,7 +16,7 @@ stream                derivation
 topology growth       ``SeedSequence((seed, 0))``
 churn subsets         ``SeedSequence((seed, 1))``
 size-estimation draws ``SeedSequence((seed, 2))``
-signal construction   ``SeedSequence((seed, 3))``
+random-walk signals   ``SeedSequence((seed, 3))``
 worst-case trials     integer derived from ``SeedSequence((seed, 4))``
 ====================  =========================================
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
@@ -64,7 +67,7 @@ from .protocols import (
     admc_kernel,
     edmc_kernel,
 )
-from .signals import SignalBank, build_spec, certify_slope, sample
+from .signals import SignalBank, build_spec, certify_slope, signal_table
 from .size_estimation import (
     dse_generate,
     dse_worst_case_monte_carlo,
@@ -94,6 +97,11 @@ __all__ = [
     "run_size_estimation",
     "write_outputs",
 ]
+
+
+# The most cells a run's per-tick, per-agent tables may hold: (horizon + 1) x
+# nodes x p, with p = 1 for consensus.  A float64 table this size is 1 GiB.
+MAX_CELLS = 2**27
 
 
 class ScenarioError(ValueError):
@@ -146,7 +154,12 @@ class Window:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Fully resolved run description; every random choice is already made."""
+    """Fully resolved run description; every random choice is already made.
+
+    A consensus run's ``inputs`` is its ``(horizon + 1, slots)`` float64 signal
+    table: cell ``[k, s]`` is the reference value at tick ``k`` of agent
+    ``reference.sorted_nodes[s]``, active or not.
+    """
 
     name: str
     kind: str
@@ -158,7 +171,7 @@ class Scenario:
     seed: int
     slope_bound: float
     windows: tuple[Window, ...]
-    bank: SignalBank | None = None
+    inputs: np.ndarray | None = None
     dse: DseConfig | None = None
     initial_states: dict[int, float] | None = None
     trace: TraceOptions = field(default=TraceOptions())
@@ -171,8 +184,10 @@ class ErrorTrace:
     ``outputs`` and ``inputs`` are float64 arrays of shape ``(horizon + 1,
     slots)``: cell ``[k, s]`` holds the exposed state and the reference value
     at tick ``k`` of agent ``scenario.reference.sorted_nodes[s]``, and NaN
-    while that agent is inactive.  ``targets[k]`` is the input extremum over
-    the active set and ``errors[k]`` the worst absolute deviation from it.
+    while that agent is inactive: ``inputs`` is the scenario's signal table
+    masked to each window's active agents.  ``targets[k]`` is the input
+    extremum over the active set and ``errors[k]`` the worst absolute
+    deviation from it.
     """
 
     ticks: np.ndarray
@@ -217,6 +232,15 @@ def _as_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _agent_id(key: object, what: str) -> int:
+    """An agent id given as a mapping key: an integer, or its decimal string."""
+    if isinstance(key, str) and re.fullmatch(r"0|-?[1-9][0-9]*", key):
+        return int(key)
+    if isinstance(key, bool) or not isinstance(key, int):
+        raise ScenarioError(f"{what} keys must be agent ids, got {key!r}")
+    return key
 
 
 def _as_float(value: object, what: str) -> float:
@@ -314,13 +338,16 @@ def make_scenario(
             raise ScenarioError("a consensus scenario needs a signal bank")
         if dse is not None:
             raise ScenarioError("size-estimation settings do not apply to a consensus run")
-        missing = [i for i in reference.sorted_nodes if i not in bank.specs]
+        nodes = reference.sorted_nodes
+        missing = [i for i in nodes if i not in bank.specs]
         if missing:
             raise ScenarioError(f"agents {missing} have no reference signal")
-        declared = bank.slope_bound if declared_slope is None else float(declared_slope)
-        certify_slope(bank, horizon, declared)
-        slope_bound = declared
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
+        inputs = signal_table(bank, nodes, horizon, rng)
+        slope_bound = bank.slope_bound if declared_slope is None else float(declared_slope)
+        certify_slope(inputs, nodes, slope_bound)
     else:
+        inputs = None
         if dse is None:
             raise ScenarioError("a size-estimation scenario needs its settings (p, trials)")
         if bank is not None:
@@ -361,7 +388,7 @@ def make_scenario(
         seed=seed,
         slope_bound=float(slope_bound),
         windows=windows,
-        bank=bank,
+        inputs=inputs,
         dse=dse,
         initial_states=states,
         trace=trace,
@@ -401,17 +428,28 @@ def _reject_unknown(where: str, leftovers: Mapping) -> None:
 
 
 def _build_topology(
-    section: dict, seed: int
+    section: dict, seed: int, horizon: int, p: int | None
 ) -> tuple[NetworkSnapshot, tuple[int, ...]]:
+    """Grow the reference topology once its size is known to fit ``MAX_CELLS``."""
+
+    def fits(nodes: int, keys: str) -> None:
+        if (horizon + 1) * nodes * (p or 1) > MAX_CELLS:
+            raise ScenarioError(
+                f"(horizon + 1) x nodes x p = {horizon + 1} x {nodes} x {p or 1} cells exceed the "
+                f"limit of {MAX_CELLS}; lower horizon, {keys}{'' if p is None else ' or dse.p'}"
+            )
+
     kind = section.pop("kind", None)
     if kind == "line":
         n = _as_int(_required(section, "n", "a line topology"), "topology n")
+        fits(n, "topology.n")
         g = line_graph(n)
         order = g.sorted_nodes
     elif kind == "barabasi_albert":
         seed_line = _as_int(section.pop("seed_line", 5), "seed_line")
         target_n = _as_int(_required(section, "target_n", "a barabasi_albert topology"), "target_n")
         m = _as_int(section.pop("edges_per_new_node", 2), "edges_per_new_node")
+        fits(max(seed_line, target_n), "topology.target_n, topology.seed_line")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
         g, order = barabasi_albert(line_graph(seed_line), target_n, m, rng)
     elif kind == "explicit":
@@ -419,6 +457,7 @@ def _build_topology(
         if not isinstance(text, str):
             raise ScenarioError("explicit topology needs a 'text' edge-list block")
         g = snapshot_from_text(text)
+        fits(g.n, "topology.text")
         order = g.sorted_nodes
     else:
         raise ScenarioError(f"unknown topology kind {kind!r}")
@@ -426,9 +465,7 @@ def _build_topology(
     return g, order
 
 
-def _build_bank(
-    section: dict, nodes: Sequence[int], seed: int, horizon: int
-) -> tuple[SignalBank, float | None]:
+def _build_bank(section: dict, nodes: Sequence[int]) -> tuple[SignalBank, float | None]:
     declared = section.pop("slope_bound", None)
     if declared is not None:
         declared = _as_float(declared, "signals: slope_bound")
@@ -437,7 +474,6 @@ def _build_bank(
     section.pop("agents", None)
     _reject_unknown("signals", section)
 
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
     specs = {}
     for i in nodes:
         raw = per_agent.pop(i, None)
@@ -452,7 +488,7 @@ def _build_bank(
         opts = dict(raw)
         kind = opts.pop("kind")
         try:
-            specs[i] = build_spec(kind, opts, rng=rng, horizon=horizon)
+            specs[i] = build_spec(kind, opts)
         except ValueError as exc:
             raise ScenarioError(f"signal for agent {i}: {exc}") from exc
     if per_agent:
@@ -590,9 +626,23 @@ def scenario_from_mapping(
         raise ScenarioError(f"protocol: {exc}") from exc
     _reject_unknown("protocol", proto)
 
+    dse: DseConfig | None = None
+    if kind == "size_estimation":
+        dse_raw = _section(data, "dse", required=True)
+        data.pop("dse")
+        p = dse_raw.pop("p", None)
+        if p is None:
+            raise ScenarioError("the dse section needs the coordinate count p")
+        dse = DseConfig(p=_as_int(p, "p"), mc_trials=_as_int(dse_raw.pop("mc_trials", 2000), "mc_trials"))
+        _reject_unknown("dse", dse_raw)
+        if "signals" in data:
+            raise ScenarioError("size estimation generates its own inputs; drop the signals")
+    elif "dse" in data:
+        raise ScenarioError("a consensus scenario cannot carry a 'dse' section")
+
     topo = _section(data, "topology", required=True)
     data.pop("topology")
-    reference, order = _build_topology(topo, root_seed)
+    reference, order = _build_topology(topo, root_seed, horizon, dse.p if dse else None)
 
     churn_raw = _section(data, "churn")
     data.pop("churn", None)
@@ -608,30 +658,18 @@ def scenario_from_mapping(
 
     bank: SignalBank | None = None
     declared_slope: float | None = None
-    dse: DseConfig | None = None
     if kind == "consensus":
         sig = _section(data, "signals", required=True)
         data.pop("signals")
-        bank, declared_slope = _build_bank(sig, reference.sorted_nodes, root_seed, horizon)
-        if "dse" in data:
-            raise ScenarioError("a consensus scenario cannot carry a 'dse' section")
-    else:
-        dse_raw = _section(data, "dse", required=True)
-        data.pop("dse")
-        p = dse_raw.pop("p", None)
-        if p is None:
-            raise ScenarioError("the dse section needs the coordinate count p")
-        dse = DseConfig(p=_as_int(p, "p"), mc_trials=_as_int(dse_raw.pop("mc_trials", 2000), "mc_trials"))
-        _reject_unknown("dse", dse_raw)
-        if "signals" in data:
-            raise ScenarioError("size estimation generates its own inputs; drop the signals")
+        bank, declared_slope = _build_bank(sig, reference.sorted_nodes)
 
     initial_states: dict[int, float] | None = None
     raw_states = data.pop("initial_states", None)
     if raw_states is not None:
         if isinstance(raw_states, Mapping):
             initial_states = {
-                int(i): _as_float(v, "initial_states") for i, v in raw_states.items()
+                _agent_id(i, "initial_states"): _as_float(v, "initial_states")
+                for i, v in raw_states.items()
             }
         elif isinstance(raw_states, (list, tuple)):
             nodes = reference.sorted_nodes
@@ -707,22 +745,19 @@ def load_preset(name: str, *, seed: int | None = None) -> Scenario:
 class _ConsensusObserver:
     """Per-tick record of a consensus run.
 
-    In min mode the kernel sees negated inputs; the trace keeps the sampled
-    values as drawn and negates outputs and targets back.
+    In min mode the kernel sees negated inputs; outputs and targets are
+    negated back.
     """
 
     def __init__(self, scenario: Scenario) -> None:
-        self.bank = scenario.bank
+        self.table = scenario.inputs
         self.sign = 1.0 if scenario.params.mode == "max" else -1.0
         self.U = np.zeros(scenario.reference.n)
         self.targets = np.empty(scenario.horizon + 1)
         self.outputs = np.full((scenario.horizon + 1, scenario.reference.n), np.nan)
-        self.drawn = np.full_like(self.outputs, np.nan)
 
     def inputs(self, k: int, g: NetworkSnapshot, act: np.ndarray) -> tuple[np.ndarray, float]:
-        sampled = np.array([sample(self.bank, i, k) for i in g.sorted_nodes])
-        self.drawn[k, act] = sampled
-        self.U[act] = u = self.sign * sampled
+        self.U[act] = u = self.sign * self.table[k, act]
         return self.U, float(u[np.argmax(u)])  # the first maximum, as max() picks it
 
     def observe(self, k: int, act: np.ndarray, outs: np.ndarray, target: float) -> None:
@@ -889,13 +924,16 @@ def run(scenario: Scenario) -> RunResult:
         raise ScenarioError("run() expects a consensus scenario; use run_size_estimation()")
     observer = _ConsensusObserver(scenario)
     errors, counts, windows = _simulate(scenario, observer)
+    inputs = np.full_like(scenario.inputs, np.nan)
+    for w, act in zip(scenario.windows, _window_slots(scenario)):
+        inputs[w.start : w.end + 1, act] = scenario.inputs[w.start : w.end + 1, act]
     trace = ErrorTrace(
         ticks=np.arange(scenario.horizon + 1),
         errors=errors,
         targets=observer.targets,
         n_active=counts,
         outputs=observer.outputs,
-        inputs=observer.drawn,
+        inputs=inputs,
     )
     rows = [
         {

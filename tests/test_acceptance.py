@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from util import random_connected_graph, trace_row
+from util import negated_bank, random_connected_graph, trace_row
 
 from openmax.graph import (
     NetworkSnapshot,
@@ -175,7 +175,7 @@ def test_03_min_max_duality():
                 kind="consensus", reference=g, horizon=24, seed=0, changes=changes, dwell=8
             )
             low = run(make_scenario(name="low", params=p_min, bank=bank, **kw))
-            high = run(make_scenario(name="high", params=p_max, bank=bank.negated(), **kw))
+            high = run(make_scenario(name="high", params=p_max, bank=negated_bank(bank), **kw))
             worst = max(worst, float(np.max(np.abs(low.trace.errors - high.trace.errors))))
             for k in range(25):
                 mirror = trace_row(high, high.trace.outputs, k)

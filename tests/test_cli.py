@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 
 import pytest
 
@@ -199,6 +200,24 @@ def test_missing_scenario_exits_1(capsys):
         ("validate", "topology:", f"{POOL_CHURN % '[]'}\ntopology:", "activation_probability"),
         ("validate", "topology:", f"{POOL_CHURN % '{}'}\ntopology:", "activation_probability"),
         ("validate", "topology:", "initial_states: [[1], 0.2, 0.3]\ntopology:", "initial_states"),
+        (
+            "validate",
+            "topology:",
+            "initial_states: {1.7: 0.3, 2: 0.1, 3: 0.2}\ntopology:",
+            "initial_states keys must be agent ids, got 1.7",
+        ),
+        (
+            "validate",
+            "topology:",
+            "initial_states: {true: 0.3, 2: 0.1, 3: 0.2}\ntopology:",
+            "initial_states keys must be agent ids, got True",
+        ),
+        (
+            "validate",
+            "topology:",
+            "initial_states: {a: 0.3, 2: 0.1, 3: 0.2}\ntopology:",
+            "initial_states keys must be agent ids, got 'a'",
+        ),
         ("validate", "topology:", f"{EXPLICIT_CHURN % '[[3]]'}\ntopology:", "deactivate"),
         ("validate", "topology:", f"{EXPLICIT_CHURN % '3'}\ntopology:", "deactivate"),
         ("sweep --grid alpha=0.1 --trials 5", "", "", "--trials"),
@@ -208,7 +227,8 @@ def test_missing_scenario_exits_1(capsys):
          "validate-one-trial", "size-est-one-trial", "size-est-trials-flag", "sweep-trials-flag",
          "slope-bound-list", "slope-bound-mapping", "activation-probability-null",
          "activation-probability-list", "activation-probability-mapping",
-         "initial-state-list", "deactivate-nested-list", "deactivate-scalar",
+         "initial-state-list", "initial-state-key-float", "initial-state-key-bool",
+         "initial-state-key-word", "deactivate-nested-list", "deactivate-scalar",
          "sweep-trials-on-consensus"],
 )
 def test_malformed_config_exits_1_without_traceback(command, old, new, section, tmp_path, capsys):
@@ -224,6 +244,36 @@ def test_malformed_config_exits_1_without_traceback(command, old, new, section, 
     assert "Traceback" not in err
     assert section in err
     assert not (tmp_path / "out").exists()  # failed at load, before any run
+
+
+BA_CONSENSUS = MINI_CONSENSUS.replace("{kind: line, n: 3}", "{kind: barabasi_albert, target_n: 12}")
+
+
+@pytest.mark.parametrize(
+    "base, old, new, keys",
+    [
+        (MINI_CONSENSUS, "horizon: 20", "horizon: 1000000000", "horizon"),
+        (MINI_CONSENSUS, "n: 3}", "n: 1000000000}", "topology.n"),
+        (BA_CONSENSUS, "target_n: 12", "target_n: 1000000000", "topology.target_n"),
+        (BA_CONSENSUS, "target_n: 12", "target_n: 12, seed_line: 1000000000", "topology.seed_line"),
+        (MINI_DSE, "p: 4", "p: 1000000000", "dse.p"),
+    ],
+    ids=["horizon", "line-n", "target-n", "seed-line", "dse-p"],
+)
+def test_oversized_run_exits_1_before_allocating(base, old, new, keys, tmp_path, capsys):
+    bad = tmp_path / "big.yaml"
+    bad.write_text(base.replace(old, new))
+    tracemalloc.start()
+    try:
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24  # rejected before any table, graph or churn schedule was built
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceed the limit" in err
+    assert "Traceback" not in err
+    assert keys in err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Signal evaluation, slope certification, and the negated-bank mirror."""
+"""Signal tables, slope certification, and the negated-bank mirror."""
 
 from __future__ import annotations
 
@@ -16,10 +16,10 @@ from openmax.signals import (
     SlopeCertificationError,
     build_spec,
     certify_slope,
-    sample,
+    signal_table,
 )
 
-from util import certify_slope_reference
+from util import certify_slope_reference, negated_bank, table_reference
 
 # Reference profile used by the line-topology presets: ramps with |step| 0.02,
 # held flat after the last breakpoint.
@@ -40,24 +40,40 @@ def line6_bank() -> SignalBank:
     return SignalBank(specs)
 
 
+def table(bank: SignalBank, horizon: int, seed: int = 0) -> np.ndarray:
+    return signal_table(bank, sorted(bank.specs), horizon, np.random.default_rng(seed))
+
+
+def certify(bank: SignalBank, horizon: int, bound: float | None = None) -> float:
+    bound = bank.slope_bound if bound is None else bound
+    return certify_slope(table(bank, horizon), sorted(bank.specs), bound)
+
+
+def certify_reference(bank: SignalBank, horizon: int, bound: float | None = None) -> float:
+    agents = sorted(bank.specs)
+    want = table_reference(bank, agents, horizon, np.random.default_rng(0))
+    bound = bank.slope_bound if bound is None else bound
+    return certify_slope_reference(dict(zip(agents, want.T.tolist())), bound)
+
+
 def test_constant():
     c = Constant(0.2)
-    assert c.value(0) == 0.2
-    assert c.value(10_000) == 0.2
+    assert c.values(10_000).tolist() == [0.2] * 10_001
     assert c.slope_bound == 0.0
 
 
 def test_piecewise_linear_values():
-    p = ramp_profile()
-    assert p.value(0) == 0.2
-    assert p.value(45) == 0.2
-    assert p.value(70) == pytest.approx(0.0, abs=1e-15)
-    assert p.value(90) == -0.2
-    assert p.value(120) == pytest.approx(0.2, abs=1e-12)
-    assert p.value(140) == 0.6
-    assert p.value(500) == 0.6  # held after the last breakpoint
-    assert p.value(-3) == 0.2
-    assert p.slope_bound == pytest.approx(0.02, rel=1e-12)
+    p = ramp_profile().values(500)
+    assert p.shape == (501,)
+    assert p[0] == 0.2
+    assert p[45] == 0.2
+    assert p[70] == pytest.approx(0.0, abs=1e-15)
+    assert p[90] == -0.2
+    assert p[120] == pytest.approx(0.2, abs=1e-12)
+    assert p[140] == 0.6
+    assert p[500] == 0.6  # held after the last breakpoint
+    assert PiecewiseLinear(((5, 1.0), (9, 2.0))).values(3).tolist() == [1.0] * 4  # held before
+    assert ramp_profile().slope_bound == pytest.approx(0.02, rel=1e-12)
 
 
 def test_piecewise_linear_validation():
@@ -65,12 +81,14 @@ def test_piecewise_linear_validation():
         PiecewiseLinear(())
     with pytest.raises(ValueError):
         PiecewiseLinear(((0, 1.0), (0, 2.0)))
+    with pytest.raises(ValueError, match="2\\*\\*61"):
+        PiecewiseLinear(((0, 1.0), (10**30, 2.0)))
 
 
 def test_step_reading_has_larger_slope():
     step = PiecewiseLinear(STEP_POINTS)
-    assert step.value(70) == 0.18
-    assert step.value(110) == 0.22
+    assert step.values(110)[70] == 0.18
+    assert step.values(110)[110] == 0.22
     assert step.slope_bound == pytest.approx(0.04, rel=1e-12)
     assert step.slope_bound > ramp_profile().slope_bound
 
@@ -79,21 +97,16 @@ def test_sinusoid_bound_holds():
     s = Sinusoid(amplitude=0.5, period=40.0, offset=1.0)
     declared = s.slope_bound
     assert declared == pytest.approx(2 * math.pi * 0.5 / 40.0)
-    observed = max(abs(s.value(k + 1) - s.value(k)) for k in range(200))
-    assert observed <= declared
+    assert np.abs(np.diff(s.values(200))).max() <= declared
 
 
 def test_random_walk_is_pure_and_bounded():
-    rng = np.random.default_rng(42)
-    w = ClampedRandomWalk.generate(rng, 100, step_bound=0.05, start=0.3, lo=0.0, hi=1.0)
-    assert len(w.table) == 101
-    for k in range(100):
-        assert abs(w.value(k + 1) - w.value(k)) <= 0.05 + 1e-15
-        assert 0.0 <= w.value(k) <= 1.0
-    assert w.value(100) == w.value(10_000)  # held after the table ends
-    assert w.value(17) == w.value(17)
-    again = ClampedRandomWalk.generate(np.random.default_rng(42), 100, 0.05, 0.3, 0.0, 1.0)
-    assert again.table == w.table
+    bank = SignalBank({1: ClampedRandomWalk(step_bound=0.05, start=0.3, lo=0.0, hi=1.0)})
+    w = table(bank, 100, seed=42)[:, 0]
+    assert w.shape == (101,)
+    assert np.all(np.abs(np.diff(w)) <= 0.05 + 1e-15)
+    assert np.all((0.0 <= w) & (w <= 1.0))
+    assert np.array_equal(table(bank, 100, seed=42)[:, 0], w)
 
 
 def _scalar_draw_walk(rng, horizon, step_bound, start, lo=None, hi=None):
@@ -106,50 +119,31 @@ def _scalar_draw_walk(rng, horizon, step_bound, start, lo=None, hi=None):
         x = x if lo is None else max(x, lo)
         x = x if hi is None else min(x, hi)
         vals.append(x)
-    return tuple(vals)
+    return vals
 
 
 @pytest.mark.parametrize("lo, hi", [(None, None), (-0.1, 0.1), (0.0, None), (None, 0.0)])
 def test_random_walk_equals_scalar_draws(lo, hi):
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
-    w = ClampedRandomWalk.generate(got_rng, 1000, 0.05, 0.02, lo, hi)
-    want = _scalar_draw_walk(want_rng, 1000, 0.05, 0.02, lo, hi)
-    assert np.array(w.table).tobytes() == np.array(want).tobytes()
-    assert [type(v) for v in w.table] == [float] * 1001
-    assert all(bound in w.table for bound in (lo, hi) if bound is not None)  # clamps hit
+    bank = SignalBank({1: ClampedRandomWalk(0.05, 0.02, lo, hi)})
+    got = signal_table(bank, [1], 1000, got_rng)[:, 0]
+    want = np.array(_scalar_draw_walk(want_rng, 1000, 0.05, 0.02, lo, hi))
+    assert got.tobytes() == want.tobytes()
+    assert all(bound in got for bound in (lo, hi) if bound is not None)  # clamps hit
     # the stream continues where the scalar draws left it
     assert got_rng.uniform() == want_rng.uniform()
 
 
-def test_bank_slope_bound_is_max_over_agents():
-    bank = line6_bank()
-    assert bank.slope_bound == pytest.approx(0.02, rel=1e-12)
-
-
-def test_certify_slope_accepts_conforming_bank():
-    bank = line6_bank()
-    observed = certify_slope(bank, 300)
-    assert observed <= 0.02 * (1 + 1e-9)
-    assert observed == pytest.approx(0.02, rel=1e-9)
-
-
-def test_certify_slope_rejects_step_reading_at_ramp_bound():
-    specs = {i: Constant(0.2) for i in range(1, 6)}
-    specs[6] = PiecewiseLinear(STEP_POINTS)
-    bank = SignalBank(specs)
-    # against its own (computed) bound the step bank certifies fine
-    assert certify_slope(bank, 300) == pytest.approx(0.04, rel=1e-12)
-    with pytest.raises(SlopeCertificationError):
-        certify_slope(bank, 300, declared_bound=0.02)
-
-
 def _banks_of_every_kind() -> dict[str, SignalBank]:
-    rng = np.random.default_rng(11)
-    walks = {
-        i: ClampedRandomWalk.generate(rng, 300, 0.02, start=0.5 * i - 1.0, lo=-1.0, hi=1.0)
-        for i in range(1, 6)
-    }
-    walks[6] = ClampedRandomWalk.generate(rng, 120, 0.03)  # shorter: held at its last value
+    walk_settings = [
+        dict(step_bound=0.02, start=0.4, lo=-1.0, hi=1.0),
+        dict(step_bound=0.05, start=-0.3, lo=-0.35),
+        dict(step_bound=0.01, start=0.2, hi=0.21),
+        dict(step_bound=0.03),
+        dict(step_bound=0.04, start=-0.0, lo=0.0),  # Python's max keeps -0.0 here
+        dict(step_bound=0.0, start=-0.0, lo=0.0, hi=0.0),
+    ]
+    walks = {i: ClampedRandomWalk(**kw) for i, kw in enumerate(walk_settings, start=1)}
     return {
         "constant": SignalBank({i: Constant(0.1 * i) for i in range(1, 4)}),
         "piecewise_linear": SignalBank(
@@ -159,76 +153,141 @@ def _banks_of_every_kind() -> dict[str, SignalBank]:
             {1: Sinusoid(0.3, 37.0), 2: Sinusoid(-1.2, 250.0, phase=0.4, offset=2.0)}
         ),
         "random_walk": SignalBank(walks),
+        # walks between other kinds, agents inserted out of order
+        "mixed": SignalBank(
+            {
+                9: ClampedRandomWalk(0.02, start=0.5, lo=0.0, hi=1.0),
+                2: Sinusoid(0.3, 37.0),
+                4: walks[5],
+                1: Constant(-0.0),
+                5: ramp_profile(),
+                7: walks[2],
+                8: PiecewiseLinear(STEP_POINTS),
+                3: walks[4],
+            }
+        ),
     }
 
 
-@pytest.mark.parametrize("kind", ["constant", "piecewise_linear", "sinusoid", "random_walk"])
+KINDS = ["constant", "piecewise_linear", "sinusoid", "random_walk", "mixed"]
+
+
+@pytest.mark.parametrize("horizon", [1, 300])
+@pytest.mark.parametrize("kind", KINDS)
+def test_table_equals_scalar_reference(kind, horizon):
+    bank = _banks_of_every_kind()[kind]
+    agents = sorted(bank.specs)
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    got = signal_table(bank, agents, horizon, got_rng)
+    want = table_reference(bank, agents, horizon, want_rng)
+    assert got.shape == want.shape == (horizon + 1, len(agents))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got_rng.uniform() == want_rng.uniform()
+
+
+def test_table_keeps_the_clamp_tie_rule():
+    got = table(_banks_of_every_kind()["random_walk"], 300)
+    assert got[0, 4] == got[0, 5] == 0.0
+    assert np.signbit(got[0, [4, 5]]).all()  # np.maximum(-0.0, 0.0) would give 0.0
+
+
+@pytest.mark.parametrize("horizon", [1, 300])
+def test_sinusoid_table_equals_math_sin(horizon):
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        s = Sinusoid(
+            float(rng.uniform(-3.0, 3.0)),
+            float(rng.uniform(2.0, 500.0)),
+            phase=float(rng.uniform(-50.0, 50.0)),
+            offset=float(rng.uniform(-1.0, 1.0)),
+        )
+        want = table_reference(SignalBank({1: s}), [1], horizon, rng)[:, 0]
+        assert s.values(horizon).tobytes() == want.tobytes()
+
+
+def test_piecewise_linear_table_equals_scalar_interpolation():
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        ticks = np.sort(rng.choice(np.arange(-40, 400), size=int(rng.integers(1, 8)), replace=False))
+        points = tuple((int(k), float(v)) for k, v in zip(ticks, rng.uniform(-2.0, 2.0, ticks.size)))
+        spec = PiecewiseLinear(points)
+        want = table_reference(SignalBank({1: spec}), [1], 300, rng)[:, 0]
+        assert spec.values(300).tobytes() == want.tobytes()
+
+
+def test_bank_slope_bound_is_max_over_agents():
+    bank = line6_bank()
+    assert bank.slope_bound == pytest.approx(0.02, rel=1e-12)
+
+
+def test_certify_slope_accepts_conforming_bank():
+    observed = certify(line6_bank(), 300)
+    assert observed <= 0.02 * (1 + 1e-9)
+    assert observed == pytest.approx(0.02, rel=1e-9)
+
+
+def test_certify_slope_rejects_step_reading_at_ramp_bound():
+    specs = {i: Constant(0.2) for i in range(1, 6)}
+    specs[6] = PiecewiseLinear(STEP_POINTS)
+    bank = SignalBank(specs)
+    # against its own (computed) bound the step bank certifies fine
+    assert certify(bank, 300) == pytest.approx(0.04, rel=1e-12)
+    with pytest.raises(SlopeCertificationError):
+        certify(bank, 300, bound=0.02)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_certify_slope_equals_scalar_reference(kind):
     bank = _banks_of_every_kind()[kind]
     for horizon in (0, 1, 300):
-        got = certify_slope(bank, horizon)
-        assert got.hex() == certify_slope_reference(bank, horizon).hex()
+        got = certify(bank, horizon)
+        assert got.hex() == certify_reference(bank, horizon).hex()
     assert kind == "constant" or got > 0.0
 
 
 def test_certify_slope_names_first_failing_agent_like_reference():
-    banks = _banks_of_every_kind()
     # inserted out of order: agents 4 and 7 both fail, 4 first in sorted order
     bank = SignalBank(
         {
             7: PiecewiseLinear(STEP_POINTS),
-            4: banks["random_walk"].specs[2],
+            4: ClampedRandomWalk(0.02, start=0.4, lo=-1.0, hi=1.0),
             1: Constant(0.0),
         }
     )
     messages = []
-    for certify in (certify_slope, certify_slope_reference):
+    for check in (certify, certify_reference):
         with pytest.raises(SlopeCertificationError) as info:
-            certify(bank, 300, declared_bound=0.015)
+            check(bank, 300, bound=0.015)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("agent 4 moves by")
 
 
 def test_certify_slope_rejects_nan():
-    walk = ClampedRandomWalk((0.0, 0.01, math.nan, 0.0), 0.02)
-    with pytest.raises(SlopeCertificationError, match="from tick 1 to 2"):
-        certify_slope(SignalBank({1: Constant(0.0), 2: walk}), 10)
-
-
-def test_sample_and_errors():
-    bank = line6_bank()
-    assert sample(bank, 1, 77) == 0.2
-    assert sample(bank, 6, 70) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(KeyError):
-        sample(bank, 42, 0)
+    nan_walk = np.array([[0.0, 0.0], [0.0, 0.01], [0.0, math.nan], [0.0, 0.0]])
+    with pytest.raises(SlopeCertificationError, match="agent 2 moves by nan from tick 1 to 2"):
+        certify_slope(nan_walk, [1, 2], 0.02)
 
 
 def test_negated_bank_duality():
-    bank = line6_bank()
-    flipped = bank.negated()
-    for k in (0, 33, 70, 140, 260):
-        values = [sample(bank, i, k) for i in range(1, 7)]
-        mirrored = [sample(flipped, i, k) for i in range(1, 7)]
-        assert mirrored == [-v for v in values]
-        assert min(values) == -max(mirrored)
-        assert max(values) == -min(mirrored)
+    banks = _banks_of_every_kind()
+    for kind in ("constant", "piecewise_linear", "sinusoid"):
+        bank = banks[kind]
+        assert np.array_equal(table(negated_bank(bank), 300), -table(bank, 300))
+        assert negated_bank(bank).slope_bound == bank.slope_bound
+    with pytest.raises(TypeError):
+        negated_bank(banks["random_walk"])
 
 
 def test_build_spec_round_trip():
     spec = build_spec("piecewise_linear", {"points": [[0, 0.2], [60, 0.2], [80, -0.2]]})
-    assert isinstance(spec, PiecewiseLinear)
-    assert spec.value(70) == pytest.approx(0.0, abs=1e-15)
-    walk = build_spec(
-        "random_walk_clamped",
-        {"step_bound": 0.01, "start": 0.5, "lo": 0.0, "hi": 1.0},
-        rng=np.random.default_rng(3),
-        horizon=50,
-    )
-    assert isinstance(walk, ClampedRandomWalk)
+    assert spec == PiecewiseLinear(((0, 0.2), (60, 0.2), (80, -0.2)))
+    walk = build_spec("random_walk_clamped", {"step_bound": 0.01, "start": 0.5, "lo": 0.0, "hi": 1.0})
+    assert walk == ClampedRandomWalk(step_bound=0.01, start=0.5, lo=0.0, hi=1.0)
+    assert build_spec("random_walk_clamped", {"step_bound": 0.1}) == ClampedRandomWalk(0.1)
     with pytest.raises(ValueError):
         build_spec("white_noise", {})
     with pytest.raises(ValueError):
         build_spec("constant", {"value": 1.0, "bogus": 2})
     with pytest.raises(ValueError):
-        build_spec("random_walk_clamped", {"step_bound": 0.1})
+        build_spec("random_walk_clamped", {"start": 0.1})

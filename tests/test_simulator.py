@@ -18,7 +18,7 @@ from openmax.graph import (
     snapshot_from_text,
 )
 from openmax.protocols import ProtocolParams, open_step, output, resume_agent
-from openmax.signals import Constant, PiecewiseLinear, SignalBank, SlopeCertificationError, sample
+from openmax.signals import Constant, PiecewiseLinear, SignalBank, SlopeCertificationError
 from openmax.size_estimation import dse_generate, mle_estimate
 from openmax.simulator import (
     ConnectivityLost,
@@ -43,8 +43,10 @@ from util import (
     line4_churn_scenario,
     random_connected_graph,
     reference_outputs,
+    negated_bank,
     same_bits,
     trace_row,
+    value_reference,
 )
 
 
@@ -69,7 +71,8 @@ def test_load_preset_line6_admc_fields():
     assert sc.slope_bound == 0.02
     assert len(sc.windows) == 1
     assert sc.initial_states == {1: 0.0, 2: 0.4, 3: 0.8, 4: 1.2, 5: 1.6, 6: 2.0}
-    assert sample(sc.bank, 6, 70) == pytest.approx(0.0, abs=1e-15)
+    assert sc.inputs.shape == (251, 6)
+    assert sc.inputs[70, 5] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_line6_admc_run_reproduces_bounds():
@@ -108,7 +111,7 @@ def test_run_matches_inline_loop():
     sc = load_preset("line6_admc")
     res = run(sc)
     g = sc.reference
-    u = {i: sample(sc.bank, i, 0) for i in g.sorted_nodes}
+    u = dict(zip(g.sorted_nodes, sc.inputs[0].tolist()))
     states = {i: resume_agent(sc.params, sc.initial_states[i], u[i]) for i in g.sorted_nodes}
     for k in range(40):
         outs = {i: float(output(sc.params, states[i])) for i in g.sorted_nodes}
@@ -116,7 +119,7 @@ def test_run_matches_inline_loop():
         target = max(u.values())
         assert res.trace.targets[k] == target
         assert res.trace.errors[k] == max(abs(v - target) for v in outs.values())
-        u_next = {i: sample(sc.bank, i, k + 1) for i in g.sorted_nodes}
+        u_next = dict(zip(g.sorted_nodes, sc.inputs[k + 1].tolist()))
         states = open_step(sc.params, g, g, states, u, u_next)
         u = u_next
 
@@ -180,7 +183,7 @@ def test_min_mode_mirrors_negated_max():
         make_scenario(
             name="high",
             params=ProtocolParams(mode="max", variant="approximate", alpha=0.2),
-            bank=bank.negated(),
+            bank=negated_bank(bank),
             **common,
         )
     )
@@ -251,6 +254,8 @@ def test_make_scenario_rejects_bad_shapes():
         line4_churn_scenario(changes=[(40, {1, 2, 3})])  # beyond the horizon
     with pytest.raises(ScenarioError):
         line4_churn_scenario(bank=None)
+    with pytest.raises(ScenarioError, match=r"agents \[4\] have no reference signal"):
+        line4_churn_scenario(bank=SignalBank({i: Constant(0.1) for i in (1, 2, 3)}))
     with pytest.raises(ScenarioError):
         line4_churn_scenario(dse=DseConfig(p=4))
     with pytest.raises(ScenarioError):
@@ -446,10 +451,12 @@ def test_non_finite_states_abort_with_tick_context():
     # slope certification rejects a NaN input when the scenario is built...
     with pytest.raises(SlopeCertificationError, match="agent 1"):
         make_scenario(**parts, bank=nan_bank)
-    # ...and the run-time finite check still stops one that got past it
+    # ...and the run-time finite check still stops a table that got past it
     sc = make_scenario(**parts, bank=SignalBank({1: Constant(0.1), 2: Constant(0.2)}))
+    nan_table = sc.inputs.copy()
+    nan_table[:, 0] = np.nan
     with pytest.raises(RunExecutionError, match="tick 0"):
-        run(replace(sc, bank=nan_bank))
+        run(replace(sc, inputs=nan_table))
 
 
 def test_write_outputs_layout_and_formats(tmp_path):
@@ -560,12 +567,10 @@ def test_consensus_engine_matches_per_agent_oracle(mode, variant, read_departing
             a, b = (float(v) for v in rng.choice(grid, size=2))
             return Constant(a) if rng.random() < 0.5 else PiecewiseLinear(((4, a), (12, b)))
 
-        sc = _churned_scenario(
-            rng, variant, mode, read_departing, kind="consensus",
-            bank=SignalBank({i: signal() for i in range(1, 12)}),
-        )
+        bank = SignalBank({i: signal() for i in range(1, 12)})
+        sc = _churned_scenario(rng, variant, mode, read_departing, kind="consensus", bank=bank)
         want = reference_outputs(
-            sc, lambda k, g: {i: sign * sample(sc.bank, i, k) for i in g.sorted_nodes}
+            sc, lambda k, g: {i: sign * value_reference(bank.specs[i], k) for i in g.sorted_nodes}
         )
         res = run(sc)
         assert len(res.trace.outputs) == len(want)

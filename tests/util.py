@@ -1,17 +1,28 @@
 """Shared helpers for the test suite: small random graphs, churn scripts, and
 the scalar reference implementations that the vectorized code is checked
-against (per-agent kernels, slope certification, brute-force Monte Carlo)."""
+against (per-agent kernels, signal values and random walks, slope
+certification, brute-force Monte Carlo)."""
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from openmax.graph import NetworkSnapshot, induced_subgraph, partition_nodes, snapshot_from_text
 from openmax.protocols import ProtocolParams, State, init_agent, output
-from openmax.signals import Constant, SignalBank, SlopeCertificationError
+from openmax.signals import (
+    ClampedRandomWalk,
+    Constant,
+    PiecewiseLinear,
+    SignalBank,
+    SignalSpec,
+    Sinusoid,
+    SlopeCertificationError,
+)
 from openmax.simulator import RunResult, Scenario, make_scenario
 
 LINE4_TEXT = """
@@ -184,17 +195,82 @@ def trace_row(result: RunResult, table: np.ndarray, k: int) -> dict[int, float]:
     return dict(zip(active, table[k, slots].tolist()))
 
 
-def certify_slope_reference(
-    bank: SignalBank, horizon: int, declared_bound: float | None = None
-) -> float:
+def value_reference(spec: SignalSpec, k: int) -> float:
+    """A constant, piecewise-linear or sinusoid signal at tick ``k``, in scalar Python."""
+    if isinstance(spec, Constant):
+        return float(spec.level)
+    if isinstance(spec, PiecewiseLinear):
+        pts = spec.points
+        if k <= pts[0][0]:
+            return pts[0][1]
+        if k >= pts[-1][0]:
+            return pts[-1][1]
+        hi = bisect_right([t for t, _ in pts], k)
+        k0, v0 = pts[hi - 1]
+        k1, v1 = pts[hi]
+        return v0 + (v1 - v0) * (k - k0) / (k1 - k0)
+    if isinstance(spec, Sinusoid):
+        return spec.offset + spec.amplitude * math.sin(2.0 * math.pi * (k + spec.phase) / spec.period)
+    raise TypeError(f"no scalar value for {spec!r}")
+
+
+def walk_reference(walk: ClampedRandomWalk, rng: np.random.Generator, horizon: int) -> list[float]:
+    """A clamped random walk over ``[0, horizon]``, clamped one value at a time
+    with Python's ``max`` and ``min``; its steps are one draw of ``horizon`` uniforms."""
+    lo, hi = walk.lo, walk.hi
+    x = float(walk.start)
+    if lo is not None:
+        x = max(x, lo)
+    if hi is not None:
+        x = min(x, hi)
+    vals = [x]
+    for step in rng.uniform(-walk.step_bound, walk.step_bound, size=horizon).tolist():
+        x = x + step
+        if lo is not None:
+            x = max(x, lo)
+        if hi is not None:
+            x = min(x, hi)
+        vals.append(x)
+    return vals
+
+
+def table_reference(
+    bank: SignalBank, agents: Sequence[int], horizon: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The signal table built one agent at a time: walks draw from ``rng`` in ``agents`` order."""
+    columns = []
+    for i in agents:
+        spec = bank.specs[i]
+        if isinstance(spec, ClampedRandomWalk):
+            columns.append(walk_reference(spec, rng, horizon))
+        else:
+            columns.append([value_reference(spec, k) for k in range(horizon + 1)])
+    return np.array(columns).T
+
+
+def negated_bank(bank: SignalBank) -> SignalBank:
+    """The mirror of a bank without random walks: every signal negated."""
+
+    def negated(spec: SignalSpec) -> SignalSpec:
+        if isinstance(spec, Constant):
+            return Constant(-spec.level)
+        if isinstance(spec, PiecewiseLinear):
+            return PiecewiseLinear(tuple((k, -v) for k, v in spec.points))
+        if isinstance(spec, Sinusoid):
+            return Sinusoid(-spec.amplitude, spec.period, spec.phase, -spec.offset)
+        raise TypeError(f"no negation for {spec!r}")
+
+    return SignalBank({i: negated(spec) for i, spec in bank.specs.items()})
+
+
+def certify_slope_reference(columns: Mapping[int, Sequence[float]], bound: float) -> float:
     """Scalar slope certification: walk every agent's values tick by tick."""
-    bound = bank.slope_bound if declared_bound is None else float(declared_bound)
     tol = 1e-9 * max(1.0, abs(bound)) + 1e-12
     worst = 0.0
-    for agent, spec in sorted(bank.specs.items()):
-        prev = spec.value(0)
-        for k in range(1, horizon + 1):
-            cur = spec.value(k)
+    for agent, values in sorted(columns.items()):
+        prev = values[0]
+        for k in range(1, len(values)):
+            cur = values[k]
             change = abs(cur - prev)
             if change > worst:
                 worst = change
