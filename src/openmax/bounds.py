@@ -98,7 +98,6 @@ def admc_bounds(
     x_at_change: Iterable[object],
     u_max_at_change: float | np.ndarray,
     dwell: int | None = None,
-    strict: bool = False,
 ) -> BoundsReport:
     """Bounds for the approximate max protocol on one change window.
 
@@ -126,8 +125,6 @@ def admc_bounds(
             f"dwell time ({dwell}) is shorter than the diameter ({diameter}); "
             "information cannot cross the network between changes"
         )
-    if strict and reasons:
-        raise AssumptionViolation("; ".join(reasons))
 
     gap = max(_overshoot(x_at_change, u_max_at_change), 0.0)
     convergence: int | None = None
@@ -148,7 +145,6 @@ def edmc_bounds(
     slope_bound: float,
     diameter: int | None = None,
     dwell: int | None = None,
-    strict: bool = False,
 ) -> BoundsReport:
     """Bounds for the exact cascade variant."""
     if delta < 0:
@@ -165,8 +161,6 @@ def edmc_bounds(
         reasons.append(
             f"dwell time ({dwell}) is shorter than the cascade depth ({delta})"
         )
-    if strict and reasons:
-        raise AssumptionViolation("; ".join(reasons))
     return BoundsReport(
         transient_time=delta,
         convergence_time=delta,

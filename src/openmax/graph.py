@@ -21,12 +21,9 @@ import numpy as np
 
 __all__ = [
     "NetworkSnapshot",
-    "NodePartition",
     "closed_reduce",
-    "neighbors",
     "is_connected",
     "diameter",
-    "partition_nodes",
     "line_graph",
     "barabasi_albert",
     "induced_subgraph",
@@ -68,6 +65,7 @@ class NetworkSnapshot:
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Each node's sorted neighbours; a node is never its own neighbour."""
         adj: dict[int, list[int]] = {n: [] for n in self.sorted_nodes}
         for u, v in sorted(self.edges):
             adj[u].append(v)
@@ -95,23 +93,6 @@ class NetworkSnapshot:
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class NodePartition:
-    """Split of a membership change into arriving, departing and remaining sets."""
-
-    arriving: frozenset[int]
-    departing: frozenset[int]
-    remaining: frozenset[int]
-
-
-def neighbors(g: NetworkSnapshot, i: int) -> tuple[int, ...]:
-    """Sorted neighbors of node ``i``; the node itself is never included."""
-    try:
-        return g.adjacency[i]
-    except KeyError:
-        raise KeyError(f"node {i} is not active in this snapshot") from None
 
 
 def is_connected(g: NetworkSnapshot) -> bool:
@@ -162,17 +143,6 @@ def diameter(g: NetworkSnapshot) -> float:
         seen |= frontier
         depth += 1
     return depth
-
-
-def partition_nodes(v_now: Iterable[int], v_next: Iterable[int]) -> NodePartition:
-    """Classify nodes across one tick: arriving, departing, remaining."""
-    now = frozenset(int(n) for n in v_now)
-    nxt = frozenset(int(n) for n in v_next)
-    return NodePartition(
-        arriving=nxt - now,
-        departing=now - nxt,
-        remaining=now & nxt,
-    )
 
 
 def line_graph(n: int) -> NetworkSnapshot:

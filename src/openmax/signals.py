@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -70,6 +71,9 @@ class PiecewiseLinear:
     points: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
+        ticks = [k for k, _ in self.points]
+        if any(isinstance(k, bool) or not isinstance(k, Integral) for k in ticks):
+            raise ValueError(f"breakpoint ticks must be integers, got {ticks}")
         pts = tuple((int(k), float(v)) for k, v in self.points)
         if not pts:
             raise ValueError("piecewise linear signal needs at least one point")
@@ -237,7 +241,7 @@ def build_spec(kind: str, params: Mapping[str, object]) -> SignalSpec:
         if kind == "constant":
             return done(Constant(num("value")))
         if kind == "piecewise_linear":
-            points = tuple((int(k), float(v)) for k, v in opts.pop("points"))
+            points = tuple((k, float(v)) for k, v in opts.pop("points"))
             if not all(math.isfinite(v) for _, v in points):
                 raise ValueError(f"the points of signal kind {kind!r} must be finite")
             return done(PiecewiseLinear(points))

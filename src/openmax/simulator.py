@@ -145,11 +145,17 @@ class TraceOptions:
 
 @dataclass(frozen=True)
 class Window:
-    """Span of ticks with a fixed snapshot; ``end`` is inclusive."""
+    """Span of ticks with a fixed snapshot; ``end`` is inclusive.
+
+    ``slots`` holds the positions of ``graph``'s nodes among the reference's
+    sorted nodes, ascending and read-only: the active rows of every
+    slot-indexed array.
+    """
 
     start: int
     end: int
     graph: NetworkSnapshot
+    slots: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,6 +234,12 @@ class RunResult:
 # scenario assembly
 
 
+def _slots(reference: NetworkSnapshot, g: NetworkSnapshot) -> np.ndarray:
+    slots = np.searchsorted(reference.sorted_nodes, g.sorted_nodes)
+    slots.flags.writeable = False
+    return slots
+
+
 def _as_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{what} must be an integer, got {value!r}")
@@ -297,8 +309,8 @@ def make_scenario(
         spans = [b - a for a, b in zip([0] + ticks, ticks)]
         dwell = min(spans) if spans else horizon
     dwell = _as_int(dwell, "dwell")
-    if dwell < 1:
-        raise ScenarioError(f"dwell must be at least 1 tick, got {dwell}")
+    if not 1 <= dwell <= horizon:
+        raise ScenarioError(f"dwell must lie in [1, horizon = {horizon}] ticks, got {dwell}")
     prev = 0
     for t in ticks:
         if t - prev < dwell:
@@ -325,7 +337,9 @@ def make_scenario(
 
     starts = [0] + ticks
     ends = [t - 1 for t in starts[1:]] + [horizon]
-    windows = tuple(Window(s, e, g) for s, e, g in zip(starts, ends, graphs))
+    windows = tuple(
+        Window(s, e, g, _slots(reference, g)) for s, e, g in zip(starts, ends, graphs)
+    )
     for w in windows:
         if not is_connected(w.graph):
             raise ConnectivityLost(
@@ -756,7 +770,7 @@ class _ConsensusObserver:
         self.targets = np.empty(scenario.horizon + 1)
         self.outputs = np.full((scenario.horizon + 1, scenario.reference.n), np.nan)
 
-    def inputs(self, k: int, g: NetworkSnapshot, act: np.ndarray) -> tuple[np.ndarray, float]:
+    def inputs(self, k: int, act: np.ndarray) -> tuple[np.ndarray, float]:
         self.U[act] = u = self.sign * self.table[k, act]
         return self.U, float(u[np.argmax(u)])  # the first maximum, as max() picks it
 
@@ -782,8 +796,8 @@ class _SizeObserver:
         self.target_estimates = np.empty(scenario.horizon + 1)
         self.estimates = np.full((scenario.horizon + 1, scenario.reference.n), np.nan)
 
-    def inputs(self, k: int, g: NetworkSnapshot, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if act is not self.act:  # the engine passes one array per window
+    def inputs(self, k: int, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if act is not self.act:  # each window has its own slots array
             for s in np.setdiff1d(act, self.act, assume_unique=True):
                 self.U[s] = dse_generate(self.p, self.rng)
             self.maxima = self.U[act].max(axis=0)
@@ -796,17 +810,11 @@ class _SizeObserver:
         self.estimates[k, act] = mle_estimate(outs)
 
 
-def _window_slots(scenario: Scenario) -> list[np.ndarray]:
-    """Each window's active slots, ascending: indices into the reference's sorted nodes."""
-    nodes = np.asarray(scenario.reference.sorted_nodes)
-    return [np.searchsorted(nodes, w.graph.sorted_nodes) for w in scenario.windows]
-
-
 def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     """The tick loop of both run kinds, on the max side of the mirror.
 
     Row ``s`` of the state and input arrays is slot ``s``, the ``s``-th
-    reference node.  ``observer.inputs(k, g, act)`` fills tick ``k``'s inputs
+    reference node.  ``observer.inputs(k, act)`` fills tick ``k``'s inputs
     at the active slots ``act`` and returns them with their extremum, the
     target; ``observer.observe(k, act, outs, target)`` records tick ``k``'s
     outputs at those slots.  Returns the per-tick errors and active counts,
@@ -816,25 +824,25 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
     exact = params.variant == "exact"
     kernel = edmc_kernel if exact else partial(admc_kernel, alpha=params.alpha)
     windows = scenario.windows
-    nodes = np.asarray(scenario.reference.sorted_nodes)
-    acts = _window_slots(scenario)
-    U, target = observer.inputs(0, windows[0].graph, acts[0])
-    init, a0 = scenario.initial_states, acts[0]
-    prior = U[a0] if init is None else observer.sign * np.array([init[i] for i in nodes[a0]])
+    nodes = scenario.reference.sorted_nodes
+    a0 = windows[0].slots
+    U, target = observer.inputs(0, a0)
+    init = scenario.initial_states
+    prior = U[a0] if init is None else observer.sign * np.array([init[i] for i in nodes])
     X = np.zeros((len(nodes), *((params.delta + 1,) if exact else ()), *U.shape[1:]))
-    X[a0] = prior[:, None] if exact else prior  # as resume_agent: level 0 holds the input
+    X[a0] = prior[:, None] if exact else prior  # a cascade holds the prior on every level
     if exact:
-        X[a0, 0] = U[a0]
+        X[a0, 0] = U[a0]  # but its input on level 0
 
     errors: list[float] = []
     bounds: list[tuple[int, BoundsReport]] = []
-    for i, (w, act) in enumerate(zip(windows, acts)):
-        g = w.graph
+    for i, w in enumerate(windows):
+        g, act = w.graph, w.slots
         hood = last = Neighborhoods(g, act)
-        nxt = windows[i + 1].graph if i + 1 < len(windows) else None
-        if nxt is not None and not params.read_departing and not g.nodes <= nxt.nodes:
-            stay = induced_subgraph(g, g.nodes & nxt.nodes)
-            last = Neighborhoods(stay, np.searchsorted(nodes, stay.sorted_nodes))
+        nxt = windows[i + 1] if i + 1 < len(windows) else None
+        if nxt is not None and not params.read_departing and not g.nodes <= nxt.graph.nodes:
+            stay = induced_subgraph(g, g.nodes & nxt.graph.nodes)
+            last = Neighborhoods(stay, _slots(scenario.reference, stay))
         for k in range(w.start, w.end + 1):
             outs = X[act, -1] if exact else X[act]
             if k == w.start:
@@ -847,11 +855,11 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
             errors.append(float(np.abs(outs - target).max()))
             if k < w.end:
                 kernel(X, U, hood)
-                U, target = observer.inputs(k + 1, g, act)
+                U, target = observer.inputs(k + 1, act)
             elif nxt is not None:
                 kernel(X, U, last)
-                arriving = np.setdiff1d(acts[i + 1], act, assume_unique=True)
-                U, target = observer.inputs(k + 1, nxt, acts[i + 1])
+                arriving = np.setdiff1d(nxt.slots, act, assume_unique=True)
+                U, target = observer.inputs(k + 1, nxt.slots)
                 X[arriving] = U[arriving, None] if exact else U[arriving]
 
     errors = np.asarray(errors)
@@ -925,8 +933,8 @@ def run(scenario: Scenario) -> RunResult:
     observer = _ConsensusObserver(scenario)
     errors, counts, windows = _simulate(scenario, observer)
     inputs = np.full_like(scenario.inputs, np.nan)
-    for w, act in zip(scenario.windows, _window_slots(scenario)):
-        inputs[w.start : w.end + 1, act] = scenario.inputs[w.start : w.end + 1, act]
+    for w in scenario.windows:
+        inputs[w.start : w.end + 1, w.slots] = scenario.inputs[w.start : w.end + 1, w.slots]
     trace = ErrorTrace(
         ticks=np.arange(scenario.horizon + 1),
         errors=errors,
@@ -971,7 +979,7 @@ def run_size_estimation(scenario: Scenario) -> RunResult:
     params = scenario.params
     p = scenario.dse.p
     rows = []
-    for (w, d, report, empirical), act in zip(windows, _window_slots(scenario)):
+    for w, d, report, empirical in windows:
         eps = params.alpha * d if params.variant == "approximate" else 0.0
         n_true = w.graph.n
         expected = (
@@ -979,7 +987,7 @@ def run_size_estimation(scenario: Scenario) -> RunResult:
             if params.variant == "approximate"
             else expected_estimate_edmc(n_true, p)
         )
-        values = trace.estimates[w.end, act].tolist()
+        values = trace.estimates[w.end, w.slots].tolist()
         spread = float(max(values) - min(values))
         rows.append(
             {
@@ -1074,8 +1082,8 @@ def _write_tables(
         if plot_path is not None:
             pf = stack.enter_context(plot_path.open("w", newline=""))
             pf.write(",".join(plot_head) + "\n")
-        for w, act in zip(scenario.windows, _window_slots(scenario)):
-            agents = [str(i) for i in w.graph.sorted_nodes]
+        for w in scenario.windows:
+            act, agents = w.slots, [str(i) for i in w.graph.sorted_nodes]
             cells[:] = ""
             for k in range(w.start, w.end + 1):
                 xs = _format_floats(states[k, act])

@@ -24,7 +24,7 @@ from openmax.graph import (
     is_connected,
     line_graph,
 )
-from openmax.protocols import ProtocolParams, init_agent, output, step
+from openmax.protocols import Neighborhoods, ProtocolParams, edmc_kernel
 from openmax.signals import Constant, PiecewiseLinear, SignalBank, Sinusoid
 from openmax.simulator import load_preset, make_scenario, run, run_size_estimation
 from openmax.size_estimation import (
@@ -227,21 +227,18 @@ def test_05_exact_cascade_exhaustive():
         for g in _connected_graphs(n):
             count += 1
             depth = diameter(g)
-            params = ProtocolParams(mode="max", variant="exact", delta=depth)
-            nodes = g.sorted_nodes
+            hood = Neighborhoods(g, np.arange(n))
             horizon = depth + 9
             for _ in range(20):
-                seq = rng.uniform(-1.0, 1.0, (horizon + 1, n))
-                u = [dict(zip(nodes, row)) for row in seq]
-                states = {i: init_agent(params, u[0][i]) for i in nodes}
+                seq = rng.uniform(-1.0, 1.0, (horizon + 1, n))  # row k: tick k's inputs
+                X = np.repeat(seq[0][:, None], depth + 1, axis=1)  # cascades start full
                 for k in range(horizon + 1):
                     if k >= depth:
-                        want_out = max(u[max(k - depth - 1, 0)].values())
-                        for i in nodes:
-                            assert abs(float(output(params, states[i])) - want_out) <= 1e-12
+                        want_out = seq[max(k - depth - 1, 0)].max()
+                        assert np.abs(X[:, -1] - want_out).max() <= 1e-12
                         checked += 1
                     if k < horizon:
-                        states = step(params, g, states, u[k])
+                        edmc_kernel(X, seq[k], hood)
         assert count == want
     _passed(f"gate 05: cascade equals the delayed maximum at {checked} graph/tick points")
 
@@ -253,14 +250,12 @@ def test_06_size_estimation_unbiasedness():
         rng = np.random.default_rng(np.random.SeedSequence((9000, s)))
         g, _ = barabasi_albert(line_graph(5), 100, 2, rng)
         depth = diameter(g)
-        params = ProtocolParams(mode="max", variant="exact", delta=depth)
-        vecs = {i: rng.uniform(0.0, 1.0, 50) for i in g.sorted_nodes}
-        states = {i: init_agent(params, vecs[i]) for i in g.sorted_nodes}
+        U = rng.uniform(0.0, 1.0, (g.n, 50))  # row s: the draws of g.sorted_nodes[s]
+        X = np.repeat(U[:, None], depth + 1, axis=1)
+        hood = Neighborhoods(g, np.arange(g.n))
         for _ in range(depth + 2):
-            states = step(params, g, states, vecs)
-        per_agent = [
-            float(mle_estimate(np.asarray(output(params, states[i])))) for i in g.sorted_nodes
-        ]
+            edmc_kernel(X, U, hood)
+        per_agent = mle_estimate(X[:, -1])
         assert max(per_agent) - min(per_agent) == 0.0  # exact backend: full agreement
         estimates.append(per_agent[0])
     arr = np.asarray(estimates)

@@ -221,6 +221,19 @@ def test_missing_scenario_exits_1(capsys):
         ("validate", "topology:", f"{EXPLICIT_CHURN % '[[3]]'}\ntopology:", "deactivate"),
         ("validate", "topology:", f"{EXPLICIT_CHURN % '3'}\ntopology:", "deactivate"),
         ("sweep --grid alpha=0.1 --trials 5", "", "", "--trials"),
+        ("validate", "horizon: 20", "horizon: 20\ndwell: 21", "dwell"),
+        (
+            "validate",
+            "3: {kind: constant, value: 0.8}",
+            "3: {kind: piecewise_linear, points: [[1.7, 0.2], [3, 0.3]]}",
+            "breakpoint ticks",
+        ),
+        (
+            "validate",
+            "3: {kind: constant, value: 0.8}",
+            "3: {kind: piecewise_linear, points: [[true, 0.2], [3, 0.3]]}",
+            "breakpoint ticks",
+        ),
     ],
     ids=["line-without-n", "constant-without-value", "points-not-pairs",
          "read-departing-string", "trace-flag-string", "alpha-string", "delta-bool",
@@ -229,7 +242,8 @@ def test_missing_scenario_exits_1(capsys):
          "activation-probability-list", "activation-probability-mapping",
          "initial-state-list", "initial-state-key-float", "initial-state-key-bool",
          "initial-state-key-word", "deactivate-nested-list", "deactivate-scalar",
-         "sweep-trials-on-consensus"],
+         "sweep-trials-on-consensus", "dwell-above-horizon", "breakpoint-tick-float",
+         "breakpoint-tick-bool"],
 )
 def test_malformed_config_exits_1_without_traceback(command, old, new, section, tmp_path, capsys):
     base = MINI_DSE if section == "mc_trials" else MINI_CONSENSUS

@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from openmax.graph import (
     NetworkSnapshot,
@@ -16,8 +14,6 @@ from openmax.graph import (
     induced_subgraph,
     is_connected,
     line_graph,
-    neighbors,
-    partition_nodes,
     snapshot_from_text,
     snapshot_to_text,
 )
@@ -42,10 +38,10 @@ def test_snapshot_rejects_self_loops_and_dangling_edges():
 
 def test_neighbors_sorted_and_exclude_self():
     g = line_graph(3)
-    assert neighbors(g, 2) == (1, 3)
-    assert neighbors(g, 1) == (2,)
+    assert g.adjacency[2] == (1, 3)
+    assert g.adjacency[1] == (2,)
     with pytest.raises(KeyError):
-        neighbors(g, 9)
+        g.adjacency[9]
 
 
 def test_connectivity():
@@ -107,27 +103,6 @@ def test_degree_layout_rebuilds_adjacency_in_order():
         assert {v: tuple(r) for v, r in rebuilt.items()} == g.adjacency
         assert g.by_degree is g.by_degree
         assert not any(a.flags.writeable for a in (order, *levels))
-
-
-def test_partition_example():
-    part = partition_nodes({1, 2, 3}, {2, 3, 4})
-    assert part.arriving == frozenset({4})
-    assert part.departing == frozenset({1})
-    assert part.remaining == frozenset({2, 3})
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    now=st.frozensets(st.integers(0, 30), max_size=12),
-    nxt=st.frozensets(st.integers(0, 30), max_size=12),
-)
-def test_partition_recomposition(now, nxt):
-    part = partition_nodes(now, nxt)
-    assert part.arriving | part.remaining == nxt
-    assert part.departing | part.remaining == now
-    assert not part.arriving & part.departing
-    assert not part.arriving & part.remaining
-    assert not part.departing & part.remaining
 
 
 def test_line_graph_shape():

@@ -83,6 +83,10 @@ def test_piecewise_linear_validation():
         PiecewiseLinear(((0, 1.0), (0, 2.0)))
     with pytest.raises(ValueError, match="2\\*\\*61"):
         PiecewiseLinear(((0, 1.0), (10**30, 2.0)))
+    for tick in (1.7, 1.0, True):
+        with pytest.raises(ValueError, match="must be integers"):
+            PiecewiseLinear(((tick, 0.2), (3, 0.3)))
+    assert PiecewiseLinear(((np.int64(1), 0.2), (3, 0.3))).points == ((1, 0.2), (3, 0.3))
 
 
 def test_step_reading_has_larger_slope():

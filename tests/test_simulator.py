@@ -17,7 +17,7 @@ from openmax.graph import (
     line_graph,
     snapshot_from_text,
 )
-from openmax.protocols import ProtocolParams, open_step, output, resume_agent
+from openmax.protocols import Neighborhoods, ProtocolParams, admc_kernel
 from openmax.signals import Constant, PiecewiseLinear, SignalBank, SlopeCertificationError
 from openmax.size_estimation import dse_generate, mle_estimate
 from openmax.simulator import (
@@ -111,17 +111,15 @@ def test_run_matches_inline_loop():
     sc = load_preset("line6_admc")
     res = run(sc)
     g = sc.reference
-    u = dict(zip(g.sorted_nodes, sc.inputs[0].tolist()))
-    states = {i: resume_agent(sc.params, sc.initial_states[i], u[i]) for i in g.sorted_nodes}
+    hood = Neighborhoods(g, np.arange(g.n))
+    X = np.array([sc.initial_states[i] for i in g.sorted_nodes])
     for k in range(40):
-        outs = {i: float(output(sc.params, states[i])) for i in g.sorted_nodes}
+        outs = dict(zip(g.sorted_nodes, X.tolist()))
         assert outs == trace_row(res, res.trace.outputs, k)
-        target = max(u.values())
+        target = max(sc.inputs[k].tolist())
         assert res.trace.targets[k] == target
         assert res.trace.errors[k] == max(abs(v - target) for v in outs.values())
-        u_next = dict(zip(g.sorted_nodes, sc.inputs[k + 1].tolist()))
-        states = open_step(sc.params, g, g, states, u, u_next)
-        u = u_next
+        admc_kernel(X, sc.inputs[k], hood, sc.params.alpha)
 
 
 def test_run_is_deterministic(tmp_path):

@@ -8,12 +8,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from openmax.graph import NetworkSnapshot, induced_subgraph, partition_nodes, snapshot_from_text
-from openmax.protocols import ProtocolParams, State, init_agent, output
+from openmax.graph import NetworkSnapshot, induced_subgraph, snapshot_from_text
+from openmax.protocols import ProtocolParams
 from openmax.signals import (
     ClampedRandomWalk,
     Constant,
@@ -24,6 +24,9 @@ from openmax.signals import (
     SlopeCertificationError,
 )
 from openmax.simulator import RunResult, Scenario, make_scenario
+
+# One agent's state: a float or a coordinate vector, or a (delta + 1, ...) cascade.
+State = Union[float, np.ndarray]
 
 LINE4_TEXT = """
 nodes: 1 2 3 4
@@ -130,6 +133,12 @@ def edmc_step_reference(
     return new
 
 
+def start_state(params: ProtocolParams, u: object) -> State:
+    """The state of an agent that starts or joins with input ``u``: the input,
+    on every level of a cascade."""
+    return np.full((params.delta + 1, *np.shape(u)), u) if params.variant == "exact" else u
+
+
 def open_step_reference(
     params: ProtocolParams,
     g_now: NetworkSnapshot,
@@ -138,17 +147,22 @@ def open_step_reference(
     u_now: Mapping[int, object],
     u_next: Mapping[int, object],
 ) -> dict[int, State]:
-    """Per-agent step across a membership change, on the reference kernels."""
-    part = partition_nodes(g_now.nodes, g_next.nodes)
+    """Per-agent step across a membership change, on the reference kernels.
+
+    Agents that stay step on ``g_now`` and, unless ``params.read_departing`` is
+    off, still read the last states of departing neighbours; arriving agents
+    start from their next-tick input and read nobody this tick.
+    """
+    departing = g_now.nodes - g_next.nodes
     base = g_now
-    if not params.read_departing and part.departing:
-        base = induced_subgraph(g_now, g_now.nodes - part.departing)
+    if not params.read_departing and departing:
+        base = induced_subgraph(g_now, g_now.nodes - departing)
     if params.variant == "approximate":
         stepped = admc_step_reference(base, x, u_now, params.alpha)
     else:
         stepped = edmc_step_reference(base, x, u_now)
-    new = {i: stepped[i] for i in sorted(part.remaining)}
-    new.update((i, init_agent(params, u_next[i])) for i in sorted(part.arriving))
+    new = {i: stepped[i] for i in sorted(g_now.nodes & g_next.nodes)}
+    new.update((i, start_state(params, u_next[i])) for i in sorted(g_next.nodes - g_now.nodes))
     return new
 
 
@@ -158,15 +172,17 @@ def reference_outputs(
     """Per-tick max-side outputs of a scenario run on the reference kernels.
 
     ``inputs(k, g)`` gives the max-side inputs of ``g``'s agents at tick ``k``;
-    agents start from their inputs.
+    agents start from their inputs and expose their state, or the top level of
+    their cascade.
     """
     params = replace(scenario.params, mode="max")
+    exact = params.variant == "exact"
     graphs = [w.graph for w in scenario.windows for _ in range(w.start, w.end + 1)]
     u = inputs(0, graphs[0])
-    states = {i: init_agent(params, u[i]) for i in graphs[0].sorted_nodes}
+    states = {i: start_state(params, u[i]) for i in graphs[0].sorted_nodes}
     outs = []
     for k, g in enumerate(graphs):
-        outs.append({i: output(params, states[i]) for i in g.sorted_nodes})
+        outs.append({i: states[i][-1] if exact else states[i] for i in g.sorted_nodes})
         if k < scenario.horizon:
             u_next = inputs(k + 1, graphs[k + 1])
             states = open_step_reference(params, g, graphs[k + 1], states, u, u_next)
@@ -189,10 +205,10 @@ def trace_row(result: RunResult, table: np.ndarray, k: int) -> dict[int, float]:
     and the columns of inactive agents hold NaN.
     """
     sc = result.scenario
-    active = next(w for w in sc.windows if w.start <= k <= w.end).graph.sorted_nodes
-    slots = np.searchsorted(sc.reference.sorted_nodes, active)
-    assert np.isnan(np.delete(table[k], slots)).all()
-    return dict(zip(active, table[k, slots].tolist()))
+    w = next(w for w in sc.windows if w.start <= k <= w.end)
+    assert np.array_equal(np.asarray(sc.reference.sorted_nodes)[w.slots], w.graph.sorted_nodes)
+    assert np.isnan(np.delete(table[k], w.slots)).all()
+    return dict(zip(w.graph.sorted_nodes, table[k, w.slots].tolist()))
 
 
 def value_reference(spec: SignalSpec, k: int) -> float:
