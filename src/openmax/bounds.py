@@ -81,14 +81,18 @@ def _ceil_ratio(gap: float, denom: float) -> int:
 
 
 def _overshoot(x_at_change: Iterable[object], target: float | np.ndarray) -> float:
-    worst = -math.inf
-    count = 0
-    for xi in x_at_change:
-        count += 1
-        worst = max(worst, float(np.max(np.asarray(xi, dtype=float) - target)))
-    if count == 0:
+    states = x_at_change if isinstance(x_at_change, np.ndarray) else list(x_at_change)
+    if not len(states):
         raise ValueError("x_at_change must contain at least one agent state")
-    return worst
+    excess = np.asarray(states, dtype=float) - target
+    if not np.isfinite(excess).all():
+        raise ValueError("the initial gap must be finite: states and target must be finite numbers")
+    return float(excess.max())
+
+
+def _check_slope(slope_bound: float) -> None:
+    if not math.isfinite(slope_bound) or slope_bound < 0:
+        raise ValueError(f"slope bound must be a finite nonnegative number, got {slope_bound}")
 
 
 def admc_bounds(
@@ -111,8 +115,7 @@ def admc_bounds(
         raise ValueError("diameter must be nonnegative")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if slope_bound < 0:
-        raise ValueError("slope bound must be nonnegative")
+    _check_slope(slope_bound)
 
     reasons: list[str] = []
     if alpha <= slope_bound:
@@ -149,8 +152,7 @@ def edmc_bounds(
     """Bounds for the exact cascade variant."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    if slope_bound < 0:
-        raise ValueError("slope bound must be nonnegative")
+    _check_slope(slope_bound)
     reasons: list[str] = []
     if diameter is not None and delta < diameter:
         reasons.append(

@@ -453,9 +453,14 @@ def _build_topology(
                 f"limit of {MAX_CELLS}; lower horizon, {keys}{'' if p is None else ' or dse.p'}"
             )
 
+    def positive(value: int, key: str) -> None:
+        if value < 1:
+            raise ScenarioError(f"{key} must be at least 1, got {value}")
+
     kind = section.pop("kind", None)
     if kind == "line":
         n = _as_int(_required(section, "n", "a line topology"), "topology n")
+        positive(n, "topology.n")
         fits(n, "topology.n")
         g = line_graph(n)
         order = g.sorted_nodes
@@ -463,7 +468,13 @@ def _build_topology(
         seed_line = _as_int(section.pop("seed_line", 5), "seed_line")
         target_n = _as_int(_required(section, "target_n", "a barabasi_albert topology"), "target_n")
         m = _as_int(section.pop("edges_per_new_node", 2), "edges_per_new_node")
+        positive(seed_line, "topology.seed_line")
+        positive(m, "topology.edges_per_new_node")
         fits(max(seed_line, target_n), "topology.target_n, topology.seed_line")
+        if target_n < seed_line:
+            raise ScenarioError(
+                f"topology.target_n ({target_n}) must be at least topology.seed_line ({seed_line})"
+            )
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
         g, order = barabasi_albert(line_graph(seed_line), target_n, m, rng)
     elif kind == "explicit":
@@ -623,6 +634,8 @@ def scenario_from_mapping(
     if root_seed is None:
         raise ScenarioError("the scenario needs a root seed (or a --seed override)")
     root_seed = _as_int(root_seed, "seed")
+    if root_seed < 0:
+        raise ScenarioError(f"seed must be a nonnegative integer, got {root_seed}")
     horizon = _as_int(data.pop("horizon", None), "horizon")
     dwell = data.pop("dwell", None)
 
@@ -774,9 +787,18 @@ class _ConsensusObserver:
         self.U[act] = u = self.sign * self.table[k, act]
         return self.U, float(u[np.argmax(u)])  # the first maximum, as max() picks it
 
+    def held(self, w: Window) -> bool:
+        """Whether ``w``'s inputs keep the same bits at every tick of it."""
+        block = self.table[w.start : w.end + 1, w.slots].view(np.int64)
+        return bool((block == block[0]).all())
+
     def observe(self, k: int, act: np.ndarray, outs: np.ndarray, target: float) -> None:
         self.targets[k] = self.sign * target
         self.outputs[k, act] = self.sign * outs
+
+    def repeat(self, k: int, act: np.ndarray) -> None:
+        self.targets[k] = self.targets[k - 1]
+        self.outputs[k, act] = self.outputs[k - 1, act]
 
 
 class _SizeObserver:
@@ -805,9 +827,16 @@ class _SizeObserver:
             self.act = act
         return self.U, self.maxima
 
+    def held(self, w: Window) -> bool:
+        return True  # draws change only on arrival, at a window's first tick
+
     def observe(self, k: int, act: np.ndarray, outs: np.ndarray, target: np.ndarray) -> None:
         self.target_estimates[k] = self.target_estimate
         self.estimates[k, act] = mle_estimate(outs)
+
+    def repeat(self, k: int, act: np.ndarray) -> None:
+        self.target_estimates[k] = self.target_estimates[k - 1]
+        self.estimates[k, act] = self.estimates[k - 1, act]
 
 
 def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
@@ -819,6 +848,14 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
     target; ``observer.observe(k, act, outs, target)`` records tick ``k``'s
     outputs at those slots.  Returns the per-tick errors and active counts,
     and each window with its diameter, bounds report, and audit dict.
+
+    A window whose inputs are held (``observer.held(w)``) over its fixed
+    graph reaches a fixed point: an exact cascade after ``delta + 1`` steps,
+    as level ``l`` then holds the ``l``-fold neighbourhood max of the held
+    inputs, and an approximate state at the first step that leaves its bits
+    unchanged.  From that tick ``still`` on the kernel is skipped and each
+    later tick repeats the observation before it (``observer.repeat(k,
+    act)``); the step out of the window at ``w.end`` always runs.
     """
     params = scenario.params
     exact = params.variant == "exact"
@@ -843,20 +880,29 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
         if nxt is not None and not params.read_departing and not g.nodes <= nxt.graph.nodes:
             stay = induced_subgraph(g, g.nodes & nxt.graph.nodes)
             last = Neighborhoods(stay, _slots(scenario.reference, stay))
+        held = observer.held(w)
+        still = min(w.start + params.delta + 1, w.end) if exact and held else w.end
         for k in range(w.start, w.end + 1):
-            outs = X[act, -1] if exact else X[act]
-            if k == w.start:
-                bounds.append(_window_bounds(scenario, w, outs, target))
-            if not np.isfinite(outs).all():
-                raise RunExecutionError(
-                    f"non-finite state encountered at tick {k}; aborting the run"
-                )
-            observer.observe(k, act, outs, target)
-            errors.append(float(np.abs(outs - target).max()))
-            if k < w.end:
+            if k > still:
+                observer.repeat(k, act)
+                errors.append(errors[-1])
+            else:
+                outs = X[act, -1] if exact else X[act]
+                if not np.isfinite(outs).all():
+                    raise RunExecutionError(
+                        f"non-finite state encountered at tick {k}; aborting the run"
+                    )
+                if k == w.start:
+                    bounds.append(_window_bounds(scenario, w, outs, target))
+                observer.observe(k, act, outs, target)
+                errors.append(float(np.abs(outs - target).max()))
+            if k < still:
+                before = X.copy() if held and not exact else None
                 kernel(X, U, hood)
                 U, target = observer.inputs(k + 1, act)
-            elif nxt is not None:
+                if before is not None and np.array_equal(before.view(np.int64), X.view(np.int64)):
+                    still = k
+            elif k == w.end and nxt is not None:
                 kernel(X, U, last)
                 arriving = np.setdiff1d(nxt.slots, act, assume_unique=True)
                 U, target = observer.inputs(k + 1, nxt.slots)
@@ -1043,6 +1089,15 @@ def _format_floats(values: np.ndarray) -> np.ndarray:
     return np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)[inverse]
 
 
+def _format_or_reuse(values: np.ndarray, last: tuple | None) -> tuple:
+    """``values``'s bits with their ``repr`` strings as an object array, or
+    ``last`` when it holds the same bits."""
+    bits = values.view(np.int64)
+    if last is not None and np.array_equal(bits, last[0]):
+        return last
+    return bits, _format_floats(values)
+
+
 def _write_tables(
     scenario: Scenario,
     trace: ErrorTrace | DseTrace,
@@ -1053,25 +1108,28 @@ def _write_tables(
 
     The trace has a line per active agent and tick; the plot CSV has a line
     per tick and a column per reference node, empty while it is inactive.
-    Each tick's states are formatted once for both files, and each file gets
+    Each tick's values are formatted once for both files, and a tick whose
+    values keep the previous tick's bits reuses its strings; each file gets
     one string per tick.  Floats print as ``repr``; no field is quoted.
     """
     nodes = scenario.reference.sorted_nodes
     ticks = range(len(trace.ticks))
     if scenario.kind == "consensus":
-        states, more_columns = trace.outputs, (trace.inputs,)
+        columns = (trace.outputs, trace.inputs)
         trace_head = ["tick", "agent", "x", "u", "e", "n_active"]
         plot_head = ["tick", "target", *(f"x_{i}" for i in nodes)]
         errors, counts = trace.errors.tolist(), trace.n_active.tolist()
-        lines = [f"{k},{{}},{{}},{{}},{errors[k]!r},{counts[k]}\n" for k in ticks]
+        ends = [f",{errors[k]!r},{counts[k]}\n" for k in ticks]
         leads = [f"{k},{t!r}," for k, t in zip(ticks, trace.targets.tolist())]
     else:
-        states, more_columns = trace.estimates, ()
+        columns = (trace.estimates,)
         trace_head = ["tick", "agent", "n_hat"]
         plot_head = ["tick", "n_true", "target_estimate", *(f"nhat_{i}" for i in nodes)]
         sizes, targets = trace.true_sizes.tolist(), trace.target_estimates.tolist()
-        lines = [f"{k},{{}},{{}}\n" for k in ticks]
+        ends = ["\n"] * len(ticks)
         leads = [f"{k},{sizes[k]},{targets[k]!r}," for k in ticks]
+    # a trace line is "k," + the agent and its values + ends[k]
+    fields = ",".join(["{}"] * (1 + len(columns))).format
 
     cells = np.empty(len(nodes), dtype=object)
     with ExitStack() as stack:
@@ -1085,14 +1143,19 @@ def _write_tables(
         for w in scenario.windows:
             act, agents = w.slots, [str(i) for i in w.graph.sorted_nodes]
             cells[:] = ""
+            shown = [None] * len(columns)  # per column: the last tick's bits and strings
             for k in range(w.start, w.end + 1):
-                xs = _format_floats(states[k, act])
+                old = shown
+                shown = [_format_or_reuse(c[k, act], s) for c, s in zip(columns, old)]
                 if tf is not None:
-                    cols = [_format_floats(c[k, act]).tolist() for c in more_columns]
-                    tf.write("".join(map(lines[k].format, agents, xs.tolist(), *cols)))
+                    if any(s is not o for s, o in zip(shown, old)):
+                        body = list(map(fields, agents, *(s[1].tolist() for s in shown)))
+                    tf.write(f"{k}," + (ends[k] + f"{k},").join(body) + ends[k])
                 if pf is not None:
-                    cells[act] = xs
-                    pf.write(leads[k] + ",".join(cells.tolist()) + "\n")
+                    if shown[0] is not old[0]:
+                        cells[act] = shown[0][1]
+                        row = ",".join(cells.tolist()) + "\n"
+                    pf.write(leads[k] + row)
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> dict[str, Path]:

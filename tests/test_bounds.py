@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from openmax.bounds import (
@@ -61,6 +63,19 @@ def test_admc_bounds_input_validation():
         admc_bounds(2, 0.1, -0.1, [0.0], 0.0)
     with pytest.raises(ValueError):
         admc_bounds(2, 0.1, 0.0, [], 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bounds_reject_non_finite_slope_and_gap(bad):
+    with pytest.raises(ValueError, match="slope bound"):
+        admc_bounds(3, 0.5, bad, [0.0], 0.0)
+    with pytest.raises(ValueError, match="slope bound"):
+        edmc_bounds(3, bad, diameter=3)
+    # an overshoot of nan once compared below the zero floor and read as no gap
+    with pytest.raises(ValueError, match="initial gap"):
+        admc_bounds(3, 0.5, 0.0, [0.1, bad, 0.2], 0.0)
+    with pytest.raises(ValueError, match="initial gap"):
+        admc_bounds(3, 0.5, 0.0, [0.1, 0.2], bad)
 
 
 def test_admc_bounds_mirrored_min_gap():

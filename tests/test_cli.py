@@ -94,6 +94,23 @@ def test_bounds_violation_exits_2(capsys):
     assert "assumptions_ok: False" in captured.out
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        ("bounds --variant approximate --alpha 0.5 --slope nan --diameter 3", "slope bound"),
+        ("bounds --variant exact --delta 3 --slope inf --diameter 3", "slope bound"),
+        ("bounds --variant approximate --alpha 0.5 --slope 0.1 --diameter 3 --gap nan", "initial gap"),
+    ],
+    ids=["approximate-slope-nan", "exact-slope-inf", "gap-nan"],
+)
+def test_bounds_non_finite_numbers_exit_1(argv, what, capsys):
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and what in captured.err
+    assert "Traceback" not in captured.err
+    assert "tracking_bound" not in captured.out
+
+
 def test_bounds_missing_flags_exit_1(capsys):
     assert main("bounds --variant approximate --slope 0.02".split()) == 1
     assert main("bounds --variant exact --slope 0.02".split()) == 1
@@ -234,6 +251,20 @@ def test_missing_scenario_exits_1(capsys):
             "3: {kind: piecewise_linear, points: [[true, 0.2], [3, 0.3]]}",
             "breakpoint ticks",
         ),
+        (  # a grown topology draws from the seed before any other check reads it
+            "validate",
+            "seed: 4\nhorizon: 20\nprotocol: {mode: max, variant: approximate, alpha: 0.2}\n"
+            "topology: {kind: line, n: 3}",
+            "seed: -1\nhorizon: 20\nprotocol: {mode: max, variant: approximate, alpha: 0.2}\n"
+            "topology: {kind: barabasi_albert, target_n: 12}",
+            "seed",
+        ),
+        ("validate", "n: 3}", "n: 0}", "topology.n"),
+        ("validate", "{kind: line, n: 3}", "{kind: barabasi_albert, target_n: 12, seed_line: 0}",
+         "topology.seed_line"),
+        ("validate", "{kind: line, n: 3}", "{kind: barabasi_albert, target_n: 0}", "topology.target_n"),
+        ("validate", "{kind: line, n: 3}", "{kind: barabasi_albert, target_n: 12, edges_per_new_node: 0}",
+         "topology.edges_per_new_node"),
     ],
     ids=["line-without-n", "constant-without-value", "points-not-pairs",
          "read-departing-string", "trace-flag-string", "alpha-string", "delta-bool",
@@ -243,7 +274,8 @@ def test_missing_scenario_exits_1(capsys):
          "initial-state-list", "initial-state-key-float", "initial-state-key-bool",
          "initial-state-key-word", "deactivate-nested-list", "deactivate-scalar",
          "sweep-trials-on-consensus", "dwell-above-horizon", "breakpoint-tick-float",
-         "breakpoint-tick-bool"],
+         "breakpoint-tick-bool", "seed-negative", "line-n-zero", "seed-line-zero",
+         "target-n-zero", "edges-per-new-node-zero"],
 )
 def test_malformed_config_exits_1_without_traceback(command, old, new, section, tmp_path, capsys):
     base = MINI_DSE if section == "mc_trials" else MINI_CONSENSUS

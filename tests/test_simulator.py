@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -9,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import openmax.simulator as simulator
 from openmax.bounds import AssumptionViolation
 from openmax.graph import (
     NetworkSnapshot,
@@ -491,6 +493,30 @@ def test_format_floats_equals_repr():
     assert got.tolist() == [repr(v) for v in values]
 
 
+def test_repeated_ticks_reuse_strings_only_for_equal_bits(tmp_path):
+    """Rows that repeat, and rows that differ from the tick before only in
+    the sign of a zero, print as each cell's own ``repr``."""
+    res = run(line4_churn_scenario())
+    rng = np.random.default_rng(9)
+    rows = np.array([[0.0, 0.1, -0.0, 0.2], [-0.0, 0.1, 0.0, 0.2], [0.3, 0.1, 0.0, 1 / 3]])
+    tables = []
+    for _ in range(2):
+        table = rows[rng.integers(0, 3, size=len(res.trace.ticks))]
+        table[np.isnan(res.trace.outputs)] = np.nan
+        tables.append(table)
+    trace = replace(res.trace, outputs=tables[0], inputs=tables[1])
+    paths = write_outputs(RunResult(res.scenario, trace, res.summary), tmp_path)
+    lines = paths["trace"].read_text().splitlines()[1:]
+    want = []
+    for k in trace.ticks.tolist():
+        xs, us = (trace_row(res, table, k) for table in tables)
+        want += [f"{k},{i},{xs[i]!r},{us[i]!r}" for i in xs]
+    assert [line.rsplit(",", 2)[0] for line in lines] == want
+    plot = (paths["plotdata"] / "state_trajectories.csv").read_text().splitlines()[1:]
+    for k, line in enumerate(plot):
+        assert line.split(",")[2:] == ["" if math.isnan(v) else repr(v) for v in tables[0][k].tolist()]
+
+
 @pytest.mark.parametrize("kind", ["consensus", "size_estimation"])
 def test_trace_and_plot_written_alone_match_a_full_write(kind, tmp_path):
     if kind == "consensus":
@@ -604,3 +630,105 @@ def test_size_engine_matches_per_agent_oracle(variant, read_departing):
         for k in range(len(want)):
             got = trace_row(res, res.trace.estimates, k)
             assert same_bits(got, {i: mle_estimate(v) for i, v in want[k].items()}), k
+
+
+def _kernel_calls(monkeypatch) -> list[tuple[int, ...]]:
+    """Count the engine's kernel calls: each records the rows it steps."""
+    calls: list[tuple[int, ...]] = []
+    for name in ("admc_kernel", "edmc_kernel"):
+        def counted(X, U, hood, *args, _kernel=getattr(simulator, name), **kw):
+            calls.append(tuple(sorted(hood.rows.tolist())))
+            return _kernel(X, U, hood, *args, **kw)
+
+        monkeypatch.setattr(simulator, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: load_preset("ba100_dse_edmc"),
+        lambda: line4_churn_scenario(params=ProtocolParams("max", "exact", delta=3)),
+    ],
+    ids=["ba100_dse_edmc", "line4-churn-exact"],
+)
+def test_held_exact_windows_stop_stepping_after_delta_plus_one(make, monkeypatch):
+    """Held inputs settle a cascade in delta + 1 steps; only the step out of
+    each window runs after that."""
+    sc = make()
+    calls = _kernel_calls(monkeypatch)
+    (run_size_estimation if sc.kind == "size_estimation" else run)(sc)
+    # consecutive windows differ in their active set, so a run of calls on
+    # the same rows is one window's
+    per_window = [len(list(group)) for _, group in itertools.groupby(calls)]
+    assert len(per_window) == len(sc.windows)
+    assert max(per_window) <= sc.params.delta + 2
+    assert len(calls) < sc.horizon
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: load_preset("ba100_dse_admc"),
+        lambda: line4_churn_scenario(),
+    ],
+    ids=["ba100_dse_admc", "line4-churn-approximate"],
+)
+def test_held_approximate_windows_stop_at_the_first_idle_step(make, monkeypatch):
+    sc = make()
+    calls = _kernel_calls(monkeypatch)
+    (run_size_estimation if sc.kind == "size_estimation" else run)(sc)
+    assert len(calls) < sc.horizon
+
+
+@pytest.mark.parametrize("name", ["line6_admc", "line6_edmc"])
+def test_moving_inputs_step_every_tick(name, monkeypatch):
+    sc = load_preset(name)
+    calls = _kernel_calls(monkeypatch)
+    run(sc)
+    assert len(calls) == sc.horizon
+
+
+@pytest.mark.parametrize(
+    "movers, moved",
+    [
+        ({1: PiecewiseLinear(((9, 0.1), (10, 0.5)))}, None),
+        ({4: PiecewiseLinear(((24, 0.9), (26, 1.1)))}, (24, 30)),
+        (
+            {1: Constant(-0.1), 2: Constant(-0.3), 3: Constant(-0.2),
+             4: PiecewiseLinear(((24, -0.0), (26, 0.0)))},
+            (24, 30),
+        ),
+    ],
+    ids=["jump-at-change", "late-rise", "late-zero-sign"],
+)
+@pytest.mark.parametrize("variant", ["approximate", "exact"])
+@pytest.mark.parametrize("mode", ["max", "min"])
+def test_inputs_that_move_around_settled_windows_match_the_oracle(mode, variant, movers, moved):
+    """Bit for bit with the per-agent oracle on the line-4 churn scenario when
+    inputs move next to a window that settles.
+
+    jump-at-change: agent 1's input jumps to the new extremum at the change
+    at tick 10 and then holds, so the window [10, 19] is held, but its
+    stayers' cascades carry tick 9's inputs on level 0 and take all
+    ``delta + 1`` steps to settle.  late-*: agent 4's input holds long enough
+    for the window [20, 30] to settle and then moves, so that window is not
+    held and must keep stepping; the zero-sign input only changes the sign
+    of a zero, which compares equal as a float but not as bits."""
+    bank = SignalBank({1: Constant(0.1), 2: Constant(0.3), 3: Constant(0.2), 4: Constant(0.9)} | movers)
+    if mode == "min":
+        bank = negated_bank(bank)  # so the movers hold the extremum on both sides
+    exact = variant == "exact"
+    params = ProtocolParams(mode, variant, alpha=None if exact else 0.5, delta=3 if exact else None)
+    sc = line4_churn_scenario(params=params, bank=bank)
+    sign = 1.0 if mode == "max" else -1.0
+    want = reference_outputs(
+        sc, lambda k, g: {i: sign * value_reference(bank.specs[i], k) for i in g.sorted_nodes}
+    )
+    res = run(sc)
+    for k in range(len(want)):
+        got = trace_row(res, res.trace.outputs, k)
+        assert same_bits(got, {i: sign * v for i, v in want[k].items()}), k
+    if moved is not None:  # the late move reaches the outputs within the horizon
+        a, b = (trace_row(res, res.trace.outputs, k) for k in moved)
+        assert not same_bits(a, b)
