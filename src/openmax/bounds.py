@@ -90,9 +90,13 @@ def _overshoot(x_at_change: Iterable[object], target: float | np.ndarray) -> flo
     return float(excess.max())
 
 
-def _check_slope(slope_bound: float) -> None:
+def _check_inputs(slope_bound: float, **spans: int | None) -> None:
+    """Reject a slope bound that is not finite and nonnegative, or a negative span."""
     if not math.isfinite(slope_bound) or slope_bound < 0:
         raise ValueError(f"slope bound must be a finite nonnegative number, got {slope_bound}")
+    for what, value in spans.items():
+        if value is not None and value < 0:
+            raise ValueError(f"{what} must be nonnegative, got {value}")
 
 
 def admc_bounds(
@@ -111,11 +115,9 @@ def admc_bounds(
     States and target may be per-coordinate arrays; the worst coordinate
     counts.
     """
-    if diameter < 0:
-        raise ValueError("diameter must be nonnegative")
+    _check_inputs(slope_bound, diameter=diameter, dwell=dwell)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_slope(slope_bound)
 
     reasons: list[str] = []
     if alpha <= slope_bound:
@@ -150,9 +152,7 @@ def edmc_bounds(
     dwell: int | None = None,
 ) -> BoundsReport:
     """Bounds for the exact cascade variant."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    _check_slope(slope_bound)
+    _check_inputs(slope_bound, delta=delta, diameter=diameter, dwell=dwell)
     reasons: list[str] = []
     if diameter is not None and delta < diameter:
         reasons.append(

@@ -228,7 +228,8 @@ def _sweep_point(job: tuple) -> dict:
         ]
         if emp_conv:
             row["convergence_empirical"] = max(emp_conv)
-        row["status"] = "ok"
+        reasons = (f"violated: {r}" for w in windows for r in w["bounds"]["reasons"])
+        row["status"] = next(reasons, "ok")
     except Exception as exc:  # a failed point marks its row; the sweep continues
         row["status"] = f"error: {exc}"
     return row

@@ -1,13 +1,13 @@
 """Immutable network snapshots, BFS metrics, and graph generators.
 
 A snapshot is a value: a frozen node set plus a frozen set of normalized
-undirected edges.  Membership changes never mutate a snapshot: the network in
-effect after a change is :func:`induced_subgraph` of the reference topology on
-the active set, so a reactivated node gets back exactly its reference edges to
-currently active endpoints.
-
-:attr:`NetworkSnapshot.by_degree` is the adjacency's one array form.  Over it,
-:func:`closed_reduce` folds the kernels' neighbourhood max and each BFS level.
+undirected edges; position ``s`` is its ``s``-th smallest node.  A membership
+change never mutates a snapshot: the network after it is the reference
+topology induced on a boolean mask of active positions, so a returning node
+gets back exactly its reference edges to active endpoints.  That subgraph's
+:meth:`~NetworkSnapshot.layout` is the adjacency's one array form; over it,
+:func:`closed_reduce` folds the kernels' neighbourhood max and each level of
+the one BFS behind :func:`is_connected` and :func:`diameter`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
+    "Layout",
     "NetworkSnapshot",
     "closed_reduce",
     "is_connected",
@@ -30,6 +31,9 @@ __all__ = [
     "snapshot_to_text",
     "snapshot_from_text",
 ]
+
+
+Layout = tuple[np.ndarray, tuple[np.ndarray, ...]]
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -64,54 +68,43 @@ class NetworkSnapshot:
         return tuple(sorted(self.nodes))
 
     @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Each node's sorted neighbours; a node is never its own neighbour."""
-        adj: dict[int, list[int]] = {n: [] for n in self.sorted_nodes}
-        for u, v in sorted(self.edges):
-            adj[u].append(v)
-            adj[v].append(u)
-        return {n: tuple(sorted(adj[n])) for n in self.sorted_nodes}
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both directions of every edge as ``(src, dst)`` positions in
+        ``sorted_nodes``, sorted by ``(src, dst)``: each position's neighbours
+        are one ascending run of ``dst``."""
+        ends = np.searchsorted(self.sorted_nodes, list(self.edges)).reshape(-1, 2)
+        src, dst = np.concatenate((ends, ends[:, ::-1])).T
+        order = np.lexsort((dst, src))
+        return src[order], dst[order]
 
-    @cached_property
-    def by_degree(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """:attr:`adjacency` over positions in ``sorted_nodes``: the positions by
-        descending degree (stable), and per ``s`` the ``s``-th neighbour of each
-        of them that has one."""
-        pos = {v: k for k, v in enumerate(self.sorted_nodes)}
-        rows = self.adjacency.values()
-        indices = np.array([pos[v] for r in rows for v in r], dtype=np.intp)
-        degree = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        order = np.argsort(-degree, kind="stable")
-        first = (np.cumsum(degree) - degree)[order]
+    def layout(self, keep: np.ndarray | None = None) -> Layout:
+        """Degree layout of the subgraph induced on the boolean position mask
+        ``keep`` (every node by default), over positions in ``sorted_nodes``:
+        the kept positions by descending degree (stable), and per ``s`` the
+        ``s``-th smallest neighbour of each of them that has one."""
+        keep = np.ones(self.n, dtype=bool) if keep is None else keep
+        src, dst = self.arcs
+        inside = keep[src] & keep[dst]
+        src, dst, kept = src[inside], dst[inside], np.flatnonzero(keep)
+        degree = np.bincount(src, minlength=self.n)
+        rows = kept[np.argsort(-degree[kept], kind="stable")]
+        first, degree = (np.cumsum(degree) - degree)[rows], degree[rows]
         levels = tuple(
-            indices[first[: np.count_nonzero(degree > s)] + s] for s in range(degree.max(initial=0))
+            dst[first[: np.count_nonzero(degree > s)] + s] for s in range(degree.max(initial=0))
         )
-        for shared in (order, *levels):  # every caller sees the same cached arrays
+        for shared in (rows, *levels):  # a window's kernel and searches share them
             shared.flags.writeable = False
-        return order, levels
+        return rows, levels
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
 
-def is_connected(g: NetworkSnapshot) -> bool:
-    if not g.nodes:
-        return False
-    stack = [g.sorted_nodes[0]]
-    seen = set(stack)
-    while stack:
-        for v in g.adjacency[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
-
-
 def closed_reduce(ufunc: np.ufunc, A: np.ndarray, rows: np.ndarray, levels: Iterable) -> np.ndarray:
-    """Fold ``ufunc`` over closed neighbourhoods of a :attr:`~NetworkSnapshot.by_degree`
-    layout mapped to rows of ``A``: result row ``j`` folds ``A[rows[j]]`` first,
-    then its neighbours' rows in adjacency order."""
+    """Fold ``ufunc`` over closed neighbourhoods of a :meth:`~NetworkSnapshot.layout`
+    mapped to rows of ``A``: result row ``j`` folds ``A[rows[j]]`` first,
+    then its neighbours' rows in ascending order."""
     out = A[rows]
     for nbr in levels:
         part = out[: len(nbr)]
@@ -119,30 +112,41 @@ def closed_reduce(ufunc: np.ufunc, A: np.ndarray, rows: np.ndarray, levels: Iter
     return out
 
 
-def diameter(g: NetworkSnapshot) -> float:
-    """Longest shortest-path length; 0 for one node, ``math.inf`` if disconnected.
-
-    Runs every BFS at once: bit ``j`` of row ``v`` says the search from node
-    ``j`` has reached ``v``, and each level ORs the closed neighbourhood's
-    frontier rows; the own row's bits are already seen.
-    """
-    if not g.nodes:
-        raise ValueError("diameter of an empty snapshot is undefined")
-    if not is_connected(g):
-        return math.inf
-    if g.n == 1:
-        return 0
-    order, levels = g.by_degree
-    k = np.arange(g.n)
-    seen = np.zeros((g.n, -(-g.n // 64)), dtype=np.uint64)
+def _search(layout: Layout, sources: int) -> tuple[bool, int]:
+    """Breadth-first searches from the first ``sources`` rows of ``layout`` at
+    once: bit ``j`` of row ``v`` (ranks in row order) says the search from ``j``
+    has reached ``v``.  Returns whether the first search reached every row, and
+    the search depth."""
+    rows, levels = layout
+    m = len(rows)
+    rank = np.empty(rows.max() + 1, dtype=np.intp)
+    rank[rows] = ranks = np.arange(m)
+    levels = [rank[nbr] for nbr in levels]
+    k = np.arange(sources)
+    seen = np.zeros((m, -(-sources // 64)), dtype=np.uint64)
     seen[k, k // 64] = np.uint64(1) << (k % 64).astype(np.uint64)
     frontier, depth = seen.copy(), -1
     while frontier.any():
-        frontier[order] = closed_reduce(np.bitwise_or, frontier, order, levels)
+        frontier = closed_reduce(np.bitwise_or, frontier, ranks, levels)
         frontier &= ~seen
         seen |= frontier
         depth += 1
-    return depth
+    return bool((seen[:, 0] & np.uint64(1)).all()), depth
+
+
+def is_connected(layout: Layout) -> bool:
+    """Whether a :meth:`~NetworkSnapshot.layout` is one nonempty component."""
+    return len(layout[0]) > 0 and _search(layout, 1)[0]
+
+
+def diameter(layout: Layout) -> float:
+    """Longest shortest-path length of a :meth:`~NetworkSnapshot.layout`; 0 for
+    one node, ``math.inf`` if a search leaves some row unreached."""
+    m = len(layout[0])
+    if not m:
+        raise ValueError("diameter of an empty snapshot is undefined")
+    connected, depth = _search(layout, m)
+    return depth if connected else math.inf
 
 
 def line_graph(n: int) -> NetworkSnapshot:
@@ -183,7 +187,7 @@ def barabasi_albert(
         of the order are what membership churn rules such as "the last m
         nodes added" refer to.
     """
-    if not is_connected(seed_graph):
+    if not is_connected(seed_graph.layout()):
         raise ValueError("seed graph must be connected")
     if target_n < seed_graph.n:
         raise ValueError("target size is smaller than the seed graph")
@@ -225,10 +229,15 @@ def induced_subgraph(g: NetworkSnapshot, keep: Iterable[int]) -> NetworkSnapshot
     )
 
 
-def snapshot_to_text(g: NetworkSnapshot) -> str:
-    """Serialize to an edge-list block: a ``nodes:`` header then one edge per line."""
-    lines = ["nodes: " + " ".join(str(n) for n in g.sorted_nodes)]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+def snapshot_to_text(g: NetworkSnapshot, keep: np.ndarray | None = None) -> str:
+    """Serialize to an edge-list block: a ``nodes:`` header then one edge per
+    line; under a boolean position mask ``keep``, of the induced subgraph."""
+    keep = np.ones(g.n, dtype=bool) if keep is None else keep
+    src, dst = g.arcs
+    edge = (src < dst) & keep[src] & keep[dst]
+    nodes = np.asarray(g.sorted_nodes)
+    lines = ["nodes: " + " ".join(map(str, nodes[keep].tolist()))]
+    lines.extend(map("{} {}".format, nodes[src[edge]].tolist(), nodes[dst[edge]].tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -26,9 +26,10 @@ any coordinate axis appended to those shapes is carried through elementwise,
 which is how many independent consensus instances share one network.
 
 The kernels update ``X`` in place with the max-plus neighborhood product
-``A(x)X``, a :func:`graph.closed_reduce` over the snapshot's degree layout in
-slot rows (:class:`Neighborhoods`): :func:`admc_kernel` computes
-``max(A(x)X - alpha, U)`` and :func:`edmc_kernel` ``X[:, 1:] <- A(x)X[:, :-1]``.
+``A(x)X``, a :func:`graph.closed_reduce` over a window's degree layout: the
+reference topology's layout under the window's slot mask, whose positions are
+state-array rows.  :func:`admc_kernel` computes ``max(A(x)X - alpha, U)`` and
+:func:`edmc_kernel` ``X[:, 1:] <- A(x)X[:, :-1]``.
 An agent exposes its state, or its cascade's top level ``X[:, -1]``.
 """
 
@@ -39,9 +40,9 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .graph import NetworkSnapshot, closed_reduce
+from .graph import Layout, closed_reduce
 
-__all__ = ["ProtocolParams", "Neighborhoods", "admc_kernel", "edmc_kernel"]
+__all__ = ["ProtocolParams", "admc_kernel", "edmc_kernel"]
 
 
 def _is_whole(value: object) -> bool:
@@ -90,21 +91,10 @@ class ProtocolParams:
                 raise ValueError("alpha applies only to the approximate variant")
 
 
-class Neighborhoods:
-    """A snapshot's :attr:`~openmax.graph.NetworkSnapshot.by_degree` layout in
-    state-array rows; ``slots[k]`` is the row of ``g.sorted_nodes[k]``."""
-
-    def __init__(self, g: NetworkSnapshot, slots: np.ndarray) -> None:
-        slots = np.asarray(slots, dtype=np.intp)
-        order, levels = g.by_degree
-        self.rows = slots[order]
-        self.levels = [slots[nbr] for nbr in levels]
-
-
-def admc_kernel(X: np.ndarray, U: np.ndarray, hood: Neighborhoods, alpha: float) -> None:
-    """Approximate max step of ``hood``'s rows, in place: ``max(A(x)X - alpha, U)``."""
-    rows = hood.rows
-    decayed = closed_reduce(np.maximum, X, rows, hood.levels) - alpha
+def admc_kernel(X: np.ndarray, U: np.ndarray, layout: Layout, alpha: float) -> None:
+    """Approximate max step of ``layout``'s rows, in place: ``max(A(x)X - alpha, U)``."""
+    rows, levels = layout
+    decayed = closed_reduce(np.maximum, X, rows, levels) - alpha
     # np.maximum(a, b) returns b on a tie, which decides a +0.0/-0.0 tie: a
     # scalar state keeps the decayed value and a vector state takes the input,
     # as the per-agent references in tests/util.py do.  The neighborhood max
@@ -112,9 +102,9 @@ def admc_kernel(X: np.ndarray, U: np.ndarray, hood: Neighborhoods, alpha: float)
     X[rows] = np.maximum(U[rows], decayed) if X.ndim == 1 else np.maximum(decayed, U[rows])
 
 
-def edmc_kernel(X: np.ndarray, U: np.ndarray, hood: Neighborhoods) -> None:
-    """Exact max step of ``hood``'s rows, in place: shift the cascades up one
+def edmc_kernel(X: np.ndarray, U: np.ndarray, layout: Layout) -> None:
+    """Exact max step of ``layout``'s rows, in place: shift the cascades up one
     level through the neighborhood max, then load the inputs at level 0."""
-    rows = hood.rows
-    X[rows, 1:] = closed_reduce(np.maximum, X[:, :-1], rows, hood.levels)
+    rows, levels = layout
+    X[rows, 1:] = closed_reduce(np.maximum, X[:, :-1], rows, levels)
     X[rows, 0] = U[rows]

@@ -23,7 +23,7 @@ worst-case trials     integer derived from ``SeedSequence((seed, 4))``
 Tick convention: inputs are sampled at tick ``k``, the step produces the
 states for ``k + 1``, and the error at ``k`` is measured against the input
 extremum at ``k``.  A membership change scheduled at tick ``c`` means the new
-snapshot is in effect from tick ``c`` on, so windows are the half-open spans
+active set is in effect from tick ``c`` on, so windows are the half-open spans
 between change ticks.  Within one batch of churn events the change counts as
 a single network change for dwell-time accounting.
 """
@@ -35,7 +35,7 @@ import math
 import re
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from importlib import resources
 from numbers import Real
 from pathlib import Path
@@ -52,6 +52,7 @@ from .bounds import (
     edmc_bounds,
 )
 from .graph import (
+    Layout,
     NetworkSnapshot,
     barabasi_albert,
     diameter,
@@ -61,12 +62,7 @@ from .graph import (
     snapshot_from_text,
     snapshot_to_text,
 )
-from .protocols import (
-    Neighborhoods,
-    ProtocolParams,
-    admc_kernel,
-    edmc_kernel,
-)
+from .protocols import ProtocolParams, admc_kernel, edmc_kernel
 from .signals import SignalBank, build_spec, certify_slope, signal_table
 from .size_estimation import (
     dse_generate,
@@ -113,7 +109,7 @@ class RunExecutionError(RuntimeError):
 
 
 class ConnectivityLost(RunExecutionError):
-    """A window's snapshot is disconnected, so extrema cannot propagate."""
+    """A window's graph is disconnected, so extrema cannot propagate."""
 
 
 @dataclass(frozen=True)
@@ -143,19 +139,27 @@ class TraceOptions:
     plotdata: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Window:
-    """Span of ticks with a fixed snapshot; ``end`` is inclusive.
+    """Span of ticks with a fixed active set; ``end`` is inclusive.
 
-    ``slots`` holds the positions of ``graph``'s nodes among the reference's
-    sorted nodes, ascending and read-only: the active rows of every
-    slot-indexed array.
+    ``keep`` masks the active slots, the agents' positions among the
+    reference's sorted nodes, and ``slots`` lists them in ascending order;
+    both are read-only.  ``layout`` is the reference's degree layout under
+    ``keep``.  :attr:`graph` builds the window's snapshot only on request.
     """
 
     start: int
     end: int
-    graph: NetworkSnapshot
-    slots: np.ndarray = field(compare=False, repr=False)
+    keep: np.ndarray = field(repr=False)
+    slots: np.ndarray = field(repr=False)
+    layout: Layout = field(repr=False)
+    reference: NetworkSnapshot = field(repr=False)
+
+    @cached_property
+    def graph(self) -> NetworkSnapshot:
+        ids = np.asarray(self.reference.sorted_nodes)
+        return induced_subgraph(self.reference, ids[self.keep].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,12 +236,6 @@ class RunResult:
 
 # ---------------------------------------------------------------------------
 # scenario assembly
-
-
-def _slots(reference: NetworkSnapshot, g: NetworkSnapshot) -> np.ndarray:
-    slots = np.searchsorted(reference.sorted_nodes, g.sorted_nodes)
-    slots.flags.writeable = False
-    return slots
 
 
 def _as_int(value: object, what: str) -> int:
@@ -320,7 +318,7 @@ def make_scenario(
             )
         prev = t
 
-    graphs = [reference]
+    actives = [reference.nodes]
     for (tick, active_raw) in changes:
         active = frozenset(int(v) for v in active_raw)
         if not active:
@@ -331,21 +329,24 @@ def make_scenario(
                 f"change at tick {tick} activates nodes {sorted(unknown)} that are "
                 "not part of the reference topology"
             )
-        if active == graphs[-1].nodes:
+        if active == actives[-1]:
             raise ScenarioError(f"change at tick {tick} does not modify the network")
-        graphs.append(induced_subgraph(reference, active))
+        actives.append(active)
 
     starts = [0] + ticks
     ends = [t - 1 for t in starts[1:]] + [horizon]
-    windows = tuple(
-        Window(s, e, g, _slots(reference, g)) for s, e, g in zip(starts, ends, graphs)
-    )
-    for w in windows:
-        if not is_connected(w.graph):
+    windows = []
+    for start, end, active in zip(starts, ends, actives):
+        keep = np.isin(reference.sorted_nodes, list(active))
+        slots = np.flatnonzero(keep)
+        keep.flags.writeable = slots.flags.writeable = False
+        layout = reference.layout(keep)
+        if not is_connected(layout):
             raise ConnectivityLost(
-                f"the snapshot in effect from tick {w.start} is disconnected; "
+                f"the snapshot in effect from tick {start} is disconnected; "
                 "extrema cannot reach every agent"
             )
+        windows.append(Window(start, end, keep, slots, layout, reference))
 
     if kind == "consensus":
         if bank is None:
@@ -401,7 +402,7 @@ def make_scenario(
         dwell=dwell,
         seed=seed,
         slope_bound=float(slope_bound),
-        windows=windows,
+        windows=tuple(windows),
         inputs=inputs,
         dse=dse,
         initial_states=states,
@@ -542,25 +543,25 @@ def _realize_pool_churn(
     if not 0.0 < prob < 1.0:
         raise ScenarioError("activation_probability must lie strictly inside (0, 1)")
 
-    pool = list(order[-pool_size:])
-    core = frozenset(order[:-pool_size])
+    ids = np.asarray(reference.sorted_nodes)
+    pool = np.asarray(order[-pool_size:])
+    core = ~np.isin(ids, pool)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     changes: list[tuple[int, frozenset[int]]] = []
-    current = reference.nodes
+    current = np.ones(reference.n, dtype=bool)
     for tick in range(every, horizon, every):
         for attempt in range(max_redraws):
-            keep = frozenset(v for v in pool if rng.random() < prob)
-            target = core | keep
-            if target == current:
+            target = core | np.isin(ids, pool[rng.random(pool_size) < prob])
+            if np.array_equal(target, current):
                 continue
-            if is_connected(induced_subgraph(reference, target)):
+            if is_connected(reference.layout(target)):
                 break
         else:
             raise ScenarioError(
                 f"could not draw a connected membership change at tick {tick} "
                 f"within {max_redraws} attempts"
             )
-        changes.append((tick, target))
+        changes.append((tick, frozenset(ids[target].tolist())))
         current = target
     return changes
 
@@ -874,12 +875,10 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
     errors: list[float] = []
     bounds: list[tuple[int, BoundsReport]] = []
     for i, w in enumerate(windows):
-        g, act = w.graph, w.slots
-        hood = last = Neighborhoods(g, act)
+        act, last = w.slots, w.layout
         nxt = windows[i + 1] if i + 1 < len(windows) else None
-        if nxt is not None and not params.read_departing and not g.nodes <= nxt.graph.nodes:
-            stay = induced_subgraph(g, g.nodes & nxt.graph.nodes)
-            last = Neighborhoods(stay, _slots(scenario.reference, stay))
+        if nxt is not None and not params.read_departing:  # the stayers only
+            last = scenario.reference.layout(w.keep & nxt.keep)
         held = observer.held(w)
         still = min(w.start + params.delta + 1, w.end) if exact and held else w.end
         for k in range(w.start, w.end + 1):
@@ -898,7 +897,7 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
                 errors.append(float(np.abs(outs - target).max()))
             if k < still:
                 before = X.copy() if held and not exact else None
-                kernel(X, U, hood)
+                kernel(X, U, w.layout)
                 U, target = observer.inputs(k + 1, act)
                 if before is not None and np.array_equal(before.view(np.int64), X.view(np.int64)):
                     still = k
@@ -913,7 +912,7 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
         (w, d, report, _empirical_dict(errors[w.start : w.end + 1], report))
         for w, (d, report) in zip(scenario.windows, bounds)
     ]
-    counts = np.asarray([w.graph.n for w in scenario.windows for _ in range(w.start, w.end + 1)])
+    counts = np.asarray([len(w.slots) for w in scenario.windows for _ in range(w.start, w.end + 1)])
     return errors, counts, windows
 
 
@@ -926,9 +925,7 @@ def _window_bounds(
     bounded through the mirror.
     """
     params = scenario.params
-    d = diameter(w.graph)
-    if d == math.inf:
-        raise ConnectivityLost(f"the window from tick {w.start} is disconnected; aborting the run")
+    d = diameter(w.layout)  # finite: make_scenario checked the same layout connected
     if params.variant == "exact":
         return d, edmc_bounds(params.delta, scenario.slope_bound, diameter=d, dwell=scenario.dwell)
     return d, admc_bounds(d, params.alpha, scenario.slope_bound, outs, target, dwell=scenario.dwell)
@@ -993,7 +990,7 @@ def run(scenario: Scenario) -> RunResult:
         {
             "start": w.start,
             "end": w.end,
-            "n_active": w.graph.n,
+            "n_active": len(w.slots),
             "diameter": d,
             "bounds": report.to_dict(),
             "empirical": empirical,
@@ -1027,7 +1024,7 @@ def run_size_estimation(scenario: Scenario) -> RunResult:
     rows = []
     for w, d, report, empirical in windows:
         eps = params.alpha * d if params.variant == "approximate" else 0.0
-        n_true = w.graph.n
+        n_true = len(w.slots)
         expected = (
             expected_estimate_admc(n_true, p, eps)
             if params.variant == "approximate"
@@ -1058,7 +1055,7 @@ def run_size_estimation(scenario: Scenario) -> RunResult:
     last = scenario.windows[-1]
     mc_seed = int(np.random.SeedSequence((scenario.seed, 4)).generate_state(1, np.uint64)[0])
     mc = dse_worst_case_monte_carlo(
-        last.graph.n, p, eps, scenario.dse.mc_trials, mc_seed
+        len(last.slots), p, eps, scenario.dse.mc_trials, mc_seed
     )
     summary = {
         **_summary_head(scenario),
@@ -1141,7 +1138,7 @@ def _write_tables(
             pf = stack.enter_context(plot_path.open("w", newline=""))
             pf.write(",".join(plot_head) + "\n")
         for w in scenario.windows:
-            act, agents = w.slots, [str(i) for i in w.graph.sorted_nodes]
+            act, agents = w.slots, [str(nodes[s]) for s in w.slots.tolist()]
             cells[:] = ""
             shown = [None] * len(columns)  # per column: the last tick's bits and strings
             for k in range(w.start, w.end + 1):
@@ -1180,7 +1177,8 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> dict[str, Path]:
         plot_name = "state_trajectories" if scenario.kind == "consensus" else "size_estimates"
         plot_path = plot_dir / f"{plot_name}.csv"
         for w in scenario.windows:
-            (plot_dir / f"graph_window_{w.start}.txt").write_text(snapshot_to_text(w.graph))
+            text = snapshot_to_text(scenario.reference, w.keep)
+            (plot_dir / f"graph_window_{w.start}.txt").write_text(text)
     if scenario.trace.csv or scenario.trace.plotdata:
         _write_tables(scenario, result.trace, paths.get("trace"), plot_path)
     return paths

@@ -78,6 +78,18 @@ def test_bounds_reject_non_finite_slope_and_gap(bad):
         admc_bounds(3, 0.5, 0.0, [0.1, 0.2], bad)
 
 
+def test_bounds_reject_negative_diameter_and_dwell():
+    with pytest.raises(ValueError, match="diameter"):
+        edmc_bounds(3, 0.0, diameter=-5)
+    with pytest.raises(ValueError, match="dwell"):
+        edmc_bounds(3, 0.0, diameter=3, dwell=-1)
+    with pytest.raises(ValueError, match="dwell"):
+        admc_bounds(3, 0.5, 0.0, [0.0], 0.0, dwell=-4)
+    # zero is a legal span: a one-node window, a change every tick
+    assert edmc_bounds(3, 0.0, diameter=0, dwell=3).assumptions_ok
+    assert not admc_bounds(3, 0.5, 0.0, [0.0], 0.0, dwell=0).assumptions_ok
+
+
 def test_admc_bounds_mirrored_min_gap():
     # min mode is bounded on negated values: the lowest state 0.9 sits 0.7
     # below the input minimum 1.6, which is a 0.7 overshoot on the max side

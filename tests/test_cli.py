@@ -111,6 +111,21 @@ def test_bounds_non_finite_numbers_exit_1(argv, what, capsys):
     assert "tracking_bound" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        ("bounds --variant exact --delta 3 --slope 0 --diameter -5", "diameter"),
+        ("bounds --variant approximate --alpha 0.5 --slope 0 --diameter 3 --dwell -4", "dwell"),
+    ],
+    ids=["exact-diameter", "approximate-dwell"],
+)
+def test_bounds_negative_spans_exit_1(argv, what, capsys):
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and what in captured.err
+    assert "assumptions_ok" not in captured.out
+
+
 def test_bounds_missing_flags_exit_1(capsys):
     assert main("bounds --variant approximate --slope 0.02".split()) == 1
     assert main("bounds --variant exact --slope 0.02".split()) == 1
@@ -408,6 +423,19 @@ def test_sweep_alpha_grid_monotone(tmp_path, capsys):
     for row in ok:
         assert float(row["epsilon_empirical"]) <= float(row["epsilon_theory"]) + 1e-9
         assert int(row["convergence_empirical"]) <= int(row["convergence_theory"])
+
+
+def test_sweep_row_reports_a_violated_assumption(tmp_path, capsys):
+    """A cascade shallower than the line's diameter of 5 runs, but its row says why
+    its error exceeds the theory."""
+    out = tmp_path / "sweep"
+    args = ["sweep", "--scenario", "line6_edmc", "--grid", "delta=2,6", "--out", str(out)]
+    assert main(args) == 0
+    with (out / "sweep.csv").open() as fh:
+        shallow, deep = csv.DictReader(fh)
+    assert shallow["status"].startswith("violated: cascade depth (2) is below the diameter (5)")
+    assert float(shallow["epsilon_empirical"]) > float(shallow["epsilon_theory"])
+    assert deep["status"] == "ok"
 
 
 def test_sweep_workers_match_serial(tmp_path, capsys):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from openmax.graph import NetworkSnapshot, diameter, line_graph
-from openmax.protocols import Neighborhoods, ProtocolParams, admc_kernel, edmc_kernel
+from openmax.protocols import ProtocolParams, admc_kernel, edmc_kernel
 from openmax.signals import Constant, SignalBank
 from openmax.simulator import make_scenario, run
 
 from util import (
+    adjacency,
     admc_step_reference,
     edmc_step_reference,
     hub_graph,
@@ -30,21 +31,21 @@ def exact_params(delta: int, mode: str = "max") -> ProtocolParams:
 def admc(g: NetworkSnapshot, x, u, alpha: float) -> np.ndarray:
     """One approximate step of slot arrays; row ``k`` is ``g.sorted_nodes[k]``."""
     X = np.array(x, dtype=float)
-    admc_kernel(X, np.asarray(u, dtype=float), Neighborhoods(g, np.arange(g.n)), alpha)
+    admc_kernel(X, np.asarray(u, dtype=float), g.layout(), alpha)
     return X
 
 
 def edmc(g: NetworkSnapshot, x, u) -> np.ndarray:
     """One exact step of slot arrays; row ``k`` is ``g.sorted_nodes[k]``."""
     X = np.array(x, dtype=float)
-    edmc_kernel(X, np.asarray(u, dtype=float), Neighborhoods(g, np.arange(g.n)))
+    edmc_kernel(X, np.asarray(u, dtype=float), g.layout())
     return X
 
 
 def closed_slots(g: NetworkSnapshot, k: int) -> list[int]:
     """Slot ``k`` and the slots of its neighbours."""
     nodes = g.sorted_nodes
-    return [k, *(nodes.index(j) for j in g.adjacency[nodes[k]])]
+    return [k, *(nodes.index(j) for j in adjacency(g)[nodes[k]])]
 
 
 def run_constant(params, reference, levels, horizon, initial=None, changes=()):
@@ -66,7 +67,7 @@ def outputs_at(res, k: int) -> dict[int, float]:
     return trace_row(res, res.trace.outputs, k)
 
 
-def cascade_oracle(g, u_of, init, i, level, k, memo):
+def cascade_oracle(adj, u_of, init, i, level, k, memo):
     """Definition-level recursion for the exact cascade, independent of the step code."""
     key = (i, level, k)
     if key in memo:
@@ -76,9 +77,9 @@ def cascade_oracle(g, u_of, init, i, level, k, memo):
     elif level == 0:
         v = u_of(i, k - 1)
     else:
-        v = cascade_oracle(g, u_of, init, i, level - 1, k - 1, memo)
-        for j in g.adjacency[i]:
-            v = max(v, cascade_oracle(g, u_of, init, j, level - 1, k - 1, memo))
+        v = cascade_oracle(adj, u_of, init, i, level - 1, k - 1, memo)
+        for j in adj[i]:
+            v = max(v, cascade_oracle(adj, u_of, init, j, level - 1, k - 1, memo))
     memo[key] = v
     return v
 
@@ -145,7 +146,7 @@ def test_edmc_cascade_matches_definition_oracle():
         delta = int(rng.integers(1, 5))
         table = rng.uniform(-1, 1, size=(n + 1, 12))
         u_of = lambda i, k: float(table[i, min(k, 11)])
-        nodes = g.sorted_nodes
+        nodes, adj = g.sorted_nodes, adjacency(g)
         X = np.array([[u_of(i, 0)] * (delta + 1) for i in nodes])
         init = dict(zip(nodes, map(tuple, X)))
         memo: dict = {}
@@ -153,7 +154,7 @@ def test_edmc_cascade_matches_definition_oracle():
             X = edmc(g, X, [u_of(i, k - 1) for i in nodes])
             for s, i in enumerate(nodes):
                 for level in range(delta + 1):
-                    want = cascade_oracle(g, u_of, init, i, level, k, memo)
+                    want = cascade_oracle(adj, u_of, init, i, level, k, memo)
                     assert X[s, level] == want
 
 
@@ -162,7 +163,7 @@ def test_exact_delay_identity_on_static_graphs():
     for _ in range(8):
         n = int(rng.integers(2, 7))
         g = random_connected_graph(rng, n)
-        delta = int(diameter(g)) + int(rng.integers(0, 2))
+        delta = int(diameter(g.layout())) + int(rng.integers(0, 2))
         table = rng.uniform(-5, 5, size=(n + 1, 30))
         u_of = lambda i, k: float(table[i, min(k, 29)])
         nodes = g.sorted_nodes
@@ -264,7 +265,9 @@ def test_anonymity_under_relabeling():
         # node perm[i] of h keeps the row of node i of g
         row = {perm[i]: s for s, i in enumerate(g.sorted_nodes)}
         out_h = x.copy()
-        admc_kernel(out_h, u, Neighborhoods(h, [row[v] for v in h.sorted_nodes]), 0.2)
+        slots = np.array([row[v] for v in h.sorted_nodes])
+        rows, levels = h.layout()
+        admc_kernel(out_h, u, (slots[rows], [slots[nbr] for nbr in levels]), 0.2)
         assert np.array_equal(out_h, out_g)
 
 

@@ -15,11 +15,10 @@ from openmax.bounds import AssumptionViolation
 from openmax.graph import (
     NetworkSnapshot,
     induced_subgraph,
-    is_connected,
     line_graph,
     snapshot_from_text,
 )
-from openmax.protocols import Neighborhoods, ProtocolParams, admc_kernel
+from openmax.protocols import ProtocolParams, admc_kernel
 from openmax.signals import Constant, PiecewiseLinear, SignalBank, SlopeCertificationError
 from openmax.size_estimation import dse_generate, mle_estimate
 from openmax.simulator import (
@@ -42,6 +41,8 @@ from openmax.simulator import (
 )
 
 from util import (
+    is_connected_reference,
+    layout_reference,
     line4_churn_scenario,
     random_connected_graph,
     reference_outputs,
@@ -113,7 +114,7 @@ def test_run_matches_inline_loop():
     sc = load_preset("line6_admc")
     res = run(sc)
     g = sc.reference
-    hood = Neighborhoods(g, np.arange(g.n))
+    hood = g.layout()
     X = np.array([sc.initial_states[i] for i in g.sorted_nodes])
     for k in range(40):
         outs = dict(zip(g.sorted_nodes, X.tolist()))
@@ -221,8 +222,13 @@ def test_windows_are_induced_subgraphs_of_the_reference():
         reference.edges,  # every reference edge is back
     ]
     ba = load_preset("ba100_dse_admc")
-    for w in ba.windows:
-        assert w.graph == induced_subgraph(ba.reference, w.graph.nodes)
+    for sc in (sc, ba):
+        for w in sc.windows:
+            rows, levels = w.layout
+            kept = [sc.reference.sorted_nodes[s] for s in w.slots]
+            assert (rows.tolist(), [nbr.tolist() for nbr in levels]) == layout_reference(
+                sc.reference, kept
+            )
 
 
 def test_seed_override_re_realizes_randomness():
@@ -558,7 +564,7 @@ def _churned_scenario(rng, variant, mode, read_departing, **kw):
     for tick in (8, 16, 24):
         while True:
             keep = frozenset(v for v in ref.sorted_nodes if rng.random() < 0.7)
-            if keep and keep != active and is_connected(induced_subgraph(ref, keep)):
+            if keep and keep != active and is_connected_reference(induced_subgraph(ref, keep)):
                 break
         changes.append((tick, keep))
         active = keep
@@ -636,9 +642,9 @@ def _kernel_calls(monkeypatch) -> list[tuple[int, ...]]:
     """Count the engine's kernel calls: each records the rows it steps."""
     calls: list[tuple[int, ...]] = []
     for name in ("admc_kernel", "edmc_kernel"):
-        def counted(X, U, hood, *args, _kernel=getattr(simulator, name), **kw):
-            calls.append(tuple(sorted(hood.rows.tolist())))
-            return _kernel(X, U, hood, *args, **kw)
+        def counted(X, U, layout, *args, _kernel=getattr(simulator, name), **kw):
+            calls.append(tuple(sorted(layout[0].tolist())))
+            return _kernel(X, U, layout, *args, **kw)
 
         monkeypatch.setattr(simulator, name, counted)
     return calls

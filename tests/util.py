@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import replace
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -77,6 +77,44 @@ def hub_graph() -> NetworkSnapshot:
     return NetworkSnapshot(frozenset(range(1, 15)), frozenset(edges))
 
 
+def adjacency(g: NetworkSnapshot) -> dict[int, tuple[int, ...]]:
+    """Each node's sorted neighbours; a node is never its own neighbour."""
+    adj: dict[int, list[int]] = {n: [] for n in g.sorted_nodes}
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return {n: tuple(sorted(adj[n])) for n in g.sorted_nodes}
+
+
+def is_connected_reference(g: NetworkSnapshot) -> bool:
+    """Connectivity by a depth-first walk over Python sets; False when empty."""
+    if not g.nodes:
+        return False
+    adj = adjacency(g)
+    stack = [g.sorted_nodes[0]]
+    seen = set(stack)
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == g.n
+
+
+def layout_reference(g: NetworkSnapshot, kept: Iterable[int]) -> tuple[list[int], list[list[int]]]:
+    """The degree layout of ``induced_subgraph(g, kept)`` by definition, over
+    positions in ``g.sorted_nodes``: the kept positions by descending degree,
+    ties in ascending order, and per ``s`` the position of the ``s``-th
+    smallest neighbour of each of them that has one."""
+    h = induced_subgraph(g, kept)
+    adj = adjacency(h)
+    pos = {v: k for k, v in enumerate(g.sorted_nodes)}
+    order = sorted(h.sorted_nodes, key=lambda v: -len(adj[v]))
+    depth = max(map(len, adj.values()), default=0)
+    levels = [[pos[adj[v][s]] for v in order if len(adj[v]) > s] for s in range(depth)]
+    return [pos[v] for v in order], levels
+
+
 def floyd_warshall_diameter(g: NetworkSnapshot) -> float:
     """Independent diameter computation used as an oracle against BFS."""
     order = g.sorted_nodes
@@ -96,12 +134,13 @@ def admc_step_reference(
     g: NetworkSnapshot, x: Mapping[int, State], u: Mapping[int, object], alpha: float
 ) -> dict[int, State]:
     """Per-agent approximate max step, one Python loop over the agents."""
+    adj = adjacency(g)
     new: dict[int, State] = {}
     for i in g.sorted_nodes:
         xi = x[i]
         if isinstance(xi, float):
             best = xi
-            for j in g.adjacency[i]:
+            for j in adj[i]:
                 xj = x[j]
                 if xj > best:
                     best = xj
@@ -110,7 +149,7 @@ def admc_step_reference(
             new[i] = ui if ui > decayed else decayed
         else:
             best = xi
-            for j in g.adjacency[i]:
+            for j in adj[i]:
                 best = np.maximum(best, x[j])
             new[i] = np.maximum(best - alpha, u[i])
     return new
@@ -120,11 +159,12 @@ def edmc_step_reference(
     g: NetworkSnapshot, x: Mapping[int, State], u: Mapping[int, object]
 ) -> dict[int, State]:
     """Per-agent exact max step: shift each cascade, load the input."""
+    adj = adjacency(g)
     new: dict[int, State] = {}
     for i in g.sorted_nodes:
         own = x[i]
         agg = own[:-1]
-        for j in g.adjacency[i]:
+        for j in adj[i]:
             agg = np.maximum(agg, x[j][:-1])
         arr = np.empty_like(own)
         arr[0] = np.asarray(u[i], dtype=float)
