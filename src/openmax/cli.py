@@ -10,9 +10,10 @@ validate   load and check a scenario config without running it
 
 Scenarios are named by path or by preset name.  Exit codes: 0 on success,
 2 when a tracking assumption is violated (decay too small, dwell too short,
-slope bound broken, connectivity lost), 1 on I/O or config errors.  All
-randomness comes from the scenario seed; ``--seed auto`` draws a fresh root
-seed once, prints it, and records it in the summary for replay.  The
+slope bound broken, connectivity lost, a window diameter above delta, which
+``run`` and ``size-est`` report after writing), 1 on I/O or config errors.
+All randomness comes from the scenario seed; ``--seed auto`` draws a fresh
+root seed once, prints it, and records it in the summary for replay.  The
 ``OPENMAX_OUT`` environment variable sets the default output directory.
 """
 
@@ -36,6 +37,7 @@ from .simulator import (
     ConnectivityLost,
     DseConfig,
     RunExecutionError,
+    RunResult,
     ScenarioError,
     list_presets,
     load_scenario,
@@ -97,6 +99,14 @@ def _out_dir(args: argparse.Namespace, name: str) -> Path:
     return Path(base) / name
 
 
+def _violations(result: RunResult) -> int:
+    """Print each window's broken realized assumption on stderr; 2 if any, else 0."""
+    reasons = [(r, w) for w in result.summary["windows"] for r in w["bounds"]["reasons"]]
+    for r, w in reasons:
+        print(f"violated: {r} (ticks {w['start']}-{w['end']})", file=sys.stderr)
+    return 2 if reasons else 0
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     text, name = _scenario_text(args.scenario)
     scenario = load_scenario(text, seed=_parse_seed(args.seed), name=name)
@@ -111,7 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"max_error: {result.summary['max_error']}")
     print(f"tracking_bound: {worst['tracking_bound']}")
     print(f"steady_bound: {worst['steady_bound']}")
-    return 0
+    return _violations(result)
 
 
 def _cmd_size_est(args: argparse.Namespace) -> int:
@@ -129,7 +139,7 @@ def _cmd_size_est(args: argparse.Namespace) -> int:
     print(f"expected_closed_form: {result.summary['expected_closed_form']}")
     print(f"monte_carlo_mean: {result.summary['monte_carlo_mean']}")
     print(f"ci99: {result.summary['ci99']}")
-    return 0
+    return _violations(result)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:

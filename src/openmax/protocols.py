@@ -102,9 +102,11 @@ def admc_kernel(X: np.ndarray, U: np.ndarray, layout: Layout, alpha: float) -> N
     X[rows] = np.maximum(U[rows], decayed) if X.ndim == 1 else np.maximum(decayed, U[rows])
 
 
-def edmc_kernel(X: np.ndarray, U: np.ndarray, layout: Layout) -> None:
+def edmc_kernel(X: np.ndarray, U: np.ndarray, layout: Layout, start: int = 0) -> None:
     """Exact max step of ``layout``'s rows, in place: shift the cascades up one
-    level through the neighborhood max, then load the inputs at level 0."""
+    level through the neighborhood max, then load the inputs at level 0.
+    Only levels ``start..delta-1`` are folded, into ``start+1..delta``: the
+    full step when levels ``0..start`` already hold ``A(x)^l U``."""
     rows, levels = layout
-    X[rows, 1:] = closed_reduce(np.maximum, X[:, :-1], rows, levels)
+    X[rows, start + 1 :] = closed_reduce(np.maximum, X[:, start:-1], rows, levels)
     X[rows, 0] = U[rows]

@@ -35,7 +35,7 @@ import math
 import re
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from importlib import resources
 from numbers import Real
 from pathlib import Path
@@ -807,6 +807,7 @@ class _SizeObserver:
 
     An agent's inputs are its ``p`` uniform draws, held while it stays and
     drawn afresh on every (re)arrival; the target is their coordinatewise max.
+    Arrivals draw in ascending slot order, one :func:`dse_generate` stream.
     """
 
     sign = 1.0  # size estimation runs max consensus only
@@ -821,8 +822,13 @@ class _SizeObserver:
 
     def inputs(self, k: int, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if act is not self.act:  # each window has its own slots array
-            for s in np.setdiff1d(act, self.act, assume_unique=True):
-                self.U[s] = dse_generate(self.p, self.rng)
+            arriving = np.setdiff1d(act, self.act, assume_unique=True)
+            state = self.rng.bit_generator.state
+            self.U[arriving] = draws = self.rng.random((len(arriving), self.p))
+            if (draws == 0.0).any():  # dse_generate redraws a zero: replay the stream its way
+                self.rng.bit_generator.state = state
+                for s in arriving:
+                    self.U[s] = dse_generate(self.p, self.rng)
             self.maxima = self.U[act].max(axis=0)
             self.target_estimate = mle_estimate(self.maxima)
             self.act = act
@@ -851,16 +857,20 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
     and each window with its diameter, bounds report, and audit dict.
 
     A window whose inputs are held (``observer.held(w)``) over its fixed
-    graph reaches a fixed point: an exact cascade after ``delta + 1`` steps,
-    as level ``l`` then holds the ``l``-fold neighbourhood max of the held
-    inputs, and an approximate state at the first step that leaves its bits
-    unchanged.  From that tick ``still`` on the kernel is skipped and each
-    later tick repeats the observation before it (``observer.repeat(k,
-    act)``); the step out of the window at ``w.end`` always runs.
+    graph reaches a fixed point.  Cascade level ``l`` holds its ``l``-fold
+    neighbourhood max one step after level ``l - 1`` does: the ``settled``
+    bottom levels (1 if level 0 has the held inputs' bits, else 0) grow by
+    one a step, which folds only from level ``settled - 1`` up, until all
+    ``delta + 1`` have settled.  An approximate state is fixed at the first
+    step that changes no bit.  From that tick ``still`` on the kernel is
+    skipped and each later tick repeats the observation before it
+    (``observer.repeat(k, act)``); the step out of the window at ``w.end``
+    always runs, with the full fold.
     """
     params = scenario.params
     exact = params.variant == "exact"
-    kernel = edmc_kernel if exact else partial(admc_kernel, alpha=params.alpha)
+    kernel = edmc_kernel if exact else (  # a decaying state has no levels to skip
+        lambda X, U, layout, start=0: admc_kernel(X, U, layout, params.alpha))
     windows = scenario.windows
     nodes = scenario.reference.sorted_nodes
     a0 = windows[0].slots
@@ -879,8 +889,10 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
         nxt = windows[i + 1] if i + 1 < len(windows) else None
         if nxt is not None and not params.read_departing:  # the stayers only
             last = scenario.reference.layout(w.keep & nxt.keep)
-        held = observer.held(w)
-        still = min(w.start + params.delta + 1, w.end) if exact and held else w.end
+        held, settled, still = observer.held(w), 0, w.end
+        if exact and held:
+            settled = int(np.array_equal(X[act, 0].view(np.int64), U[act].view(np.int64)))
+            still = min(w.start + params.delta + 1 - settled, w.end)
         for k in range(w.start, w.end + 1):
             if k > still:
                 observer.repeat(k, act)
@@ -897,7 +909,8 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
                 errors.append(float(np.abs(outs - target).max()))
             if k < still:
                 before = X.copy() if held and not exact else None
-                kernel(X, U, w.layout)
+                kernel(X, U, w.layout, max(settled - 1, 0))
+                settled += held  # stays 0, a full fold, while the inputs move
                 U, target = observer.inputs(k + 1, act)
                 if before is not None and np.array_equal(before.view(np.int64), X.view(np.int64)):
                     still = k

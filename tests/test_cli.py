@@ -184,6 +184,32 @@ def test_size_est_rejects_consensus_scenario(consensus_file, tmp_path, capsys):
     assert "'run'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("run", MINI_CONSENSUS.replace("variant: approximate, alpha: 0.2", "variant: exact, delta: 1")),
+        ("size-est", MINI_DSE.replace("delta: 3", "delta: 1")),
+    ],
+    ids=["run", "size-est"],
+)
+def test_realized_assumption_violation_exits_2_after_writing(command, config, tmp_path, capsys):
+    """A cascade shallower than the realized diameter is reported on stderr,
+    after the artifacts are written."""
+    path = tmp_path / "shallow.yaml"
+    path.write_text(config)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"wrote {out / 'summary.json'}" in captured.out
+    summary = json.loads((out / "summary.json").read_text())
+    (window,) = summary["windows"]
+    assert window["bounds"]["assumptions_ok"] is False
+    (reason,) = window["bounds"]["reasons"]
+    end = summary["horizon"]
+    assert captured.err.splitlines() == [f"violated: {reason} (ticks 0-{end})"]
+    assert reason.startswith("cascade depth (1) is below the diameter")
+
+
 def test_validate_preset_and_seed_auto(capsys):
     assert main(["validate", "--scenario", "line6_edmc"]) == 0
     first = capsys.readouterr().out

@@ -1,0 +1,122 @@
+"""Property-based differential test of the consensus engine.
+
+Hypothesis draws small scenarios: a connected reference graph, explicit churn
+whose windows stay connected, mode, variant, ``alpha`` or ``delta``, and
+``read_departing``, with inputs that mix constants, steps that hold and then
+move at a change tick or elsewhere, and both zeros.  Every output of ``run``
+must match the per-agent reference kernels bit for bit, and every exact
+kernel call must fold exactly the cascade levels its definition leaves
+unsettled.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from openmax.graph import NetworkSnapshot
+from openmax.protocols import ProtocolParams
+from openmax.signals import Constant, PiecewiseLinear, SignalBank
+from openmax.simulator import make_scenario, run
+
+from util import (
+    adjacency,
+    exact_kernel_calls,
+    record_exact_kernel_calls,
+    reference_outputs,
+    value_reference,
+)
+
+GRID = (-0.5, -0.25, -0.0, 0.0, 0.25, 0.5)
+
+
+@st.composite
+def graphs(draw) -> NetworkSnapshot:
+    """A random tree on 1..n plus up to n extra edges."""
+    n = draw(st.integers(1, 10))
+    edges = {(draw(st.integers(1, i - 1)), i) for i in range(2, n + 1)}
+    if n > 1:
+        pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+        edges |= draw(st.sets(pairs, max_size=n))
+    return NetworkSnapshot(frozenset(range(1, n + 1)), frozenset(edges))
+
+
+@st.composite
+def connected_subsets(draw, g: NetworkSnapshot) -> frozenset[int]:
+    """A nonempty node set grown from a drawn root by adding the lowest-ranked
+    neighbour of the set, so it induces a connected subgraph."""
+    adj = adjacency(g)
+    order = draw(st.permutations(g.sorted_nodes))
+    rank = {v: r for r, v in enumerate(order)}
+    chosen = {order[0]}
+    for _ in range(draw(st.integers(1, g.n)) - 1):
+        frontier = {v for u in chosen for v in adj[u]} - chosen
+        chosen.add(min(frontier, key=rank.__getitem__))
+    return frozenset(chosen)
+
+
+@st.composite
+def scenarios(draw):
+    """A consensus scenario and its signal bank."""
+    g = draw(graphs())
+    mode = draw(st.sampled_from(["max", "min"]))
+    exact = draw(st.booleans())
+    delta = draw(st.integers(0, 4)) if exact else None
+    alpha = None if exact else draw(st.sampled_from([0.25, 0.5, 0.75]))
+    horizon = draw(st.integers(4, 24))
+    gaps = draw(st.lists(st.integers(max(delta or 0, 1), 8), max_size=3))
+    changes, active = [], g.nodes
+    for tick in itertools.takewhile(lambda t: t <= horizon, itertools.accumulate(gaps)):
+        keep = draw(connected_subsets(g))
+        if keep != active:
+            changes.append((tick, keep))
+            active = keep
+    ticks = [t for t, _ in changes] or [horizon]
+
+    def signal():
+        kind = draw(st.sampled_from(["constant", "constant", "jump", "move"]))
+        a = draw(st.sampled_from(GRID))
+        if kind == "constant":
+            return Constant(a)
+        b = draw(st.sampled_from(GRID))
+        shortest = 1 if exact else int(abs(b - a) / alpha) + 1  # a slope below alpha
+        if kind == "jump":  # held until it reaches its new value at a change tick
+            end, length = draw(st.sampled_from(ticks)), shortest
+        else:
+            end, length = draw(st.integers(1, horizon)), draw(st.integers(shortest, shortest + 4))
+        return PiecewiseLinear(((end - length, a), (end, b)))
+
+    bank = SignalBank({i: signal() for i in g.sorted_nodes})
+    params = ProtocolParams(
+        mode, "exact" if exact else "approximate", alpha=alpha, delta=delta,
+        read_departing=draw(st.booleans()),
+    )
+    sc = make_scenario(
+        name="drawn", kind="consensus", params=params, reference=g, horizon=horizon,
+        seed=0, changes=changes, bank=bank,
+    )
+    return sc, bank
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(scenarios())
+def test_consensus_engine_matches_the_per_agent_oracle(drawn):
+    sc, bank = drawn
+    sign = 1.0 if sc.params.mode == "max" else -1.0
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_exact_kernel_calls(mp)
+        res = run(sc)
+    want = np.full_like(res.trace.outputs, np.nan)
+    slot = {v: s for s, v in enumerate(sc.reference.sorted_nodes)}
+    ref = reference_outputs(
+        sc, lambda k, g: {i: sign * value_reference(bank.specs[i], k) for i in g.sorted_nodes}
+    )
+    for k, row in enumerate(ref):
+        for i, v in row.items():
+            want[k, slot[i]] = sign * v
+    assert np.array_equal(res.trace.outputs.view(np.int64), want.view(np.int64))
+    if sc.params.variant == "exact":
+        assert calls == exact_kernel_calls(sc)

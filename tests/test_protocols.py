@@ -320,3 +320,25 @@ def test_kernels_match_per_agent_reference_bit_for_bit():
         want = edmc_step_reference(g, per_agent(cascades), per_agent(u))
         assert same_bits(per_agent(edmc(g, cascades, u)), want)
     assert zeros == {False, True}
+
+
+def test_edmc_kernel_from_a_start_level_folds_only_the_levels_above_it():
+    """Levels above ``start`` get the full step's bits, level 0 the inputs,
+    and levels ``1..start`` keep theirs; on random graphs and a hub graph,
+    scalar and p=3 cascades, over a grid with both zeros."""
+    rng = np.random.default_rng(12)
+    grid = np.array([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5])
+    for trial in range(30):
+        g = random_connected_graph(rng, int(rng.integers(1, 9))) if trial < 24 else hub_graph()
+        shape = () if trial % 2 else (3,)
+        delta = int(rng.integers(1, 6))
+        X = rng.choice(grid, size=(g.n, delta + 1, *shape))
+        u = rng.choice(grid, size=(g.n, *shape))
+        full = edmc(g, X, u).view(np.int64)
+        for start in range(delta):
+            part = X.copy()
+            edmc_kernel(part, u, g.layout(), start)
+            part = part.view(np.int64)
+            assert np.array_equal(part[:, start + 1 :], full[:, start + 1 :])
+            assert np.array_equal(part[:, 1 : start + 1], X[:, 1 : start + 1].view(np.int64))
+            assert np.array_equal(part[:, 0], u.view(np.int64))

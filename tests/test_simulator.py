@@ -36,15 +36,18 @@ from openmax.simulator import (
     make_scenario,
     run,
     run_size_estimation,
+    scenario_from_mapping,
     write_outputs,
     _format_floats,
 )
 
 from util import (
+    exact_kernel_calls,
     is_connected_reference,
     layout_reference,
     line4_churn_scenario,
     random_connected_graph,
+    record_exact_kernel_calls,
     reference_outputs,
     negated_bank,
     same_bits,
@@ -638,6 +641,60 @@ def test_size_engine_matches_per_agent_oracle(variant, read_departing):
             assert same_bits(got, {i: mle_estimate(v) for i, v in want[k].items()}), k
 
 
+class _ZeroInFirstBlock:
+    """A generator whose first ``(m, p)`` block reads 0.0 in its last row;
+    every other draw comes from ``default_rng(seed)`` unchanged."""
+
+    def __init__(self, seed: int) -> None:
+        self.inner = np.random.default_rng(seed)
+        self.bit_generator = self.inner.bit_generator
+        self.blocks = 0
+
+    def random(self, size=None):
+        vals = self.inner.random(size)
+        if isinstance(size, tuple):
+            if self.blocks == 0:
+                vals[-1, 0] = 0.0
+            self.blocks += 1
+        return vals
+
+
+def _arrival_draws(seed: int, rng=None) -> tuple[np.ndarray, np.random.Generator]:
+    """The inputs a size observer gives the first two windows' arrivals on
+    ba100_dse_edmc, in ascending slot order, and its generator after them."""
+    sc = replace(load_preset("ba100_dse_edmc"), seed=seed)
+    obs = simulator._SizeObserver(sc)
+    if rng is not None:
+        obs.rng = rng
+    first, second = sc.windows[0].slots, sc.windows[1].slots
+    obs.inputs(0, first)
+    obs.inputs(sc.windows[1].start, second)
+    arrivals = np.concatenate((first, np.setdiff1d(second, first)))
+    return obs.U[arrivals], obs.rng
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_arrivals_draw_the_per_agent_stream_in_one_block(seed):
+    """One block per tick's arrivals reads what one ``dse_generate`` call per
+    arrival reads, and leaves the generator where those calls would."""
+    got, rng = _arrival_draws(seed)
+    want = np.random.default_rng(np.random.SeedSequence((seed, 2)))
+    per_agent = np.array([dse_generate(got.shape[1], want) for _ in range(len(got))])
+    assert got.tobytes() == per_agent.tobytes()
+    assert rng.random() == want.random()
+
+
+def test_a_block_with_an_exact_zero_replays_the_per_agent_draws():
+    """``dse_generate`` redraws an exact zero, so a block holding one is
+    discarded and the arrivals draw one by one from the same state."""
+    got, rng = _arrival_draws(0, _ZeroInFirstBlock(5))
+    want = np.random.default_rng(5)
+    per_agent = np.array([dse_generate(got.shape[1], want) for _ in range(len(got))])
+    assert rng.blocks == 2 and (got > 0.0).all()
+    assert got.tobytes() == per_agent.tobytes()
+    assert rng.random() == want.random()
+
+
 def _kernel_calls(monkeypatch) -> list[tuple[int, ...]]:
     """Count the engine's kernel calls: each records the rows it steps."""
     calls: list[tuple[int, ...]] = []
@@ -659,8 +716,8 @@ def _kernel_calls(monkeypatch) -> list[tuple[int, ...]]:
     ids=["ba100_dse_edmc", "line4-churn-exact"],
 )
 def test_held_exact_windows_stop_stepping_after_delta_plus_one(make, monkeypatch):
-    """Held inputs settle a cascade in delta + 1 steps; only the step out of
-    each window runs after that."""
+    """Held inputs settle a cascade in at most delta + 1 steps; only the step
+    out of each window runs after that."""
     sc = make()
     calls = _kernel_calls(monkeypatch)
     (run_size_estimation if sc.kind == "size_estimation" else run)(sc)
@@ -670,6 +727,63 @@ def test_held_exact_windows_stop_stepping_after_delta_plus_one(make, monkeypatch
     assert len(per_window) == len(sc.windows)
     assert max(per_window) <= sc.params.delta + 2
     assert len(calls) < sc.horizon
+
+
+LINE4_LEVELS = {1: Constant(0.1), 2: Constant(0.3), 3: Constant(0.2), 4: Constant(0.9)}
+JUMP_AT_CHANGE = {1: PiecewiseLinear(((9, 0.1), (10, 0.5)))}  # to the new extremum, then held
+
+
+@pytest.mark.parametrize(
+    "make, starts",
+    [
+        (lambda: load_preset("ba100_dse_edmc"), None),
+        (
+            lambda: line4_churn_scenario(
+                params=ProtocolParams("max", "exact", delta=3),
+                bank=SignalBank(LINE4_LEVELS | JUMP_AT_CHANGE),
+            ),
+            # window [10, 19]'s stayers carry tick 9's inputs on level 0
+            [[0, 1, 2, 0], [0, 0, 1, 2, 0], [0, 1, 2]],
+        ),
+    ],
+    ids=["ba100_dse_edmc", "line4-jump-at-change"],
+)
+def test_held_exact_windows_fold_only_their_unsettled_levels(make, starts, monkeypatch):
+    """A held window's steps fold from levels 0, 1, ..., delta - 1 when its
+    level 0 already holds the held inputs, and from 0, 0, 1, ... otherwise;
+    the step out of a window folds every level."""
+    sc = make()
+    calls = record_exact_kernel_calls(monkeypatch)
+    (run_size_estimation if sc.kind == "size_estimation" else run)(sc)
+    assert calls == exact_kernel_calls(sc)
+    per_window = [[s for _, s in group] for _, group in itertools.groupby(calls, lambda c: c[0])]
+    if starts is None:  # fresh draws land on every level, and stayers' draws hold
+        delta = sc.params.delta
+        starts = [list(range(delta)) + [0]] * (len(sc.windows) - 1) + [list(range(delta))]
+    assert per_window == starts
+
+
+def test_held_exact_windows_fold_348_levels_on_the_ba3000_size_benchmark(monkeypatch):
+    """The sizeest-exact-ba3000 benchmark config at its default seed (with a
+    token Monte Carlo): four held windows of delta = 12 each fold
+    12 + 11 + ... + 1 = 78 levels in 12 steps, and the three steps out of
+    them 12 each; refolding every level every step took 55 calls and 660."""
+    sc = scenario_from_mapping({
+        "kind": "size_estimation", "seed": 7, "horizon": 240, "dwell": 60,
+        "protocol": {"mode": "max", "variant": "exact", "delta": 12},
+        "topology": {
+            "kind": "barabasi_albert", "seed_line": 5, "target_n": 3000, "edges_per_new_node": 2,
+        },
+        "churn": {
+            "kind": "pool_random", "pool_size": 750, "every": 60, "activation_probability": 0.5,
+        },
+        "dse": {"p": 20, "mc_trials": 2},
+    })
+    calls = record_exact_kernel_calls(monkeypatch)
+    run_size_estimation(sc)
+    assert calls == exact_kernel_calls(sc)
+    assert len(calls) == 51
+    assert sum(sc.params.delta - start for _, start in calls) == 348
 
 
 @pytest.mark.parametrize(
@@ -698,7 +812,7 @@ def test_moving_inputs_step_every_tick(name, monkeypatch):
 @pytest.mark.parametrize(
     "movers, moved",
     [
-        ({1: PiecewiseLinear(((9, 0.1), (10, 0.5)))}, None),
+        (JUMP_AT_CHANGE, None),
         ({4: PiecewiseLinear(((24, 0.9), (26, 1.1)))}, (24, 30)),
         (
             {1: Constant(-0.1), 2: Constant(-0.3), 3: Constant(-0.2),
@@ -721,7 +835,7 @@ def test_inputs_that_move_around_settled_windows_match_the_oracle(mode, variant,
     for the window [20, 30] to settle and then moves, so that window is not
     held and must keep stepping; the zero-sign input only changes the sign
     of a zero, which compares equal as a float but not as bits."""
-    bank = SignalBank({1: Constant(0.1), 2: Constant(0.3), 3: Constant(0.2), 4: Constant(0.9)} | movers)
+    bank = SignalBank(LINE4_LEVELS | movers)
     if mode == "min":
         bank = negated_bank(bank)  # so the movers hold the extremum on both sides
     exact = variant == "exact"

@@ -23,6 +23,7 @@ from openmax.signals import (
     Sinusoid,
     SlopeCertificationError,
 )
+import openmax.simulator as simulator
 from openmax.simulator import RunResult, Scenario, make_scenario
 
 # One agent's state: a float or a coordinate vector, or a (delta + 1, ...) cascade.
@@ -228,6 +229,55 @@ def reference_outputs(
             states = open_step_reference(params, g, graphs[k + 1], states, u, u_next)
             u = u_next
     return outs
+
+
+def record_exact_kernel_calls(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+    """Record the engine's exact-kernel calls from now on, as (sorted rows,
+    start level), through ``monkeypatch``."""
+    calls: list[tuple[tuple[int, ...], int]] = []
+
+    def recorded(X, U, layout, start=0, _kernel=simulator.edmc_kernel):
+        calls.append((tuple(sorted(layout[0].tolist())), start))
+        return _kernel(X, U, layout, start)
+
+    monkeypatch.setattr(simulator, "edmc_kernel", recorded)
+    return calls
+
+
+def exact_kernel_calls(scenario: Scenario) -> list[tuple[tuple[int, ...], int]]:
+    """The exact-kernel calls a run of ``scenario`` makes, as (sorted rows,
+    start level), derived from the cascade's definition.
+
+    In a window whose inputs keep their bits, level ``l`` reaches its fixed
+    point one step after level ``l - 1``.  Level 0 holds it from the start
+    when every stayer's input at the window's first tick has the bits of its
+    input a tick earlier (arrivals load their input on every level; a
+    size-estimation agent's draws hold while it stays).  Each step refolds
+    from the topmost settled level up, and the window stops stepping once
+    all ``delta + 1`` levels are settled.  Every other step, and the step
+    out of each window, folds every level."""
+    delta, table, windows = scenario.params.delta, scenario.inputs, scenario.windows
+    calls: list[tuple[tuple[int, ...], int]] = []
+    for i, w in enumerate(windows):
+        steps = w.end - w.start
+        if table is None:
+            settled: int | None = 1
+        else:
+            bits = table.view(np.int64)
+            block = bits[w.start : w.end + 1, w.slots]
+            stay = w.keep & windows[i - 1].keep if i else w.keep
+            settled = None
+            if (block == block[0]).all():
+                settled = int(i == 0 or np.array_equal(bits[w.start - 1, stay], bits[w.start, stay]))
+        if settled is None:
+            starts = [0] * steps
+        else:
+            starts = [max(settled + j - 1, 0) for j in range(min(delta + 1 - settled, steps))]
+        calls += [(tuple(w.slots.tolist()), start) for start in starts]
+        if i + 1 < len(windows):
+            last = w.keep if scenario.params.read_departing else w.keep & windows[i + 1].keep
+            calls.append((tuple(np.flatnonzero(last).tolist()), 0))
+    return calls
 
 
 def same_bits(got: Mapping[int, object], want: Mapping[int, object]) -> bool:
