@@ -116,11 +116,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     result = run(scenario)
     paths = write_outputs(result, _out_dir(args, scenario.name))
-    worst = result.summary["windows"][-1]["bounds"]
+    peak = result.summary["max_error"]
+    worst = next(w for w in result.summary["windows"] if w["empirical"]["max_error"] == peak)
     print(f"wrote {paths['summary']}")
-    print(f"max_error: {result.summary['max_error']}")
-    print(f"tracking_bound: {worst['tracking_bound']}")
-    print(f"steady_bound: {worst['steady_bound']}")
+    print(f"max_error: {peak}")
+    print(f"worst_window: ticks {worst['start']}-{worst['end']}")
+    print(f"tracking_bound: {worst['bounds']['tracking_bound']}")
+    print(f"steady_bound: {worst['bounds']['steady_bound']}")
     return _violations(result)
 
 

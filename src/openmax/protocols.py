@@ -31,6 +31,12 @@ reference topology's layout under the window's slot mask, whose positions are
 state-array rows.  :func:`admc_kernel` computes ``max(A(x)X - alpha, U)`` and
 :func:`edmc_kernel` ``X[:, 1:] <- A(x)X[:, :-1]``.
 An agent exposes its state, or its cascade's top level ``X[:, -1]``.
+
+On a fixed graph the exact step is a shift through time as well: level ``l``
+after step ``t + 1`` is the fold of level ``l - 1`` after step ``t``, so a
+level's whole series over a block of steps is one fold of the series below
+it.  :func:`edmc_window` steps a block that way, level by level, with the
+same per-row fold order and bits as that many :func:`edmc_kernel` steps.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import numpy as np
 
 from .graph import Layout, closed_reduce
 
-__all__ = ["ProtocolParams", "admc_kernel", "edmc_kernel"]
+__all__ = ["ProtocolParams", "admc_kernel", "edmc_kernel", "edmc_window"]
 
 
 def _is_whole(value: object) -> bool:
@@ -110,3 +116,24 @@ def edmc_kernel(X: np.ndarray, U: np.ndarray, layout: Layout, start: int = 0) ->
     rows, levels = layout
     X[rows, start + 1 :] = closed_reduce(np.maximum, X[:, start:-1], rows, levels)
     X[rows, 0] = U[rows]
+
+
+def edmc_window(X: np.ndarray, U: np.ndarray, layout: Layout) -> np.ndarray:
+    """``len(U)`` exact max steps of ``layout``'s rows, in place, step ``t``
+    loading ``U[t]``: each level's series over the block is one fold of the
+    series below it, its column 0 the level's starting state.  Returns the
+    top level's series, row ``t`` holding ``X[rows, -1]`` after ``t`` steps."""
+    rows, levels = layout
+    rank = np.empty(len(X), dtype=np.intp)  # series row of each layout row's slot
+    rank[rows] = np.arange(len(rows))
+    hood = rank[rows], tuple(rank[nbr] for nbr in levels)
+    series = np.empty((len(rows), len(U) + 1, *X.shape[2:]))
+    series[:, 0] = X[rows, 0]
+    series[:, 1:] = U[:, rows].swapaxes(0, 1)
+    X[rows, 0] = series[:, -1]
+    for level in range(1, X.shape[1]):
+        below, series = series[:, :-1], np.empty_like(series)
+        series[:, 0] = X[rows, level]
+        series[:, 1:] = closed_reduce(np.maximum, below, *hood)
+        X[rows, level] = series[:, -1]
+    return series.swapaxes(0, 1)

@@ -62,7 +62,7 @@ from .graph import (
     snapshot_from_text,
     snapshot_to_text,
 )
-from .protocols import ProtocolParams, admc_kernel, edmc_kernel
+from .protocols import ProtocolParams, admc_kernel, edmc_kernel, edmc_window
 from .signals import SignalBank, build_spec, certify_slope, signal_table
 from .size_estimation import (
     dse_generate,
@@ -98,6 +98,11 @@ __all__ = [
 # The most cells a run's per-tick, per-agent tables may hold: (horizon + 1) x
 # nodes x p, with p = 1 for consensus.  A float64 table this size is 1 GiB.
 MAX_CELLS = 2**27
+
+# The most cells of one cascade level's series that a moving exact window
+# folds at once, as rows x steps: a block of 2**17 // rows steps, so a long
+# window's series stay a few MiB next to its tables.
+BLOCK_CELLS = 2**17
 
 
 class ScenarioError(ValueError):
@@ -793,6 +798,10 @@ class _ConsensusObserver:
         block = self.table[w.start : w.end + 1, w.slots].view(np.int64)
         return bool((block == block[0]).all())
 
+    def block(self, first: int, stop: int) -> np.ndarray:
+        """The inputs of ticks ``first..stop - 1``, one slot array a tick."""
+        return self.sign * self.table[first:stop]
+
     def observe(self, k: int, act: np.ndarray, outs: np.ndarray, target: float) -> None:
         self.targets[k] = self.sign * target
         self.outputs[k, act] = self.sign * outs
@@ -866,6 +875,12 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
     skipped and each later tick repeats the observation before it
     (``observer.repeat(k, act)``); the step out of the window at ``w.end``
     always runs, with the full fold.
+
+    An exact window whose inputs move steps through :func:`edmc_window`
+    instead, a block of at most ``BLOCK_CELLS // len(w.slots)`` steps at a
+    time on the inputs ``observer.block(first, stop)`` gives; its ticks read
+    their outputs from the block's top-level series.  Held windows, the step
+    out of a window and the approximate recurrence step one tick at a time.
     """
     params = scenario.params
     exact = params.variant == "exact"
@@ -893,12 +908,17 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
         if exact and held:
             settled = int(np.array_equal(X[act, 0].view(np.int64), U[act].view(np.int64)))
             still = min(w.start + params.delta + 1 - settled, w.end)
+        moving, span = exact and not held, max(1, BLOCK_CELLS // len(act))
         for k in range(w.start, w.end + 1):
+            if moving and k < w.end and (k - w.start) % span == 0:
+                first = k
+                series = edmc_window(X, observer.block(k, min(k + span, w.end)), w.layout)
+                series = series[:, np.argsort(w.layout[0])]  # to ascending slots
             if k > still:
                 observer.repeat(k, act)
                 errors.append(errors[-1])
             else:
-                outs = X[act, -1] if exact else X[act]
+                outs = series[k - first] if moving else X[act, -1] if exact else X[act]
                 if not np.isfinite(outs).all():
                     raise RunExecutionError(
                         f"non-finite state encountered at tick {k}; aborting the run"
@@ -909,7 +929,8 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
                 errors.append(float(np.abs(outs - target).max()))
             if k < still:
                 before = X.copy() if held and not exact else None
-                kernel(X, U, w.layout, max(settled - 1, 0))
+                if not moving:  # else its block has stepped already
+                    kernel(X, U, w.layout, max(settled - 1, 0))
                 settled += held  # stays 0, a full fold, while the inputs move
                 U, target = observer.inputs(k + 1, act)
                 if before is not None and np.array_equal(before.view(np.int64), X.view(np.int64)):

@@ -147,6 +147,36 @@ def test_run_writes_artifacts(consensus_file, tmp_path, capsys):
     assert (out / "plotdata" / "state_trajectories.csv").is_file()
 
 
+CHURNED_LINE6 = """
+kind: consensus
+seed: 1
+horizon: 60
+protocol: {mode: max, variant: approximate, alpha: 0.2}
+topology: {kind: line, n: 6}
+signals:
+  default: {kind: constant, value: 0.1}
+  agents:
+    6: {kind: constant, value: 0.9}
+churn: {kind: explicit, events: [{tick: 30, deactivate: [1, 2, 3]}]}
+"""
+
+
+def test_run_prints_the_bounds_of_the_window_that_reaches_max_error(tmp_path, capsys):
+    """Window 0 (bound 1.0) reaches the run's max error 0.8; the shorter
+    window after the churn has bound 0.4 and must not be printed with it."""
+    path = tmp_path / "churned.yaml"
+    path.write_text(CHURNED_LINE6)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = stdout_report(capsys)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    first, second = summary["windows"]
+    assert float(report["max_error"]) == first["empirical"]["max_error"] == 0.8
+    assert second["bounds"]["tracking_bound"] == pytest.approx(0.4)
+    assert report["worst_window"] == "ticks 0-29"
+    assert float(report["tracking_bound"]) == first["bounds"]["tracking_bound"] == 1.0
+    assert float(report["steady_bound"]) == first["bounds"]["steady_bound"]
+
+
 def test_run_seed_override_recorded(consensus_file, tmp_path, capsys):
     out = tmp_path / "seeded"
     assert main(["run", "--scenario", str(consensus_file), "--out", str(out), "--seed", "77"]) == 0

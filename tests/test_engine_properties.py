@@ -1,12 +1,13 @@
-"""Property-based differential test of the consensus engine.
+"""Property-based differential tests of the engine.
 
 Hypothesis draws small scenarios: a connected reference graph, explicit churn
-whose windows stay connected, mode, variant, ``alpha`` or ``delta``, and
-``read_departing``, with inputs that mix constants, steps that hold and then
-move at a change tick or elsewhere, and both zeros.  Every output of ``run``
-must match the per-agent reference kernels bit for bit, and every exact
-kernel call must fold exactly the cascade levels its definition leaves
-unsettled.
+whose windows stay connected, variant, ``alpha`` or ``delta``, and
+``read_departing``.  A consensus scenario also draws its mode and inputs that
+mix constants, steps that hold and then move at a change tick or elsewhere,
+and both zeros; a size-estimation scenario draws its seed and ``p``.  Every
+output of ``run`` or ``run_size_estimation`` must match the per-agent
+reference kernels bit for bit, and every exact kernel call must fold exactly
+the cascade levels its definition leaves unsettled.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from hypothesis import given, settings, strategies as st
 from openmax.graph import NetworkSnapshot
 from openmax.protocols import ProtocolParams
 from openmax.signals import Constant, PiecewiseLinear, SignalBank
-from openmax.simulator import make_scenario, run
+from openmax.simulator import DseConfig, make_scenario, run, run_size_estimation
+from openmax.size_estimation import mle_estimate
 
 from util import (
     adjacency,
+    dse_inputs_reference,
     exact_kernel_calls,
     record_exact_kernel_calls,
     reference_outputs,
@@ -59,6 +62,20 @@ def connected_subsets(draw, g: NetworkSnapshot) -> frozenset[int]:
 
 
 @st.composite
+def churn(draw, g: NetworkSnapshot, horizon: int, shortest: int) -> list:
+    """Up to three changes at least ``shortest`` ticks apart, each to a
+    connected subset that differs from the set before it."""
+    gaps = draw(st.lists(st.integers(shortest, 8), max_size=3))
+    changes, active = [], g.nodes
+    for tick in itertools.takewhile(lambda t: t <= horizon, itertools.accumulate(gaps)):
+        keep = draw(connected_subsets(g))
+        if keep != active:
+            changes.append((tick, keep))
+            active = keep
+    return changes
+
+
+@st.composite
 def scenarios(draw):
     """A consensus scenario and its signal bank."""
     g = draw(graphs())
@@ -67,13 +84,7 @@ def scenarios(draw):
     delta = draw(st.integers(0, 4)) if exact else None
     alpha = None if exact else draw(st.sampled_from([0.25, 0.5, 0.75]))
     horizon = draw(st.integers(4, 24))
-    gaps = draw(st.lists(st.integers(max(delta or 0, 1), 8), max_size=3))
-    changes, active = [], g.nodes
-    for tick in itertools.takewhile(lambda t: t <= horizon, itertools.accumulate(gaps)):
-        keep = draw(connected_subsets(g))
-        if keep != active:
-            changes.append((tick, keep))
-            active = keep
+    changes = draw(churn(g, horizon, max(delta or 0, 1)))
     ticks = [t for t, _ in changes] or [horizon]
 
     def signal():
@@ -118,5 +129,40 @@ def test_consensus_engine_matches_the_per_agent_oracle(drawn):
         for i, v in row.items():
             want[k, slot[i]] = sign * v
     assert np.array_equal(res.trace.outputs.view(np.int64), want.view(np.int64))
+    if sc.params.variant == "exact":
+        assert calls == exact_kernel_calls(sc)
+
+
+@st.composite
+def size_scenarios(draw):
+    """A size-estimation scenario with ``p`` of 2-4 and a drawn seed."""
+    g = draw(graphs())
+    exact = draw(st.booleans())
+    delta = draw(st.integers(0, 4)) if exact else None
+    alpha = None if exact else draw(st.sampled_from([0.25, 0.5, 0.75]))
+    horizon = draw(st.integers(4, 24))
+    params = ProtocolParams(
+        "max", "exact" if exact else "approximate", alpha=alpha, delta=delta,
+        read_departing=draw(st.booleans()),
+    )
+    return make_scenario(
+        name="drawn", kind="size_estimation", params=params, reference=g, horizon=horizon,
+        seed=draw(st.integers(0, 2**16)), changes=draw(churn(g, horizon, max(delta or 0, 1))),
+        dse=DseConfig(p=draw(st.integers(2, 4)), mc_trials=2),
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(size_scenarios())
+def test_size_engine_matches_the_per_agent_oracle(sc):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_exact_kernel_calls(mp)
+        res = run_size_estimation(sc)
+    want = np.full_like(res.trace.estimates, np.nan)
+    slot = {v: s for s, v in enumerate(sc.reference.sorted_nodes)}
+    for k, row in enumerate(reference_outputs(sc, dse_inputs_reference(sc))):
+        for i, v in row.items():
+            want[k, slot[i]] = mle_estimate(v)
+    assert np.array_equal(res.trace.estimates.view(np.int64), want.view(np.int64))
     if sc.params.variant == "exact":
         assert calls == exact_kernel_calls(sc)

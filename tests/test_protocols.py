@@ -7,18 +7,25 @@ import numpy as np
 import pytest
 
 from openmax.graph import NetworkSnapshot, diameter, line_graph
-from openmax.protocols import ProtocolParams, admc_kernel, edmc_kernel
-from openmax.signals import Constant, SignalBank
+import openmax.simulator as simulator
+from openmax.protocols import ProtocolParams, admc_kernel, edmc_kernel, edmc_window
+from openmax.signals import Constant, PiecewiseLinear, SignalBank
 from openmax.simulator import make_scenario, run
 
 from util import (
     adjacency,
     admc_step_reference,
     edmc_step_reference,
+    exact_kernel_calls,
     hub_graph,
+    line4_churn_scenario,
+    negated_bank,
     random_connected_graph,
+    record_exact_kernel_calls,
+    reference_outputs,
     same_bits,
     trace_row,
+    value_reference,
 )
 
 MAX_APPROX = ProtocolParams("max", "approximate", alpha=0.1)
@@ -342,3 +349,65 @@ def test_edmc_kernel_from_a_start_level_folds_only_the_levels_above_it():
             assert np.array_equal(part[:, start + 1 :], full[:, start + 1 :])
             assert np.array_equal(part[:, 1 : start + 1], X[:, 1 : start + 1].view(np.int64))
             assert np.array_equal(part[:, 0], u.view(np.int64))
+
+
+def test_edmc_window_equals_that_many_kernel_steps_bit_for_bit():
+    """The top series and the final cascades of a block equal those of
+    ``len(U)`` :func:`edmc_kernel` steps, through int64 views; on random
+    graphs and a hub graph, scalar and p=3 cascades of depth 0-5 from random
+    starting levels, over a grid with both zeros, for every block length up
+    to 8 steps."""
+    rng = np.random.default_rng(13)
+    grid = np.array([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5])
+    for trial in range(30):
+        g = random_connected_graph(rng, int(rng.integers(1, 9))) if trial < 24 else hub_graph()
+        shape = () if trial % 2 else (3,)
+        layout = g.layout()
+        X = rng.choice(grid, size=(g.n, int(rng.integers(1, 7)), *shape))
+        U = rng.choice(grid, size=(8, g.n, *shape))
+        for steps in range(1, len(U) + 1):
+            stepped, tops = X.copy(), [X[layout[0], -1]]
+            for u in U[:steps]:
+                edmc_kernel(stepped, u, layout)
+                tops.append(stepped[layout[0], -1])
+            folded = X.copy()
+            series = edmc_window(folded, U[:steps], layout)
+            assert np.array_equal(series.view(np.int64), np.array(tops).view(np.int64))
+            assert np.array_equal(folded.view(np.int64), stepped.view(np.int64))
+
+
+# every agent moves every tick, across zero and through both signs of it
+LINE4_MOVERS = {
+    1: PiecewiseLinear(((0, -0.3), (30, 0.3))),
+    2: PiecewiseLinear(((0, 0.6), (30, -0.6))),
+    3: PiecewiseLinear(((0, -0.0), (12, 0.24), (30, 0.0))),
+    4: PiecewiseLinear(((0, 0.9), (30, -0.9))),
+}
+
+
+@pytest.mark.parametrize("cells", [1, 8, 13])
+@pytest.mark.parametrize("read_departing", [True, False])
+@pytest.mark.parametrize("mode", ["max", "min"])
+def test_moving_exact_windows_split_into_blocks_match_the_oracle(
+    mode, read_departing, cells, monkeypatch
+):
+    """With a cell budget of a few steps per block, every window of the
+    line-4 churn scenario folds in several blocks, and the outputs still
+    match the per-agent oracle bit for bit."""
+    monkeypatch.setattr(simulator, "BLOCK_CELLS", cells)
+    bank = SignalBank(LINE4_MOVERS)
+    if mode == "min":
+        bank = negated_bank(bank)
+    params = ProtocolParams(mode, "exact", delta=3, read_departing=read_departing)
+    sc = line4_churn_scenario(params=params, bank=bank)
+    assert all(max(1, cells // len(w.slots)) < w.end - w.start for w in sc.windows)
+    calls = record_exact_kernel_calls(monkeypatch)
+    res = run(sc)
+    assert calls == exact_kernel_calls(sc)
+    sign = 1.0 if mode == "max" else -1.0
+    want = reference_outputs(
+        sc, lambda k, g: {i: sign * value_reference(bank.specs[i], k) for i in g.sorted_nodes}
+    )
+    for k in range(len(want)):
+        got = trace_row(res, res.trace.outputs, k)
+        assert same_bits(got, {i: sign * v for i, v in want[k].items()}), k

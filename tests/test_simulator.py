@@ -42,6 +42,7 @@ from openmax.simulator import (
 )
 
 from util import (
+    dse_inputs_reference,
     exact_kernel_calls,
     is_connected_reference,
     layout_reference,
@@ -624,17 +625,7 @@ def test_size_engine_matches_per_agent_oracle(variant, read_departing):
             rng, variant, "max", read_departing, kind="size_estimation",
             dse=DseConfig(p=3, mc_trials=2),
         )
-        draws = np.random.default_rng(np.random.SeedSequence((sc.seed, 2)))
-        held = {"graph": None, "u": {}}
-
-        def inputs(k, g):
-            if g is not held["graph"]:
-                old = held["u"]
-                held["u"] = {i: old[i] if i in old else dse_generate(3, draws) for i in g.sorted_nodes}
-                held["graph"] = g
-            return held["u"]
-
-        want = reference_outputs(sc, inputs)
+        want = reference_outputs(sc, dse_inputs_reference(sc))
         res = run_size_estimation(sc)
         for k in range(len(want)):
             got = trace_row(res, res.trace.estimates, k)
@@ -803,10 +794,20 @@ def test_held_approximate_windows_stop_at_the_first_idle_step(make, monkeypatch)
 
 @pytest.mark.parametrize("name", ["line6_admc", "line6_edmc"])
 def test_moving_inputs_step_every_tick(name, monkeypatch):
+    """The approximate kernel steps every tick; the exact cascade's window
+    steps, taken in blocks, and its steps out of windows cover every tick."""
     sc = load_preset(name)
-    calls = _kernel_calls(monkeypatch)
+    if sc.params.variant == "approximate":
+        calls = _kernel_calls(monkeypatch)
+        run(sc)
+        assert len(calls) == sc.horizon
+        return
+    calls = record_exact_kernel_calls(monkeypatch)
     run(sc)
-    assert len(calls) == sc.horizon
+    blocks = [c[2] for c in calls if c[1] == "window"]
+    exits = [c for c in calls if c[1] != "window"]
+    assert blocks and len(exits) == len(sc.windows) - 1
+    assert sum(blocks) + len(exits) == sc.horizon
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from openmax.signals import (
 )
 import openmax.simulator as simulator
 from openmax.simulator import RunResult, Scenario, make_scenario
+from openmax.size_estimation import dse_generate
 
 # One agent's state: a float or a coordinate vector, or a (delta + 1, ...) cascade.
 State = Union[float, np.ndarray]
@@ -231,22 +232,49 @@ def reference_outputs(
     return outs
 
 
-def record_exact_kernel_calls(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
-    """Record the engine's exact-kernel calls from now on, as (sorted rows,
-    start level), through ``monkeypatch``."""
-    calls: list[tuple[tuple[int, ...], int]] = []
+def dse_inputs_reference(scenario: Scenario) -> Callable[[int, NetworkSnapshot], dict]:
+    """A size-estimation run's per-agent inputs for :func:`reference_outputs`:
+    one :func:`dse_generate` call per (re)arriving agent, in ascending node
+    order, on the run's draw stream; stayers keep their draws."""
+    draws = np.random.default_rng(np.random.SeedSequence((scenario.seed, 2)))
+    held: dict = {"graph": None, "u": {}}
+
+    def inputs(k: int, g: NetworkSnapshot) -> dict:
+        if g is not held["graph"]:
+            old = held["u"]
+            held["u"] = {
+                i: old[i] if i in old else dse_generate(scenario.dse.p, draws)
+                for i in g.sorted_nodes
+            }
+            held["graph"] = g
+        return held["u"]
+
+    return inputs
+
+
+def record_exact_kernel_calls(monkeypatch) -> list[tuple]:
+    """Record the engine's exact-kernel calls from now on, through
+    ``monkeypatch``: a step as (sorted rows, start level), a block of window
+    steps as (sorted rows, "window", steps)."""
+    calls: list[tuple] = []
 
     def recorded(X, U, layout, start=0, _kernel=simulator.edmc_kernel):
         calls.append((tuple(sorted(layout[0].tolist())), start))
         return _kernel(X, U, layout, start)
 
+    def recorded_window(X, U, layout, _window=simulator.edmc_window):
+        calls.append((tuple(sorted(layout[0].tolist())), "window", len(U)))
+        return _window(X, U, layout)
+
     monkeypatch.setattr(simulator, "edmc_kernel", recorded)
+    monkeypatch.setattr(simulator, "edmc_window", recorded_window)
     return calls
 
 
-def exact_kernel_calls(scenario: Scenario) -> list[tuple[tuple[int, ...], int]]:
-    """The exact-kernel calls a run of ``scenario`` makes, as (sorted rows,
-    start level), derived from the cascade's definition.
+def exact_kernel_calls(scenario: Scenario) -> list[tuple]:
+    """The exact-kernel calls a run of ``scenario`` makes, in the form
+    :func:`record_exact_kernel_calls` records them, derived from the
+    cascade's definition.
 
     In a window whose inputs keep their bits, level ``l`` reaches its fixed
     point one step after level ``l - 1``.  Level 0 holds it from the start
@@ -254,12 +282,13 @@ def exact_kernel_calls(scenario: Scenario) -> list[tuple[tuple[int, ...], int]]:
     input a tick earlier (arrivals load their input on every level; a
     size-estimation agent's draws hold while it stays).  Each step refolds
     from the topmost settled level up, and the window stops stepping once
-    all ``delta + 1`` levels are settled.  Every other step, and the step
-    out of each window, folds every level."""
+    all ``delta + 1`` levels are settled.  A window whose inputs move takes
+    its steps in blocks of ``simulator.BLOCK_CELLS // rows`` (at least one).
+    The step out of each window folds every level."""
     delta, table, windows = scenario.params.delta, scenario.inputs, scenario.windows
-    calls: list[tuple[tuple[int, ...], int]] = []
+    calls: list[tuple] = []
     for i, w in enumerate(windows):
-        steps = w.end - w.start
+        rows, steps = tuple(w.slots.tolist()), w.end - w.start
         if table is None:
             settled: int | None = 1
         else:
@@ -270,10 +299,11 @@ def exact_kernel_calls(scenario: Scenario) -> list[tuple[tuple[int, ...], int]]:
             if (block == block[0]).all():
                 settled = int(i == 0 or np.array_equal(bits[w.start - 1, stay], bits[w.start, stay]))
         if settled is None:
-            starts = [0] * steps
+            span = max(1, simulator.BLOCK_CELLS // len(rows))
+            calls += [(rows, "window", min(span, steps - j)) for j in range(0, steps, span)]
         else:
             starts = [max(settled + j - 1, 0) for j in range(min(delta + 1 - settled, steps))]
-        calls += [(tuple(w.slots.tolist()), start) for start in starts]
+            calls += [(rows, start) for start in starts]
         if i + 1 < len(windows):
             last = w.keep if scenario.params.read_departing else w.keep & windows[i + 1].keep
             calls.append((tuple(np.flatnonzero(last).tolist()), 0))
