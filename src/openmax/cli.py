@@ -39,8 +39,8 @@ from .simulator import (
     RunExecutionError,
     RunResult,
     ScenarioError,
-    list_presets,
     load_scenario,
+    preset_text,
     run,
     run_size_estimation,
     scenario_from_mapping,
@@ -65,15 +65,7 @@ def _scenario_text(spec: str) -> tuple[str, str]:
     path = Path(spec)
     if path.is_file():
         return path.read_text(), path.stem
-    from importlib import resources
-
-    ref = resources.files("openmax") / "presets" / f"{spec}.yaml"
-    if ref.is_file():
-        return ref.read_text(), spec
-    raise ScenarioError(
-        f"scenario {spec!r} is neither a file nor a preset "
-        f"(presets: {', '.join(list_presets())})"
-    )
+    return preset_text(spec), spec
 
 
 def _parse_seed(arg: str | None) -> int | None:

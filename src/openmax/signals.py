@@ -29,7 +29,6 @@ __all__ = [
     "SlopeCertificationError",
     "signal_table",
     "certify_slope",
-    "build_spec",
 ]
 
 # Breakpoint ticks are interpolated in int64 arithmetic, so their differences
@@ -50,14 +49,14 @@ class SignalSpec(Protocol):
 
 @dataclass(frozen=True)
 class Constant:
-    level: float
+    value: float
 
     @property
     def slope_bound(self) -> float:
         return 0.0
 
     def values(self, horizon: int) -> np.ndarray:
-        return np.full(horizon + 1, float(self.level))
+        return np.full(horizon + 1, float(self.value))
 
 
 @dataclass(frozen=True)
@@ -217,50 +216,3 @@ def certify_slope(table: np.ndarray, agents: Sequence[int], bound: float) -> flo
             f"above the declared per-tick slope bound {bound:.6g}"
         )
     return float(change.max(initial=0.0))
-
-
-def build_spec(kind: str, params: Mapping[str, object]) -> SignalSpec:
-    """Construct a signal from a config mapping; used by scenario loading.
-
-    Missing, malformed or non-finite parameters raise ``ValueError``.
-    """
-    opts = dict(params)
-
-    def num(key: str, *default: float) -> float:
-        value = float(opts.pop(key, *default))
-        if not math.isfinite(value):
-            raise ValueError(f"signal kind {kind!r} needs a finite {key!r}, got {value}")
-        return value
-
-    def done(spec: SignalSpec) -> SignalSpec:
-        if opts:
-            raise ValueError(f"unknown parameters for signal kind {kind!r}: {sorted(opts)}")
-        return spec
-
-    try:
-        if kind == "constant":
-            return done(Constant(num("value")))
-        if kind == "piecewise_linear":
-            points = tuple((k, float(v)) for k, v in opts.pop("points"))
-            if not all(math.isfinite(v) for _, v in points):
-                raise ValueError(f"the points of signal kind {kind!r} must be finite")
-            return done(PiecewiseLinear(points))
-        if kind == "sinusoid":
-            return done(Sinusoid(
-                amplitude=num("amplitude"),
-                period=num("period"),
-                phase=num("phase", 0.0),
-                offset=num("offset", 0.0),
-            ))
-        if kind == "random_walk_clamped":
-            return done(ClampedRandomWalk(
-                step_bound=num("step_bound"),
-                start=num("start", 0.0),
-                lo=(None if "lo" not in opts else num("lo")),
-                hi=(None if "hi" not in opts else num("hi")),
-            ))
-    except KeyError as exc:
-        raise ValueError(f"signal kind {kind!r} needs the parameter {exc.args[0]!r}") from None
-    except TypeError as exc:
-        raise ValueError(f"malformed parameters for signal kind {kind!r}: {exc}") from None
-    raise ValueError(f"unknown signal kind {kind!r}")

@@ -34,7 +34,7 @@ import json
 import math
 import re
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from importlib import resources
 from numbers import Real
@@ -63,7 +63,16 @@ from .graph import (
     snapshot_to_text,
 )
 from .protocols import ProtocolParams, admc_kernel, edmc_kernel, edmc_window
-from .signals import SignalBank, build_spec, certify_slope, signal_table
+from .signals import (
+    ClampedRandomWalk,
+    Constant,
+    PiecewiseLinear,
+    SignalBank,
+    SignalSpec,
+    Sinusoid,
+    certify_slope,
+    signal_table,
+)
 from .size_estimation import (
     dse_generate,
     dse_worst_case_monte_carlo,
@@ -88,6 +97,7 @@ __all__ = [
     "load_scenario",
     "load_scenario_file",
     "list_presets",
+    "preset_text",
     "load_preset",
     "run",
     "run_size_estimation",
@@ -134,6 +144,11 @@ class DseConfig:
             )
         object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "mc_trials", int(self.mc_trials))
+        if self.mc_trials * self.p > MAX_CELLS:  # the Monte Carlo draws a (trials, p) block
+            raise ScenarioError(
+                f"mc_trials x p = {self.mc_trials} x {self.p} cells exceed the limit of "
+                f"{MAX_CELLS}; lower dse.mc_trials or dse.p"
+            )
 
 
 @dataclass(frozen=True)
@@ -419,36 +434,89 @@ def make_scenario(
 # config loading
 
 
-def _section(data: Mapping, key: str, required: bool = False) -> dict:
-    raw = data.get(key)
-    if raw is None:
-        if required:
-            raise ScenarioError(f"missing required section {key!r}")
-        return {}
-    if not isinstance(raw, Mapping):
-        raise ScenarioError(f"section {key!r} must be a mapping")
-    return dict(raw)
+class _Keys:
+    """One config mapping at its dotted ``path``, read key by key.
+
+    A getter pops a key and checks its value.  A missing key is an error
+    unless the getter has a default other than ``MISSING``, which comes back
+    unchecked (an explicit null reads as a default of ``None``).  :meth:`done`
+    rejects the keys that nothing read.  Every error names the bad key's path,
+    such as ``topology.n``.
+    """
+
+    def __init__(self, raw: object, path: str) -> None:
+        if not isinstance(raw, Mapping):
+            raise ScenarioError(f"{path or 'the scenario config'} must be a mapping, got {raw!r}")
+        self.data, self.path = dict(raw), path
+
+    def at(self, key: object) -> str:
+        return f"{self.path}.{key}" if self.path else str(key)
+
+    def pop(self, key: object, default: object = MISSING) -> object:
+        if key not in self.data and default is MISSING:
+            raise ScenarioError(f"{self.at(key)} is missing")
+        return self.data.pop(key, default)
+
+    def integer(self, key: object, default: object = MISSING, least: int | None = None):
+        return self._number(_as_int, key, default, least)
+
+    def real(self, key: object, default: object = MISSING, least: float | None = None):
+        return self._number(_as_float, key, default, least)
+
+    def _number(self, check, key, default, least):
+        value = self.pop(key, default)
+        if value is default:
+            return value
+        value = check(value, self.at(key))
+        if least is not None and value < least:
+            raise ScenarioError(f"{self.at(key)} must be at least {least}, got {value}")
+        return value
+
+    def flag(self, key: object, default: bool) -> bool:
+        value = self.pop(key, default)
+        if not isinstance(value, bool):
+            raise ScenarioError(f"{self.at(key)} must be true or false, got {value!r}")
+        return value
+
+    def mapping(self, key: object, default: object = MISSING) -> _Keys | None:
+        value = self.pop(key, default)
+        return None if value is None and default is None else _Keys(value, self.at(key))
+
+    def items(self, key: object, default: object = MISSING) -> list[tuple[str, object]]:
+        """The entries of the list at ``key``, each with its path."""
+        value = self.pop(key, default)
+        if not isinstance(value, (list, tuple)):
+            raise ScenarioError(f"{self.at(key)} must be a list, got {value!r}")
+        return [(f"{self.at(key)}.{i}", v) for i, v in enumerate(value)]
+
+    def by_agent(self, read) -> dict[int, object]:
+        """``read(key)`` for every key, keyed by the agent id it names, each once."""
+        out = {}
+        for key in list(self.data):
+            i = _agent_id(key, self.path)
+            if i in out:
+                raise ScenarioError(f"{self.at(key)}: agent {i} is given twice")
+            out[i] = read(key)
+        return out
+
+    def make(self, build, *args):
+        """``build(*args)``, with a ``ValueError`` it raises put at this path."""
+        try:
+            return build(*args)
+        except ValueError as exc:
+            raise ScenarioError(f"{self.path}: {exc}") from None
+
+    def done(self) -> None:
+        if self.data:
+            raise ScenarioError(f"unknown keys: {', '.join(map(self.at, self.data))}")
 
 
-def _required(section: dict, key: str, where: str) -> object:
-    if key not in section:
-        raise ScenarioError(f"{where} needs the key {key!r}")
-    return section.pop(key)
-
-
-def _as_bool(value: object, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{what} must be true or false, got {value!r}")
-    return value
-
-
-def _reject_unknown(where: str, leftovers: Mapping) -> None:
-    if leftovers:
-        raise ScenarioError(f"unknown keys in {where}: {sorted(leftovers)}")
+# Draws per change tick of a pool membership that changes the network and keeps it connected.
+MAX_REDRAWS = 100
 
 
 def _build_topology(
-    section: dict, seed: int, horizon: int, p: int | None
+    topo: _Keys, seed: int, horizon: int, p: int | None
 ) -> tuple[NetworkSnapshot, tuple[int, ...]]:
     """Grow the reference topology once its size is known to fit ``MAX_CELLS``."""
 
@@ -459,23 +527,16 @@ def _build_topology(
                 f"limit of {MAX_CELLS}; lower horizon, {keys}{'' if p is None else ' or dse.p'}"
             )
 
-    def positive(value: int, key: str) -> None:
-        if value < 1:
-            raise ScenarioError(f"{key} must be at least 1, got {value}")
-
-    kind = section.pop("kind", None)
+    kind = topo.pop("kind")
     if kind == "line":
-        n = _as_int(_required(section, "n", "a line topology"), "topology n")
-        positive(n, "topology.n")
+        n = topo.integer("n", least=1)
         fits(n, "topology.n")
         g = line_graph(n)
         order = g.sorted_nodes
     elif kind == "barabasi_albert":
-        seed_line = _as_int(section.pop("seed_line", 5), "seed_line")
-        target_n = _as_int(_required(section, "target_n", "a barabasi_albert topology"), "target_n")
-        m = _as_int(section.pop("edges_per_new_node", 2), "edges_per_new_node")
-        positive(seed_line, "topology.seed_line")
-        positive(m, "topology.edges_per_new_node")
+        seed_line = topo.integer("seed_line", 5, least=1)
+        target_n = topo.integer("target_n", least=1)
+        m = topo.integer("edges_per_new_node", 2, least=1)
         fits(max(seed_line, target_n), "topology.target_n, topology.seed_line")
         if target_n < seed_line:
             raise ScenarioError(
@@ -484,69 +545,81 @@ def _build_topology(
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
         g, order = barabasi_albert(line_graph(seed_line), target_n, m, rng)
     elif kind == "explicit":
-        text = section.pop("text", None)
+        text = topo.pop("text")
         if not isinstance(text, str):
-            raise ScenarioError("explicit topology needs a 'text' edge-list block")
-        g = snapshot_from_text(text)
+            raise ScenarioError(f"topology.text must be an edge-list block, got {text!r}")
+        g = topo.make(snapshot_from_text, text)
         fits(g.n, "topology.text")
         order = g.sorted_nodes
     else:
-        raise ScenarioError(f"unknown topology kind {kind!r}")
-    _reject_unknown("topology", section)
+        raise ScenarioError(f"topology.kind: unknown topology kind {kind!r}")
+    topo.done()
     return g, order
 
 
-def _build_bank(section: dict, nodes: Sequence[int]) -> tuple[SignalBank, float | None]:
-    declared = section.pop("slope_bound", None)
-    if declared is not None:
-        declared = _as_float(declared, "signals: slope_bound")
-    default = section.pop("default", None)
-    per_agent = _section(section, "agents")
-    section.pop("agents", None)
-    _reject_unknown("signals", section)
+# The signal kinds whose fields are all reals: each is read from the key of its name.
+_REAL_SIGNALS = dict(constant=Constant, sinusoid=Sinusoid, random_walk_clamped=ClampedRandomWalk)
 
-    specs = {}
-    for i in nodes:
-        raw = per_agent.pop(i, None)
-        if raw is None:
-            raw = per_agent.pop(str(i), None)
-        if raw is None:
-            raw = default
-        if raw is None:
-            raise ScenarioError(f"agent {i} has no signal and no default is given")
-        if not isinstance(raw, Mapping) or "kind" not in raw:
-            raise ScenarioError(f"signal for agent {i} must be a mapping with a 'kind'")
-        opts = dict(raw)
-        kind = opts.pop("kind")
-        try:
-            specs[i] = build_spec(kind, opts)
-        except ValueError as exc:
-            raise ScenarioError(f"signal for agent {i}: {exc}") from exc
-    if per_agent:
-        raise ScenarioError(f"signals name unknown agents: {sorted(per_agent)}")
-    return SignalBank(specs), declared
+
+def _read_signal(spec: _Keys) -> SignalSpec:
+    """The signal one mapping describes, such as ``signals.agents.3``."""
+    kind = spec.pop("kind")
+    if kind == "piecewise_linear":
+        points = []
+        for at, pair in spec.items("points"):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ScenarioError(f"{at} must be a [tick, value] pair, got {pair!r}")
+            tick = pair[0]
+            if isinstance(tick, bool) or not isinstance(tick, int):
+                raise ScenarioError(f"{at}.0 must be an integer, as breakpoint ticks are: {tick!r}")
+            points.append((tick, _as_float(pair[1], f"{at}.1")))
+        signal = spec.make(PiecewiseLinear, tuple(points))
+    elif isinstance(kind, str) and kind in _REAL_SIGNALS:
+        build = _REAL_SIGNALS[kind]
+        signal = spec.make(build, *(spec.real(f.name, f.default) for f in fields(build)))
+    else:
+        raise ScenarioError(f"{spec.at('kind')}: unknown signal kind {kind!r}")
+    spec.done()
+    return signal
+
+
+def _build_bank(sig: _Keys, nodes: Sequence[int]) -> tuple[SignalBank, float | None]:
+    """The signal of every node, and the declared slope bound if there is one."""
+    declared = sig.real("slope_bound", None, least=0.0)
+    default = sig.mapping("default", None)
+    default = None if default is None else _read_signal(default)
+    agents = sig.mapping("agents", {})
+    sig.done()
+    specs = agents.by_agent(lambda key: _read_signal(agents.mapping(key)))
+    unknown = sorted(specs.keys() - set(nodes))
+    if unknown:
+        raise ScenarioError(f"{agents.path} names agents {unknown} that are not in the topology")
+    missing = [i for i in nodes if i not in specs]
+    if missing and default is None:
+        raise ScenarioError(f"{sig.at('default')} is missing and agents {missing} have no signal")
+    return SignalBank({i: specs.get(i, default) for i in nodes}), declared
 
 
 def _realize_pool_churn(
-    section: dict,
+    churn: _Keys,
     reference: NetworkSnapshot,
     order: Sequence[int],
     seed: int,
     horizon: int,
 ) -> list[tuple[int, frozenset[int]]]:
-    pool_size = _as_int(section.pop("pool_size", 25), "pool_size")
-    every = _as_int(_required(section, "every", "pool_random churn"), "churn period")
-    prob = _as_float(section.pop("activation_probability", 0.5), "activation_probability")
-    max_redraws = _as_int(section.pop("max_redraws", 100), "max_redraws")
-    _reject_unknown("churn", section)
+    pool_size = churn.integer("pool_size", 25)
+    every = churn.integer("every", least=1)
+    prob = churn.real("activation_probability", 0.5)
+    churn.done()
     if not 1 <= pool_size < reference.n:
         raise ScenarioError(
-            f"pool_size must be in [1, {reference.n - 1}] so a core always remains"
+            f"{churn.at('pool_size')} must lie in [1, {reference.n - 1}] so a core always "
+            f"remains, got {pool_size}"
         )
-    if every < 1:
-        raise ScenarioError("the churn period must be positive")
     if not 0.0 < prob < 1.0:
-        raise ScenarioError("activation_probability must lie strictly inside (0, 1)")
+        raise ScenarioError(
+            f"{churn.at('activation_probability')} must lie strictly inside (0, 1), got {prob}"
+        )
 
     ids = np.asarray(reference.sorted_nodes)
     pool = np.asarray(order[-pool_size:])
@@ -555,7 +628,7 @@ def _realize_pool_churn(
     changes: list[tuple[int, frozenset[int]]] = []
     current = np.ones(reference.n, dtype=bool)
     for tick in range(every, horizon, every):
-        for attempt in range(max_redraws):
+        for attempt in range(MAX_REDRAWS):
             target = core | np.isin(ids, pool[rng.random(pool_size) < prob])
             if np.array_equal(target, current):
                 continue
@@ -564,53 +637,32 @@ def _realize_pool_churn(
         else:
             raise ScenarioError(
                 f"could not draw a connected membership change at tick {tick} "
-                f"within {max_redraws} attempts"
+                f"within {MAX_REDRAWS} attempts"
             )
         changes.append((tick, frozenset(ids[target].tolist())))
         current = target
     return changes
 
 
-def _node_ids(entry: dict, key: str, tick: int) -> frozenset[int]:
-    raw = entry.pop(key, None)
-    if raw is None:
-        return frozenset()
-    if not isinstance(raw, list):
-        raise ScenarioError(f"churn event at tick {tick}: {key} must be a list, got {raw!r}")
-    return frozenset(_as_int(v, f"churn event at tick {tick}: a {key} entry") for v in raw)
-
-
 def _realize_explicit_churn(
-    section: dict, reference: NetworkSnapshot
+    churn: _Keys, reference: NetworkSnapshot
 ) -> list[tuple[int, frozenset[int]]]:
-    events = section.pop("events", None)
-    _reject_unknown("churn", section)
-    if not isinstance(events, list):
-        raise ScenarioError("explicit churn needs an 'events' list")
+    events = churn.items("events")
+    churn.done()
     changes: list[tuple[int, frozenset[int]]] = []
     current = reference.nodes
-    for raw in events:
-        if not isinstance(raw, Mapping):
-            raise ScenarioError("each churn event must be a mapping")
-        entry = dict(raw)
-        tick = _as_int(_required(entry, "tick", "each churn event"), "churn event tick")
-        deact, act = (_node_ids(entry, key, tick) for key in ("deactivate", "activate"))
-        _reject_unknown(f"churn event at tick {tick}", entry)
-        if deact & act:
-            raise ScenarioError(
-                f"churn event at tick {tick} both activates and deactivates "
-                f"{sorted(deact & act)}"
-            )
-        if deact - current:
-            raise ScenarioError(
-                f"churn event at tick {tick} deactivates inactive nodes "
-                f"{sorted(deact - current)}"
-            )
+    for at, raw in events:
+        event = _Keys(raw, at)
+        tick = event.integer("tick")
+        deact, act = (
+            frozenset(_as_int(v, where) for where, v in event.items(key, []))
+            for key in ("deactivate", "activate")
+        )
+        event.done()
+        if deact - current:  # a node in both lists fails one of these two checks
+            raise ScenarioError(f"{at} deactivates inactive nodes {sorted(deact - current)}")
         if act & current:
-            raise ScenarioError(
-                f"churn event at tick {tick} activates already-active nodes "
-                f"{sorted(act & current)}"
-            )
+            raise ScenarioError(f"{at} activates already-active nodes {sorted(act & current)}")
         current = (current - deact) | act
         changes.append((tick, current))
     return changes
@@ -624,105 +676,70 @@ def scenario_from_mapping(
     ``seed`` overrides the config's root seed, re-realizing every random
     choice (topology growth, churn subsets, signal tables) under the new one.
     """
-    if not isinstance(data, Mapping):
-        raise ScenarioError("the scenario config must be a mapping at the top level")
-    data = dict(data)
-
-    cfg_name = data.pop("name", None)
+    keys = _Keys(data, "")
+    cfg_name = keys.pop("name", None)
     scenario_name = str(cfg_name if cfg_name is not None else (name or "scenario"))
-    kind = data.pop("kind", None)
+    kind = keys.pop("kind")
     if kind not in ("consensus", "size_estimation"):
-        raise ScenarioError(
-            f"kind must be 'consensus' or 'size_estimation', got {kind!r}"
-        )
-    root_seed = seed if seed is not None else data.pop("seed", None)
-    data.pop("seed", None)
-    if root_seed is None:
-        raise ScenarioError("the scenario needs a root seed (or a --seed override)")
-    root_seed = _as_int(root_seed, "seed")
-    if root_seed < 0:
-        raise ScenarioError(f"seed must be a nonnegative integer, got {root_seed}")
-    horizon = _as_int(data.pop("horizon", None), "horizon")
-    dwell = data.pop("dwell", None)
+        raise ScenarioError(f"kind must be 'consensus' or 'size_estimation', got {kind!r}")
+    cfg_seed = keys.integer("seed", None if seed is not None else MISSING, least=0)
+    root_seed = cfg_seed if seed is None else seed
+    horizon = keys.integer("horizon", least=1)
+    dwell = keys.integer("dwell", None)
 
-    proto = _section(data, "protocol", required=True)
-    data.pop("protocol")
-    try:
-        params = ProtocolParams(
-            mode=proto.pop("mode", "max"),
-            variant=proto.pop("variant", None),
-            alpha=proto.pop("alpha", None),
-            delta=proto.pop("delta", None),
-            read_departing=_as_bool(proto.pop("read_departing", True), "read_departing"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"protocol: {exc}") from exc
-    _reject_unknown("protocol", proto)
+    proto = keys.mapping("protocol")
+    params = proto.make(
+        ProtocolParams,
+        proto.pop("mode", "max"),
+        proto.pop("variant"),
+        proto.real("alpha", None),
+        proto.integer("delta", None),
+        proto.flag("read_departing", True),
+    )
+    proto.done()
 
     dse: DseConfig | None = None
     if kind == "size_estimation":
-        dse_raw = _section(data, "dse", required=True)
-        data.pop("dse")
-        p = dse_raw.pop("p", None)
-        if p is None:
-            raise ScenarioError("the dse section needs the coordinate count p")
-        dse = DseConfig(p=_as_int(p, "p"), mc_trials=_as_int(dse_raw.pop("mc_trials", 2000), "mc_trials"))
-        _reject_unknown("dse", dse_raw)
-        if "signals" in data:
-            raise ScenarioError("size estimation generates its own inputs; drop the signals")
-    elif "dse" in data:
-        raise ScenarioError("a consensus scenario cannot carry a 'dse' section")
+        section = keys.mapping("dse")
+        dse = section.make(DseConfig, section.integer("p"), section.integer("mc_trials", 2000))
+        section.done()
 
-    topo = _section(data, "topology", required=True)
-    data.pop("topology")
-    reference, order = _build_topology(topo, root_seed, horizon, dse.p if dse else None)
+    reference, order = _build_topology(
+        keys.mapping("topology"), root_seed, horizon, dse.p if dse else None
+    )
 
-    churn_raw = _section(data, "churn")
-    data.pop("churn", None)
+    churn = keys.mapping("churn", None)
     changes: list[tuple[int, frozenset[int]]] = []
-    if churn_raw:
-        churn_kind = churn_raw.pop("kind", None)
+    if churn is not None:
+        churn_kind = churn.pop("kind")
         if churn_kind == "pool_random":
-            changes = _realize_pool_churn(churn_raw, reference, order, root_seed, horizon)
+            changes = _realize_pool_churn(churn, reference, order, root_seed, horizon)
         elif churn_kind == "explicit":
-            changes = _realize_explicit_churn(churn_raw, reference)
+            changes = _realize_explicit_churn(churn, reference)
         else:
-            raise ScenarioError(f"unknown churn kind {churn_kind!r}")
+            raise ScenarioError(f"churn.kind: unknown churn kind {churn_kind!r}")
 
     bank: SignalBank | None = None
     declared_slope: float | None = None
     if kind == "consensus":
-        sig = _section(data, "signals", required=True)
-        data.pop("signals")
-        bank, declared_slope = _build_bank(sig, reference.sorted_nodes)
+        bank, declared_slope = _build_bank(keys.mapping("signals"), reference.sorted_nodes)
 
     initial_states: dict[int, float] | None = None
-    raw_states = data.pop("initial_states", None)
-    if raw_states is not None:
-        if isinstance(raw_states, Mapping):
-            initial_states = {
-                _agent_id(i, "initial_states"): _as_float(v, "initial_states")
-                for i, v in raw_states.items()
-            }
-        elif isinstance(raw_states, (list, tuple)):
-            nodes = reference.sorted_nodes
-            if len(raw_states) != len(nodes):
-                raise ScenarioError(
-                    f"initial_states lists {len(raw_states)} values for "
-                    f"{len(nodes)} starting agents"
-                )
-            initial_states = {i: _as_float(v, "initial_states") for i, v in zip(nodes, raw_states)}
-        else:
-            raise ScenarioError("initial_states must be a list or a mapping")
+    nodes = reference.sorted_nodes
+    if isinstance(keys.data.get("initial_states"), (list, tuple)):
+        values = keys.items("initial_states")
+        if len(values) != len(nodes):
+            raise ScenarioError(
+                f"initial_states lists {len(values)} values for {len(nodes)} starting agents"
+            )
+        initial_states = {i: _as_float(v, at) for i, (at, v) in zip(nodes, values)}
+    elif (states := keys.mapping("initial_states", None)) is not None:
+        initial_states = states.by_agent(states.real)
 
-    trace_raw = _section(data, "trace")
-    data.pop("trace", None)
-    trace = TraceOptions(
-        csv=_as_bool(trace_raw.pop("csv", True), "trace csv"),
-        plotdata=_as_bool(trace_raw.pop("plotdata", True), "trace plotdata"),
-    )
-    _reject_unknown("trace", trace_raw)
-    _reject_unknown("the scenario config", data)
+    shown = keys.mapping("trace", {})
+    trace = TraceOptions(csv=shown.flag("csv", True), plotdata=shown.flag("plotdata", True))
+    shown.done()
+    keys.done()
 
     return make_scenario(
         name=scenario_name,
@@ -762,13 +779,19 @@ def list_presets() -> tuple[str, ...]:
     return tuple(sorted(p.name[: -len(".yaml")] for p in root.iterdir() if p.name.endswith(".yaml")))
 
 
-def load_preset(name: str, *, seed: int | None = None) -> Scenario:
+def preset_text(name: str) -> str:
+    """The config text of the shipped preset ``name``."""
     ref = resources.files("openmax") / "presets" / f"{name}.yaml"
     if not ref.is_file():
         raise ScenarioError(
-            f"unknown preset {name!r}; available: {', '.join(list_presets())}"
+            f"scenario {name!r} is neither a config file nor a preset "
+            f"(presets: {', '.join(list_presets())})"
         )
-    return load_scenario(ref.read_text(), seed=seed, name=name)
+    return ref.read_text()
+
+
+def load_preset(name: str, *, seed: int | None = None) -> Scenario:
+    return load_scenario(preset_text(name), seed=seed, name=name)
 
 
 # ---------------------------------------------------------------------------

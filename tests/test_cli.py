@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import csv
+import functools
+import io
 import json
+import math
+import operator
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from openmax.cli import main
+from openmax.simulator import list_presets, preset_text
 
 MINI_CONSENSUS = """
 kind: consensus
@@ -336,6 +347,31 @@ def test_missing_scenario_exits_1(capsys):
         ("validate", "{kind: line, n: 3}", "{kind: barabasi_albert, target_n: 0}", "topology.target_n"),
         ("validate", "{kind: line, n: 3}", "{kind: barabasi_albert, target_n: 12, edges_per_new_node: 0}",
          "topology.edges_per_new_node"),
+        ("validate", "n: 3}", 'n: "x"}', "topology.n"),
+        ("validate", "p: 4", 'p: "x"', "dse.p"),
+        ("validate", "n: 3}", "n: 3, size: 4}", "topology.size"),
+        ("validate", "topology:", "churn: {kind: explicit, events: [{tick: 5.5}]}\ntopology:",
+         "churn.events.0.tick"),
+        ("validate", "value: 0.1}", 'value: "0.1"}', "signals.default.value"),
+        (
+            "validate",
+            "3: {kind: constant, value: 0.8}",
+            "3: {kind: sinusoid, amplitude: true, period: 10}",
+            "signals.agents.3.amplitude",
+        ),
+        (
+            "validate",
+            "3: {kind: constant, value: 0.8}",
+            "3: {kind: sinusoid, amplitude: 0.01, period: '50'}",
+            "signals.agents.3.period",
+        ),
+        ("validate", "signals:\n", "signals:\n  slope_bound: -0.5\n", "signals.slope_bound"),
+        ("validate", "  agents:\n", "  agents:\n    9: {kind: constant, value: 0.8}\n",
+         "signals.agents names agents [9] that are not in the topology"),
+        ("validate", "  agents:\n", "  agents:\n    '3': {kind: constant, value: 0.8}\n",
+         "signals.agents.3: agent 3 is given twice"),
+        ("validate", "topology:", "initial_states: {1: 0.1, '1': 0.9, 2: 0.2, 3: 0.3}\ntopology:",
+         "initial_states.1: agent 1 is given twice"),
     ],
     ids=["line-without-n", "constant-without-value", "points-not-pairs",
          "read-departing-string", "trace-flag-string", "alpha-string", "delta-bool",
@@ -346,10 +382,13 @@ def test_missing_scenario_exits_1(capsys):
          "initial-state-key-word", "deactivate-nested-list", "deactivate-scalar",
          "sweep-trials-on-consensus", "dwell-above-horizon", "breakpoint-tick-float",
          "breakpoint-tick-bool", "seed-negative", "line-n-zero", "seed-line-zero",
-         "target-n-zero", "edges-per-new-node-zero"],
+         "target-n-zero", "edges-per-new-node-zero", "line-n-string", "dse-p-string",
+         "unknown-topology-key", "event-tick-float", "signal-value-string", "amplitude-bool",
+         "period-string", "slope-bound-negative", "signal-agent-unknown", "signal-agent-twice",
+         "initial-state-twice"],
 )
 def test_malformed_config_exits_1_without_traceback(command, old, new, section, tmp_path, capsys):
-    base = MINI_DSE if section == "mc_trials" else MINI_CONSENSUS
+    base = MINI_DSE if section in ("mc_trials", "dse.p") else MINI_CONSENSUS
     bad = tmp_path / "bad.yaml"
     bad.write_text(base.replace(old, new))
     argv = [*command.split(), "--scenario", str(bad)]
@@ -367,22 +406,28 @@ BA_CONSENSUS = MINI_CONSENSUS.replace("{kind: line, n: 3}", "{kind: barabasi_alb
 
 
 @pytest.mark.parametrize(
-    "base, old, new, keys",
+    "command, base, old, new, keys",
     [
-        (MINI_CONSENSUS, "horizon: 20", "horizon: 1000000000", "horizon"),
-        (MINI_CONSENSUS, "n: 3}", "n: 1000000000}", "topology.n"),
-        (BA_CONSENSUS, "target_n: 12", "target_n: 1000000000", "topology.target_n"),
-        (BA_CONSENSUS, "target_n: 12", "target_n: 12, seed_line: 1000000000", "topology.seed_line"),
-        (MINI_DSE, "p: 4", "p: 1000000000", "dse.p"),
+        ("validate", MINI_CONSENSUS, "horizon: 20", "horizon: 1000000000", "horizon"),
+        ("validate", MINI_CONSENSUS, "n: 3}", "n: 1000000000}", "topology.n"),
+        ("validate", BA_CONSENSUS, "target_n: 12", "target_n: 1000000000", "topology.target_n"),
+        ("validate", BA_CONSENSUS, "target_n: 12", "target_n: 12, seed_line: 1000000000",
+         "topology.seed_line"),
+        ("validate", MINI_DSE, "p: 4", "p: 1000000000", "dse.p"),
+        ("validate", MINI_DSE, "mc_trials: 120", "mc_trials: 1000000000", "dse.mc_trials"),
+        ("size-est --trials 1000000000", MINI_DSE, "", "", "dse.mc_trials"),
     ],
-    ids=["horizon", "line-n", "target-n", "seed-line", "dse-p"],
+    ids=["horizon", "line-n", "target-n", "seed-line", "dse-p", "mc-trials", "trials-flag"],
 )
-def test_oversized_run_exits_1_before_allocating(base, old, new, keys, tmp_path, capsys):
+def test_oversized_run_exits_1_before_allocating(command, base, old, new, keys, tmp_path, capsys):
     bad = tmp_path / "big.yaml"
     bad.write_text(base.replace(old, new))
+    argv = [*command.split(), "--scenario", str(bad)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out")]
     tracemalloc.start()
     try:
-        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert main(argv) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -391,22 +436,23 @@ def test_oversized_run_exits_1_before_allocating(base, old, new, keys, tmp_path,
     assert err.startswith("error:") and "exceed the limit" in err
     assert "Traceback" not in err
     assert keys in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
     "old, new, section",
     [
-        ("value: 0.1}", "value: .nan}", "agent 1"),
-        ("value: 0.8}", "value: .inf}", "agent 3"),
+        ("value: 0.1}", "value: .nan}", "signals.default.value"),
+        ("value: 0.8}", "value: .inf}", "signals.agents.3.value"),
         (
             "3: {kind: constant, value: 0.8}",
             "3: {kind: piecewise_linear, points: [[0, 0.1], [5, .nan]]}",
-            "agent 3",
+            "signals.agents.3.points",
         ),
         (
             "3: {kind: constant, value: 0.8}",
             "3: {kind: sinusoid, amplitude: .nan, period: 10}",
-            "agent 3",
+            "signals.agents.3.amplitude",
         ),
         ("signals:\n", "signals:\n  slope_bound: .nan\n", "slope_bound"),
     ],
@@ -514,3 +560,64 @@ def test_sweep_rejects_fractional_integer_grid(grid, tmp_path, capsys):
     assert main(["sweep", "--scenario", "line6_edmc", "--grid", grid, "--out", str(tmp_path)]) == 1
     assert "integer" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+FUZZ_BASES = [
+    *(yaml.safe_load(preset_text(name)) for name in list_presets()),
+    yaml.safe_load(MINI_CONSENSUS),
+    yaml.safe_load(MINI_CONSENSUS + EXPLICIT_CHURN % "[3]"),
+    yaml.safe_load(MINI_DSE),
+]
+
+
+def _leaves(node, path=()):
+    """The path of every scalar in a parsed config, as a tuple of keys and indices."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(value, (*path, key))
+    else:
+        yield path
+
+
+@st.composite
+def mutated_configs(draw):
+    """A base config with one of its leaves replaced, the leaf's path and both values."""
+    config = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    path = draw(st.sampled_from(list(_leaves(config))))
+    small = st.one_of(
+        st.text(max_size=3),
+        st.booleans(),
+        st.integers(-2, 3),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    new = draw(st.one_of(
+        small,
+        st.lists(small, max_size=2),
+        st.dictionaries(st.text(max_size=2), small, max_size=2),
+    ))
+    *parents, last = path
+    holder = functools.reduce(operator.getitem, parents, config)
+    old, holder[last] = holder[last], new
+    return config, ".".join(map(str, path)), old, new
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case=mutated_configs())
+def test_mutated_configs_fail_at_load_with_the_leaf_path(case):
+    """Every mutated config loads, or fails with an ``error:`` line and exit 1
+    or 2; a wrongly typed number names its leaf's dotted path and exits 1."""
+    config, path, old, new = case
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "fuzz.yaml"
+        scenario.write_text(yaml.safe_dump(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", "--scenario", str(scenario)])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error:")
+    number = isinstance(old, (int, float)) and not isinstance(old, bool)
+    if number and (isinstance(new, bool) or not isinstance(new, int)):
+        assert code == 1 and path in err, err

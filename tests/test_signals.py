@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from openmax.signals import (
     SignalBank,
     Sinusoid,
     SlopeCertificationError,
-    build_spec,
     certify_slope,
     signal_table,
 )
+from openmax.simulator import ScenarioError, load_scenario, make_scenario
 
 from util import certify_slope_reference, negated_bank, table_reference
 
@@ -283,15 +284,42 @@ def test_negated_bank_duality():
         negated_bank(banks["random_walk"])
 
 
-def test_build_spec_round_trip():
-    spec = build_spec("piecewise_linear", {"points": [[0, 0.2], [60, 0.2], [80, -0.2]]})
-    assert spec == PiecewiseLinear(((0, 0.2), (60, 0.2), (80, -0.2)))
-    walk = build_spec("random_walk_clamped", {"step_bound": 0.01, "start": 0.5, "lo": 0.0, "hi": 1.0})
-    assert walk == ClampedRandomWalk(step_bound=0.01, start=0.5, lo=0.0, hi=1.0)
-    assert build_spec("random_walk_clamped", {"step_bound": 0.1}) == ClampedRandomWalk(0.1)
-    with pytest.raises(ValueError):
-        build_spec("white_noise", {})
-    with pytest.raises(ValueError):
-        build_spec("constant", {"value": 1.0, "bogus": 2})
-    with pytest.raises(ValueError):
-        build_spec("random_walk_clamped", {"start": 0.1})
+SIGNAL_CONFIG = """
+kind: consensus
+seed: 6
+horizon: 90
+protocol: {mode: max, variant: exact, delta: 3}
+topology: {kind: line, n: 3}
+signals:
+  default: {kind: random_walk_clamped, step_bound: 0.1}
+  agents:
+    1: {kind: piecewise_linear, points: [[0, 0.2], [60, 0.2], [80, -0.2]]}
+    2: {kind: random_walk_clamped, step_bound: 0.01, start: 0.5, lo: 0.0, hi: 1.0}
+"""
+
+
+def test_signal_configs_load_into_their_specs():
+    loaded = load_scenario(SIGNAL_CONFIG)
+    specs = {
+        1: PiecewiseLinear(((0, 0.2), (60, 0.2), (80, -0.2))),
+        2: ClampedRandomWalk(step_bound=0.01, start=0.5, lo=0.0, hi=1.0),
+        3: ClampedRandomWalk(0.1),  # the defaults: start at 0, no clamps
+    }
+    built = make_scenario(
+        name="built",
+        kind="consensus",
+        params=loaded.params,
+        reference=loaded.reference,
+        horizon=90,
+        seed=6,
+        bank=SignalBank(specs),
+    )
+    assert np.array_equal(loaded.inputs.view(np.int64), built.inputs.view(np.int64))
+    assert loaded.slope_bound == built.slope_bound == 0.1
+    for old, new, path in [
+        ("kind: random_walk_clamped, step_bound: 0.1", "kind: white_noise", "signals.default.kind"),
+        ("start: 0.5,", "start: 0.5, bogus: 2,", "signals.agents.2.bogus"),
+        ("step_bound: 0.01,", "", "signals.agents.2.step_bound"),
+    ]:
+        with pytest.raises(ScenarioError, match=re.escape(path)):
+            load_scenario(SIGNAL_CONFIG.replace(old, new))

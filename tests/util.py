@@ -334,7 +334,7 @@ def trace_row(result: RunResult, table: np.ndarray, k: int) -> dict[int, float]:
 def value_reference(spec: SignalSpec, k: int) -> float:
     """A constant, piecewise-linear or sinusoid signal at tick ``k``, in scalar Python."""
     if isinstance(spec, Constant):
-        return float(spec.level)
+        return float(spec.value)
     if isinstance(spec, PiecewiseLinear):
         pts = spec.points
         if k <= pts[0][0]:
@@ -389,7 +389,7 @@ def negated_bank(bank: SignalBank) -> SignalBank:
 
     def negated(spec: SignalSpec) -> SignalSpec:
         if isinstance(spec, Constant):
-            return Constant(-spec.level)
+            return Constant(-spec.value)
         if isinstance(spec, PiecewiseLinear):
             return PiecewiseLinear(tuple((k, -v) for k, v in spec.points))
         if isinstance(spec, Sinusoid):
