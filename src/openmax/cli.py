@@ -20,6 +20,7 @@ root seed once, prints it, and records it in the summary for replay.  The
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import os
@@ -29,7 +30,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .bounds import AssumptionViolation, admc_bounds, edmc_bounds
 from .signals import SlopeCertificationError
@@ -40,6 +40,7 @@ from .simulator import (
     RunResult,
     ScenarioError,
     load_scenario,
+    parse_config,
     preset_text,
     run,
     run_size_estimation,
@@ -193,14 +194,12 @@ def _parse_grid(arg: str) -> tuple[str, list[float]]:
 
 def _sweep_point(job: tuple) -> dict:
     """Run one grid point; always returns a row, never raises."""
-    text, name, param, value, seed, trials = job
+    config, name, param, value, seed, trials = job
     row = {k: "" for k in _SWEEP_FIELDS}
     row["parameter"] = param
     row["value"] = value
     try:
-        data = yaml.safe_load(text)
-        if not isinstance(data, dict):
-            raise ScenarioError("the scenario config must be a mapping at the top level")
+        data = copy.deepcopy(config)
         if param == "alpha":
             data.setdefault("protocol", {})["alpha"] = value
         elif param == "delta":
@@ -241,19 +240,16 @@ def _sweep_point(job: tuple) -> dict:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     text, name = _scenario_text(args.scenario)
+    config = parse_config(text)
     seed = _parse_seed(args.seed)
     param, values = _parse_grid(args.grid)
     if args.trials is not None:
         DseConfig(p=2, mc_trials=args.trials)  # reject a bad count before any point runs
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError:
-            data = None  # every grid point reports the parse error in its row
-        if isinstance(data, dict) and data.get("kind") == "consensus":
+        if config.get("kind") == "consensus":
             raise ScenarioError(
                 f"scenario {name!r} is a consensus scenario; --trials applies to size estimation"
             )
-    jobs = [(text, name, param, value, seed, args.trials) for value in values]
+    jobs = [(config, name, param, value, seed, args.trials) for value in values]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_point, jobs))

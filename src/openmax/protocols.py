@@ -51,15 +51,6 @@ from .graph import Layout, closed_reduce
 __all__ = ["ProtocolParams", "admc_kernel", "edmc_kernel", "edmc_window"]
 
 
-def _is_whole(value: object) -> bool:
-    """True for an integer or an integral float; False for bools and non-numbers."""
-    if isinstance(value, bool):
-        return False
-    if isinstance(value, Integral):
-        return True
-    return isinstance(value, Real) and float(value).is_integer()
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Validated protocol selection: mode, variant, and tuning constants."""
@@ -90,9 +81,10 @@ class ProtocolParams:
         else:
             if self.delta is None:
                 raise ValueError("the exact variant needs a cascade depth delta")
-            if not _is_whole(self.delta) or self.delta < 0:
-                raise ValueError(f"delta must be a nonnegative integer, got {self.delta!r}")
-            object.__setattr__(self, "delta", int(self.delta))
+            delta = self.delta
+            if isinstance(delta, bool) or not isinstance(delta, Integral) or delta < 0:
+                raise ValueError(f"delta must be a nonnegative integer, got {delta!r}")
+            object.__setattr__(self, "delta", int(delta))
             if self.alpha is not None:
                 raise ValueError("alpha applies only to the approximate variant")
 

@@ -74,10 +74,9 @@ from .signals import (
     signal_table,
 )
 from .size_estimation import (
-    dse_generate,
+    _open_uniform,
     dse_worst_case_monte_carlo,
     expected_estimate_admc,
-    expected_estimate_edmc,
     mle_estimate,
 )
 
@@ -94,6 +93,7 @@ __all__ = [
     "RunResult",
     "make_scenario",
     "scenario_from_mapping",
+    "parse_config",
     "load_scenario",
     "load_scenario_file",
     "list_presets",
@@ -759,13 +759,18 @@ def scenario_from_mapping(
     )
 
 
-def load_scenario(text: str, *, seed: int | None = None, name: str | None = None) -> Scenario:
-    """Parse and validate a scenario config from its text form."""
+def parse_config(text: str) -> dict:
+    """The top-level mapping of a scenario config's text form."""
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"could not parse the scenario config: {exc}") from exc
-    return scenario_from_mapping(data, seed=seed, name=name)
+    return _Keys(data, "").data
+
+
+def load_scenario(text: str, *, seed: int | None = None, name: str | None = None) -> Scenario:
+    """Parse and validate a scenario config from its text form."""
+    return scenario_from_mapping(parse_config(text), seed=seed, name=name)
 
 
 def load_scenario_file(path: str | Path, *, seed: int | None = None) -> Scenario:
@@ -839,7 +844,8 @@ class _SizeObserver:
 
     An agent's inputs are its ``p`` uniform draws, held while it stays and
     drawn afresh on every (re)arrival; the target is their coordinatewise max.
-    Arrivals draw in ascending slot order, one :func:`dse_generate` stream.
+    A tick's arrivals draw one block in ascending slot order, the stream of
+    one :func:`dse_generate` call per agent barring a redrawn exact zero.
     """
 
     sign = 1.0  # size estimation runs max consensus only
@@ -855,12 +861,7 @@ class _SizeObserver:
     def inputs(self, k: int, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if act is not self.act:  # each window has its own slots array
             arriving = np.setdiff1d(act, self.act, assume_unique=True)
-            state = self.rng.bit_generator.state
-            self.U[arriving] = draws = self.rng.random((len(arriving), self.p))
-            if (draws == 0.0).any():  # dse_generate redraws a zero: replay the stream its way
-                self.rng.bit_generator.state = state
-                for s in arriving:
-                    self.U[s] = dse_generate(self.p, self.rng)
+            self.U[arriving] = _open_uniform(self.rng, (len(arriving), self.p))
             self.maxima = self.U[act].max(axis=0)
             self.target_estimate = mle_estimate(self.maxima)
             self.act = act
@@ -1082,11 +1083,7 @@ def run_size_estimation(scenario: Scenario) -> RunResult:
     for w, d, report, empirical in windows:
         eps = params.alpha * d if params.variant == "approximate" else 0.0
         n_true = len(w.slots)
-        expected = (
-            expected_estimate_admc(n_true, p, eps)
-            if params.variant == "approximate"
-            else expected_estimate_edmc(n_true, p)
-        )
+        expected = expected_estimate_admc(n_true, p, eps)
         values = trace.estimates[w.end, w.slots].tolist()
         spread = float(max(values) - min(values))
         rows.append(
@@ -1123,7 +1120,6 @@ def run_size_estimation(scenario: Scenario) -> RunResult:
         "ci99": mc.ci99,
         "std_error": mc.std_error,
         "mc_trials": mc.trials,
-        "floored_coordinates": mc.floored_coordinates,
         "windows": rows,
     }
     return RunResult(scenario, trace, summary)

@@ -177,13 +177,8 @@ def expected_estimate_admc(n: int, p: int, eps: float) -> float:
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if eps == 0.0:
-        return expected_estimate_edmc(n, p)
-    if n < 1:
-        raise ValueError("network size must be a positive integer")
-    if p < 2:
-        raise ValueError("at least two coordinates are needed for a finite mean")
-    return n * p * exp_scaled_expn(p, eps * n * p)
+    exact = expected_estimate_edmc(n, p)  # checks n and p
+    return exact if eps == 0.0 else n * p * exp_scaled_expn(p, eps * n * p)
 
 
 @dataclass(frozen=True)
@@ -194,50 +189,22 @@ class MonteCarloResult:
     std_error: float
     ci99: float
     trials: int
-    floored_coordinates: int
     estimates: np.ndarray
-
-    @property
-    def lo(self) -> float:
-        return self.mean - self.ci99
-
-    @property
-    def hi(self) -> float:
-        return self.mean + self.ci99
-
-    def to_dict(self) -> dict:
-        return {
-            "monte_carlo_mean": self.mean,
-            "ci99": self.ci99,
-            "std_error": self.std_error,
-            "trials": self.trials,
-            "floored_coordinates": self.floored_coordinates,
-        }
 
 
 def dse_worst_case_monte_carlo(
-    n: int,
-    p: int,
-    eps: float,
-    trials: int,
-    seed: int,
-    *,
-    degrade: str = "log",
-    floor: float = 1e-12,
+    n: int, p: int, eps: float, trials: int, seed: int
 ) -> MonteCarloResult:
     """Monte Carlo of the size estimate on worst-case degraded maxima.
 
     Per trial, take the ``p`` coordinatewise maxima over ``n`` agents'
-    uniforms, degrade every maximum by ``eps``, and apply the estimator.  The
-    maximum of ``n`` uniforms is Beta(n, 1), so each maximum is sampled
-    directly as ``V^(1/n)`` with ``V`` uniform on (0, 1), in log space as
-    ``log(V) / n``: a call costs O(trials * p), not O(trials * n * p), and
-    every log is strictly negative, so every estimate is finite and positive.
-    ``degrade="log"`` multiplies by ``e^-eps`` (the degradation model behind
-    :func:`expected_estimate_admc`, so the means agree);
-    ``degrade="subtract"`` subtracts ``eps`` outright, which degrades more
-    and therefore averages below the closed form.  Subtracted coordinates
-    that fall below ``floor`` are clamped to it and counted.
+    uniforms, degrade every maximum by ``eps`` in log space (multiply by
+    ``e^-eps``, the model behind :func:`expected_estimate_admc`, so the means
+    agree), and apply the estimator.  The maximum of ``n`` uniforms is
+    Beta(n, 1), so each maximum is sampled directly as ``V^(1/n)`` with ``V``
+    uniform on (0, 1), in log space as ``log(V) / n``: a call costs
+    O(trials * p), not O(trials * n * p), and every log is strictly negative,
+    so every estimate is finite and positive.
 
     One generator, ``default_rng(seed)``, draws the whole ``(trials, p)``
     block of ``V`` row by row, so a run's trials are a prefix of any longer
@@ -248,21 +215,10 @@ def dse_worst_case_monte_carlo(
         raise ValueError("need at least two trials for a confidence interval")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if degrade not in ("log", "subtract"):
-        raise ValueError(f"unknown degradation mode {degrade!r}")
     if n < 1 or p < 2:
         raise ValueError("need n >= 1 agents and p >= 2 coordinates")
 
-    log_max = np.log(_open_uniform(np.random.default_rng(seed), (trials, p))) / n
-    floored = 0
-    if degrade == "log":
-        logs = log_max - eps
-    else:
-        x = np.exp(log_max) - eps
-        low = x < floor
-        floored = int(low.sum())
-        x[low] = floor
-        logs = np.log(x)
+    logs = np.log(_open_uniform(np.random.default_rng(seed), (trials, p))) / n - eps
     estimates = -p / logs.sum(axis=1)
     mean = float(estimates.mean())
     std_error = float(estimates.std(ddof=1) / math.sqrt(trials))
@@ -271,6 +227,5 @@ def dse_worst_case_monte_carlo(
         std_error=std_error,
         ci99=_Z99 * std_error,
         trials=trials,
-        floored_coordinates=floored,
         estimates=estimates,
     )

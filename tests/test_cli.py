@@ -372,6 +372,8 @@ def test_missing_scenario_exits_1(capsys):
          "signals.agents.3: agent 3 is given twice"),
         ("validate", "topology:", "initial_states: {1: 0.1, '1': 0.9, 2: 0.2, 3: 0.3}\ntopology:",
          "initial_states.1: agent 1 is given twice"),
+        ("sweep --grid alpha=0.1,0.2", "kind: consensus", "kind: [", "could not parse"),
+        ("sweep --grid alpha=0.1,0.2", MINI_CONSENSUS, "- kind: consensus\n", "must be a mapping"),
     ],
     ids=["line-without-n", "constant-without-value", "points-not-pairs",
          "read-departing-string", "trace-flag-string", "alpha-string", "delta-bool",
@@ -385,7 +387,7 @@ def test_missing_scenario_exits_1(capsys):
          "target-n-zero", "edges-per-new-node-zero", "line-n-string", "dse-p-string",
          "unknown-topology-key", "event-tick-float", "signal-value-string", "amplitude-bool",
          "period-string", "slope-bound-negative", "signal-agent-unknown", "signal-agent-twice",
-         "initial-state-twice"],
+         "initial-state-twice", "sweep-unparseable", "sweep-list"],
 )
 def test_malformed_config_exits_1_without_traceback(command, old, new, section, tmp_path, capsys):
     base = MINI_DSE if section in ("mc_trials", "dse.p") else MINI_CONSENSUS

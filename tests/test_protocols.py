@@ -108,6 +108,11 @@ def test_params_validation():
         ProtocolParams("max", "exact", delta=-1)
     with pytest.raises(ValueError):
         ProtocolParams("max", "exact", delta=3, alpha=0.1)
+    with pytest.raises(ValueError, match="delta must be a nonnegative integer"):
+        ProtocolParams("max", "exact", delta=5.0)
+    with pytest.raises(ValueError, match="delta must be a nonnegative integer"):
+        ProtocolParams("max", "exact", delta=True)
+    assert type(ProtocolParams("max", "exact", delta=np.int64(3)).delta) is int
 
 
 def test_init_resume_and_output():

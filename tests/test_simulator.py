@@ -20,7 +20,7 @@ from openmax.graph import (
 )
 from openmax.protocols import ProtocolParams, admc_kernel
 from openmax.signals import Constant, PiecewiseLinear, SignalBank, SlopeCertificationError
-from openmax.size_estimation import dse_generate, mle_estimate
+from openmax.size_estimation import _open_uniform, dse_generate, mle_estimate
 from openmax.simulator import (
     ConnectivityLost,
     DseConfig,
@@ -675,14 +675,16 @@ def test_arrivals_draw_the_per_agent_stream_in_one_block(seed):
     assert rng.random() == want.random()
 
 
-def test_a_block_with_an_exact_zero_replays_the_per_agent_draws():
-    """``dse_generate`` redraws an exact zero, so a block holding one is
-    discarded and the arrivals draw one by one from the same state."""
+def test_an_exact_zero_in_a_block_is_redrawn_after_the_block():
+    """An arrival block holding an exact zero keeps its other draws; the zero
+    is redrawn after the block, so no arrival's input is 0.0."""
     got, rng = _arrival_draws(0, _ZeroInFirstBlock(5))
-    want = np.random.default_rng(5)
-    per_agent = np.array([dse_generate(got.shape[1], want) for _ in range(len(got))])
-    assert rng.blocks == 2 and (got > 0.0).all()
-    assert got.tobytes() == per_agent.tobytes()
+    want = _ZeroInFirstBlock(5)
+    first = len(load_preset("ba100_dse_edmc").windows[0].slots)
+    p = got.shape[1]
+    blocks = [_open_uniform(want, (first, p)), _open_uniform(want, (len(got) - first, p))]
+    assert rng.blocks == 2 and (got != 0.0).all()
+    assert got.tobytes() == np.concatenate(blocks).tobytes()
     assert rng.random() == want.random()
 
 

@@ -156,7 +156,6 @@ def test_worst_case_monte_carlo_agrees_with_closed_form():
     res = dse_worst_case_monte_carlo(6, 10, 0.15, 20_000, 2026)
     closed = expected_estimate_admc(6, 10, 0.15)
     assert abs(res.mean - closed) <= res.ci99
-    assert res.floored_coordinates == 0  # log degradation cannot underflow
 
 
 def test_worst_case_monte_carlo_eps_zero_matches_exact_value():
@@ -164,35 +163,19 @@ def test_worst_case_monte_carlo_eps_zero_matches_exact_value():
     assert abs(res.mean - 5000.0 / 49.0) <= res.ci99
 
 
-def test_worst_case_subtractive_variant_is_biased_low_and_floors():
-    log_res = dse_worst_case_monte_carlo(6, 10, 0.15, 10_000, 5)
-    sub_res = dse_worst_case_monte_carlo(6, 10, 0.15, 10_000, 5, degrade="subtract")
-    assert sub_res.mean < log_res.mean - sub_res.ci99
-    # aggressive eps makes subtraction hit the floor often, log mode never
-    floored = dse_worst_case_monte_carlo(2, 2, 0.9, 2_000, 5, degrade="subtract")
-    assert floored.floored_coordinates > 0
-    assert np.all(np.isfinite(floored.estimates))
-    assert np.all(floored.estimates > 0)
-
-
-@pytest.mark.parametrize("degrade", ["log", "subtract"])
 @pytest.mark.parametrize("n, p, eps, seed", [(5, 3, 0.05, 17), (2, 3, 0.3, 18)])
-def test_worst_case_sampler_matches_brute_force_maxima(n, p, eps, seed, degrade):
+def test_worst_case_sampler_matches_brute_force_maxima(n, p, eps, seed):
     # the maximum of n uniforms is Beta(n, 1): the direct draw must have the
     # distribution of the brute-force maxima over n * p uniforms per trial
-    res = dse_worst_case_monte_carlo(n, p, eps, 4000, seed, degrade=degrade)
-    ref = worst_case_estimates_reference(n, p, eps, 4000, seed + 1000, degrade=degrade)
+    res = dse_worst_case_monte_carlo(n, p, eps, 4000, seed)
+    ref = worst_case_estimates_reference(n, p, eps, 4000, seed + 1000)
     assert stats.ks_2samp(res.estimates, ref).pvalue > 1e-3
-    # subtracting 0.3 from the max of 2 uniforms floors 9% of the coordinates
-    assert (res.floored_coordinates > 0) == (degrade == "subtract" and eps > 0.1)
 
 
-@pytest.mark.parametrize("degrade", ["log", "subtract"])
-def test_worst_case_single_agent_without_degradation_is_finite_positive(degrade):
-    res = dse_worst_case_monte_carlo(1, 2, 0.0, 50_000, 23, degrade=degrade)
+def test_worst_case_single_agent_without_degradation_is_finite_positive():
+    res = dse_worst_case_monte_carlo(1, 2, 0.0, 50_000, 23)
     assert np.all(np.isfinite(res.estimates))
     assert np.all(res.estimates > 0)
-    assert res.floored_coordinates == 0
 
 
 def test_worst_case_monte_carlo_order_independent_trials():
@@ -209,8 +192,6 @@ def test_worst_case_monte_carlo_validation():
         dse_worst_case_monte_carlo(5, 4, 0.1, 1, 0)
     with pytest.raises(ValueError):
         dse_worst_case_monte_carlo(5, 4, -0.1, 10, 0)
-    with pytest.raises(ValueError):
-        dse_worst_case_monte_carlo(5, 4, 0.1, 10, 0, degrade="clip")
     with pytest.raises(ValueError):
         dse_worst_case_monte_carlo(5, 1, 0.1, 10, 0)
 

@@ -420,16 +420,12 @@ def certify_slope_reference(columns: Mapping[int, Sequence[float]], bound: float
 
 
 def worst_case_estimates_reference(
-    n: int, p: int, eps: float, trials: int, seed: int, degrade: str = "log"
+    n: int, p: int, eps: float, trials: int, seed: int
 ) -> np.ndarray:
     """Brute-force worst-case estimates: per trial, the maxima of ``n * p`` uniforms."""
     estimates = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
         u_max = rng.random((n, p)).max(axis=0)
-        if degrade == "log":
-            logs = np.log(u_max) - eps
-        else:
-            logs = np.log(np.maximum(u_max - eps, 1e-12))
-        estimates[t] = -p / logs.sum()
+        estimates[t] = -p / (np.log(u_max) - eps).sum()
     return estimates
