@@ -1,21 +1,22 @@
 """Immutable network snapshots, BFS metrics, and graph generators.
 
-A snapshot is a value: a frozen node set plus a frozen set of normalized
-undirected edges; position ``s`` is its ``s``-th smallest node.  A membership
-change never mutates a snapshot: the network after it is the reference
-topology induced on a boolean mask of active positions, so a returning node
-gets back exactly its reference edges to active endpoints.  That subgraph's
-:meth:`~NetworkSnapshot.layout` is the adjacency's one array form; over it,
-:func:`closed_reduce` folds the kernels' neighbourhood max and each level of
-the one BFS behind :func:`is_connected` and :func:`diameter`.
+A snapshot is its node ids, a sorted int64 array, and its ``arcs``: both
+directions of every undirected edge as positions in ``ids``, so position ``s``
+is the ``s``-th smallest node.  A membership change never mutates a snapshot:
+the network after it is the reference topology induced on a boolean mask of
+active positions, so a returning node gets back exactly its reference edges
+to active endpoints.  That subgraph's :meth:`~NetworkSnapshot.layout` is the
+adjacency's one array form; over it, :func:`closed_reduce` folds the kernels'
+neighbourhood max and each level of the one BFS behind :func:`is_connected`
+and :func:`diameter`.  :meth:`~NetworkSnapshot.subgraph` builds the subgraph
+as a snapshot of its own, for its text form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "diameter",
     "line_graph",
     "barabasi_albert",
-    "induced_subgraph",
     "snapshot_to_text",
     "snapshot_from_text",
 ]
@@ -36,52 +36,70 @@ __all__ = [
 Layout = tuple[np.ndarray, tuple[np.ndarray, ...]]
 
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    u, v = int(u), int(v)
-    if u == v:
-        raise ValueError(f"self loop on node {u} is not allowed")
-    return (u, v) if u < v else (v, u)
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
-@dataclass(frozen=True)
+def _unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` by a sort and a mask, which numpy 2.4 runs about 20
+    times faster on the 12,000 arc keys of a 3,000-node graph."""
+    a = np.sort(a)
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
+@dataclass(frozen=True, eq=False)
 class NetworkSnapshot:
-    """Undirected graph value with hashable, order-free equality.
+    """Undirected graph on the sorted int64 node ``ids``; isolated nodes are
+    legal members.
 
-    Edges are stored as ``(low, high)`` pairs; any iterable of pairs passed to
-    the constructor is normalized.  Isolated nodes are legal members.
+    ``arcs`` holds both directions of every edge as ``(src, dst)`` positions
+    in ``ids``, sorted by ``(src, dst)``: each position's neighbours are one
+    ascending run of ``dst``.  All three arrays are read-only.
     """
 
-    nodes: frozenset[int]
-    edges: frozenset[tuple[int, int]]
+    ids: np.ndarray
+    arcs: tuple[np.ndarray, np.ndarray]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(int(n) for n in self.nodes))
-        object.__setattr__(
-            self, "edges", frozenset(_normalize_edge(u, v) for u, v in self.edges)
-        )
-        for u, v in self.edges:
-            if u not in self.nodes or v not in self.nodes:
-                raise ValueError(f"edge ({u}, {v}) references a node outside the snapshot")
+    @classmethod
+    def from_edges(cls, nodes: Iterable[int], edges: Sequence) -> NetworkSnapshot:
+        """The graph on ``nodes`` whose edges are the node-id pairs of
+        ``edges``, a sequence or ``(m, 2)`` array; a repeated node or edge, in
+        either direction, counts once.  A self loop or an edge to a node
+        outside ``nodes`` raises ``ValueError``."""
+        try:
+            ids = _unique(np.fromiter(nodes, dtype=np.int64))
+            ends = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+        except OverflowError:
+            raise ValueError("node ids must fit in 64 bits") from None
+        loop = ends[:, 0] == ends[:, 1]
+        if loop.any():
+            raise ValueError(f"self loop on node {ends[loop][0, 0]} is not allowed")
+        outside = ~np.isin(ends, ids).all(axis=1)
+        if outside.any():
+            u, v = sorted(ends[outside][0].tolist())
+            raise ValueError(f"edge ({u}, {v}) references a node outside the snapshot")
+        ends, n = np.searchsorted(ids, ends), len(ids)
+        arcs = _unique(np.concatenate((ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0])))
+        ids, src, dst = _read_only(ids, *np.divmod(arcs, n))
+        return cls(ids, (src, dst))
 
-    @cached_property
-    def sorted_nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.nodes))
-
-    @cached_property
-    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both directions of every edge as ``(src, dst)`` positions in
-        ``sorted_nodes``, sorted by ``(src, dst)``: each position's neighbours
-        are one ascending run of ``dst``."""
-        ends = np.searchsorted(self.sorted_nodes, list(self.edges)).reshape(-1, 2)
-        src, dst = np.concatenate((ends, ends[:, ::-1])).T
-        order = np.lexsort((dst, src))
-        return src[order], dst[order]
+    def subgraph(self, keep: np.ndarray) -> NetworkSnapshot:
+        """The subgraph induced on the boolean position mask ``keep``."""
+        src, dst = self.arcs
+        inside = keep[src] & keep[dst]
+        moved = np.cumsum(keep) - 1  # a kept position's position among the kept
+        ids, src, dst = _read_only(self.ids[keep], moved[src[inside]], moved[dst[inside]])
+        return NetworkSnapshot(ids, (src, dst))
 
     def layout(self, keep: np.ndarray | None = None) -> Layout:
         """Degree layout of the subgraph induced on the boolean position mask
-        ``keep`` (every node by default), over positions in ``sorted_nodes``:
-        the kept positions by descending degree (stable), and per ``s`` the
-        ``s``-th smallest neighbour of each of them that has one."""
+        ``keep`` (every node by default), over positions in ``ids``: the kept
+        positions by descending degree (stable), and per ``s`` the ``s``-th
+        smallest neighbour of each of them that has one."""
         keep = np.ones(self.n, dtype=bool) if keep is None else keep
         src, dst = self.arcs
         inside = keep[src] & keep[dst]
@@ -92,13 +110,12 @@ class NetworkSnapshot:
         levels = tuple(
             dst[first[: np.count_nonzero(degree > s)] + s] for s in range(degree.max(initial=0))
         )
-        for shared in (rows, *levels):  # a window's kernel and searches share them
-            shared.flags.writeable = False
+        _read_only(rows, *levels)  # a window's kernel and searches share them
         return rows, levels
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.ids)
 
 
 def closed_reduce(ufunc: np.ufunc, A: np.ndarray, rows: np.ndarray, levels: Iterable) -> np.ndarray:
@@ -153,9 +170,8 @@ def line_graph(n: int) -> NetworkSnapshot:
     """Path on nodes 1..n, so the diameter is n - 1."""
     if n < 1:
         raise ValueError("a line graph needs at least one node")
-    nodes = range(1, n + 1)
-    edges = [(i, i + 1) for i in range(1, n)]
-    return NetworkSnapshot(frozenset(nodes), frozenset(edges))
+    ends = np.arange(1, n)
+    return NetworkSnapshot.from_edges(range(1, n + 1), np.column_stack((ends, ends + 1)))
 
 
 def barabasi_albert(
@@ -194,10 +210,12 @@ def barabasi_albert(
     if edges_per_new_node < 1:
         raise ValueError("each new node must attach with at least one edge")
 
-    order: list[int] = list(seed_graph.sorted_nodes)
-    edges: set[tuple[int, int]] = set(seed_graph.edges)
-    # Degree-proportional sampling pool: every edge contributes both endpoints.
-    pool: list[int] = [n for e in sorted(edges) for n in e]
+    order: list[int] = seed_graph.ids.tolist()
+    src, dst = seed_graph.arcs
+    up = src < dst
+    # Degree-proportional sampling pool: every edge contributes both endpoints,
+    # so its pairs are the edges, the seed's in sorted order, then the grown ones.
+    pool: list[int] = seed_graph.ids[np.column_stack((src[up], dst[up]))].ravel().tolist()
     next_id = order[-1] + 1
 
     while len(order) < target_n:
@@ -209,41 +227,25 @@ def barabasi_albert(
         else:
             targets.update(order[:k])  # degenerate one-node seed
         for t in sorted(targets):
-            edges.add(_normalize_edge(t, next_id))
-            pool.extend((t, next_id))
+            pool += (t, next_id)
         order.append(next_id)
         next_id += 1
 
-    snapshot = NetworkSnapshot(frozenset(order), frozenset(edges))
-    return snapshot, tuple(order)
+    return NetworkSnapshot.from_edges(order, np.reshape(pool, (-1, 2))), tuple(order)
 
 
-def induced_subgraph(g: NetworkSnapshot, keep: Iterable[int]) -> NetworkSnapshot:
-    """Snapshot restricted to ``keep`` and the edges among those nodes."""
-    kept = frozenset(int(n) for n in keep)
-    missing = kept - g.nodes
-    if missing:
-        raise ValueError(f"nodes {sorted(missing)} are not active in this snapshot")
-    return NetworkSnapshot(
-        kept, frozenset(e for e in g.edges if e[0] in kept and e[1] in kept)
-    )
-
-
-def snapshot_to_text(g: NetworkSnapshot, keep: np.ndarray | None = None) -> str:
-    """Serialize to an edge-list block: a ``nodes:`` header then one edge per
-    line; under a boolean position mask ``keep``, of the induced subgraph."""
-    keep = np.ones(g.n, dtype=bool) if keep is None else keep
+def snapshot_to_text(g: NetworkSnapshot) -> str:
+    """Serialize to an edge-list block: a ``nodes:`` header then one edge per line."""
     src, dst = g.arcs
-    edge = (src < dst) & keep[src] & keep[dst]
-    nodes = np.asarray(g.sorted_nodes)
-    lines = ["nodes: " + " ".join(map(str, nodes[keep].tolist()))]
-    lines.extend(map("{} {}".format, nodes[src[edge]].tolist(), nodes[dst[edge]].tolist()))
+    up = src < dst
+    lines = ["nodes: " + " ".join(map(str, g.ids.tolist()))]
+    lines.extend(map("{} {}".format, g.ids[src[up]].tolist(), g.ids[dst[up]].tolist()))
     return "\n".join(lines) + "\n"
 
 
 def snapshot_from_text(text: str) -> NetworkSnapshot:
     """Parse the :func:`snapshot_to_text` format; isolated nodes survive the trip."""
-    nodes: frozenset[int] | None = None
+    nodes: list[int] | None = None
     edges: list[tuple[int, int]] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -252,7 +254,7 @@ def snapshot_from_text(text: str) -> NetworkSnapshot:
         if line.startswith("nodes:"):
             if nodes is not None:
                 raise ValueError("duplicate nodes: header")
-            nodes = frozenset(int(tok) for tok in line[len("nodes:"):].split())
+            nodes = [int(tok) for tok in line[len("nodes:"):].split()]
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -260,4 +262,4 @@ def snapshot_from_text(text: str) -> NetworkSnapshot:
         edges.append((int(parts[0]), int(parts[1])))
     if nodes is None:
         raise ValueError("missing nodes: header")
-    return NetworkSnapshot(nodes, frozenset(edges))
+    return NetworkSnapshot.from_edges(nodes, edges)

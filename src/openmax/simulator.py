@@ -39,7 +39,7 @@ from functools import cached_property
 from importlib import resources
 from numbers import Real
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -56,7 +56,6 @@ from .graph import (
     NetworkSnapshot,
     barabasi_albert,
     diameter,
-    induced_subgraph,
     is_connected,
     line_graph,
     snapshot_from_text,
@@ -163,10 +162,11 @@ class TraceOptions:
 class Window:
     """Span of ticks with a fixed active set; ``end`` is inclusive.
 
-    ``keep`` masks the active slots, the agents' positions among the
-    reference's sorted nodes, and ``slots`` lists them in ascending order;
-    both are read-only.  ``layout`` is the reference's degree layout under
-    ``keep``.  :attr:`graph` builds the window's snapshot only on request.
+    ``keep`` masks the active slots, the agents' positions in the
+    reference's ``ids``, and ``slots`` lists them in ascending order; both
+    are read-only.  ``layout`` is the reference's degree layout under
+    ``keep``.  :attr:`graph` builds the window's snapshot,
+    ``reference.subgraph(keep)``, only on request.
     """
 
     start: int
@@ -178,8 +178,7 @@ class Window:
 
     @cached_property
     def graph(self) -> NetworkSnapshot:
-        ids = np.asarray(self.reference.sorted_nodes)
-        return induced_subgraph(self.reference, ids[self.keep].tolist())
+        return self.reference.subgraph(self.keep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +187,7 @@ class Scenario:
 
     A consensus run's ``inputs`` is its ``(horizon + 1, slots)`` float64 signal
     table: cell ``[k, s]`` is the reference value at tick ``k`` of agent
-    ``reference.sorted_nodes[s]``, active or not.
+    ``reference.ids[s]``, active or not.
     """
 
     name: str
@@ -213,7 +212,7 @@ class ErrorTrace:
 
     ``outputs`` and ``inputs`` are float64 arrays of shape ``(horizon + 1,
     slots)``: cell ``[k, s]`` holds the exposed state and the reference value
-    at tick ``k`` of agent ``scenario.reference.sorted_nodes[s]``, and NaN
+    at tick ``k`` of agent ``scenario.reference.ids[s]``, and NaN
     while that agent is inactive: ``inputs`` is the scenario's signal table
     masked to each window's active agents.  ``targets[k]`` is the input
     extremum over the active set and ``errors[k]`` the worst absolute
@@ -234,7 +233,7 @@ class DseTrace:
 
     ``estimates`` is a float64 array of shape ``(horizon + 1, slots)``: cell
     ``[k, s]`` holds the size estimate at tick ``k`` of agent
-    ``scenario.reference.sorted_nodes[s]``, and NaN while that agent is
+    ``scenario.reference.ids[s]``, and NaN while that agent is
     inactive.  ``target_estimates[k]`` is the estimate an agent holding the
     exact per-coordinate maxima would produce, and ``errors[k]`` the worst
     per-coordinate consensus deviation from those maxima.
@@ -287,7 +286,7 @@ def make_scenario(
     reference: NetworkSnapshot,
     horizon: int,
     seed: int,
-    changes: Sequence[tuple[int, Iterable[int]]] = (),
+    changes: Sequence[tuple[int, np.ndarray]] = (),
     dwell: int | None = None,
     bank: SignalBank | None = None,
     dse: DseConfig | None = None,
@@ -298,8 +297,9 @@ def make_scenario(
 ) -> Scenario:
     """Validate and assemble a scenario from already-built parts.
 
-    ``changes`` lists ``(tick, active node set)`` pairs; each window's graph
-    is the reference topology induced on its active set, so reactivated nodes
+    ``changes`` lists ``(tick, keep)`` pairs, ``keep`` a boolean mask over
+    ``reference.ids`` of the agents active from ``tick`` on; each window's
+    graph is the reference topology induced on its mask, so reactivated nodes
     get back their reference edges to active neighbors.  All
     dwell-spacing, connectivity, coverage, and tuning checks happen here, so
     config loading and programmatic construction share one gatekeeper.
@@ -313,8 +313,9 @@ def make_scenario(
     if seed < 0:
         raise ScenarioError("seed must be a nonnegative integer")
 
-    order = tuple(insertion_order) if insertion_order is not None else reference.sorted_nodes
-    if frozenset(order) != reference.nodes:
+    nodes = reference.ids.tolist()
+    order = tuple(nodes if insertion_order is None else insertion_order)
+    if sorted(order) != nodes:
         raise ScenarioError("insertion order must list exactly the reference nodes")
 
     ticks = [_as_int(t, "change tick") for t, _ in changes]
@@ -338,26 +339,21 @@ def make_scenario(
             )
         prev = t
 
-    actives = [reference.nodes]
-    for (tick, active_raw) in changes:
-        active = frozenset(int(v) for v in active_raw)
-        if not active:
+    keeps = [np.ones(reference.n, dtype=bool)]
+    for tick, mask in changes:
+        keep = np.array(mask)
+        if keep.dtype != bool or keep.shape != (reference.n,):
+            raise ScenarioError(f"change at tick {tick} is not a boolean mask over reference.ids")
+        if not keep.any():
             raise ScenarioError(f"change at tick {tick} would empty the network")
-        unknown = active - reference.nodes
-        if unknown:
-            raise ScenarioError(
-                f"change at tick {tick} activates nodes {sorted(unknown)} that are "
-                "not part of the reference topology"
-            )
-        if active == actives[-1]:
+        if np.array_equal(keep, keeps[-1]):
             raise ScenarioError(f"change at tick {tick} does not modify the network")
-        actives.append(active)
+        keeps.append(keep)
 
     starts = [0] + ticks
     ends = [t - 1 for t in starts[1:]] + [horizon]
     windows = []
-    for start, end, active in zip(starts, ends, actives):
-        keep = np.isin(reference.sorted_nodes, list(active))
+    for start, end, keep in zip(starts, ends, keeps):
         slots = np.flatnonzero(keep)
         keep.flags.writeable = slots.flags.writeable = False
         layout = reference.layout(keep)
@@ -373,7 +369,6 @@ def make_scenario(
             raise ScenarioError("a consensus scenario needs a signal bank")
         if dse is not None:
             raise ScenarioError("size-estimation settings do not apply to a consensus run")
-        nodes = reference.sorted_nodes
         missing = [i for i in nodes if i not in bank.specs]
         if missing:
             raise ScenarioError(f"agents {missing} have no reference signal")
@@ -407,7 +402,7 @@ def make_scenario(
     states: dict[int, float] | None = None
     if initial_states is not None:
         states = {int(i): float(v) for i, v in initial_states.items()}
-        if frozenset(states) != reference.nodes:
+        if sorted(states) != nodes:
             raise ScenarioError("initial states must cover exactly the starting agents")
         if not all(math.isfinite(v) for v in states.values()):
             raise ScenarioError("initial states must be finite")
@@ -532,7 +527,7 @@ def _build_topology(
         n = topo.integer("n", least=1)
         fits(n, "topology.n")
         g = line_graph(n)
-        order = g.sorted_nodes
+        order = tuple(g.ids.tolist())
     elif kind == "barabasi_albert":
         seed_line = topo.integer("seed_line", 5, least=1)
         target_n = topo.integer("target_n", least=1)
@@ -550,7 +545,7 @@ def _build_topology(
             raise ScenarioError(f"topology.text must be an edge-list block, got {text!r}")
         g = topo.make(snapshot_from_text, text)
         fits(g.n, "topology.text")
-        order = g.sorted_nodes
+        order = tuple(g.ids.tolist())
     else:
         raise ScenarioError(f"topology.kind: unknown topology kind {kind!r}")
     topo.done()
@@ -606,7 +601,7 @@ def _realize_pool_churn(
     order: Sequence[int],
     seed: int,
     horizon: int,
-) -> list[tuple[int, frozenset[int]]]:
+) -> list[tuple[int, np.ndarray]]:
     pool_size = churn.integer("pool_size", 25)
     every = churn.integer("every", least=1)
     prob = churn.real("activation_probability", 0.5)
@@ -621,15 +616,16 @@ def _realize_pool_churn(
             f"{churn.at('activation_probability')} must lie strictly inside (0, 1), got {prob}"
         )
 
-    ids = np.asarray(reference.sorted_nodes)
-    pool = np.asarray(order[-pool_size:])
-    core = ~np.isin(ids, pool)
+    pool = np.searchsorted(reference.ids, order[-pool_size:])  # positions, newest last
+    core = np.ones(reference.n, dtype=bool)
+    core[pool] = False
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    changes: list[tuple[int, frozenset[int]]] = []
+    changes: list[tuple[int, np.ndarray]] = []
     current = np.ones(reference.n, dtype=bool)
     for tick in range(every, horizon, every):
         for attempt in range(MAX_REDRAWS):
-            target = core | np.isin(ids, pool[rng.random(pool_size) < prob])
+            target = core.copy()
+            target[pool[rng.random(pool_size) < prob]] = True
             if np.array_equal(target, current):
                 continue
             if is_connected(reference.layout(target)):
@@ -639,32 +635,40 @@ def _realize_pool_churn(
                 f"could not draw a connected membership change at tick {tick} "
                 f"within {MAX_REDRAWS} attempts"
             )
-        changes.append((tick, frozenset(ids[target].tolist())))
+        changes.append((tick, target))
         current = target
     return changes
 
 
 def _realize_explicit_churn(
     churn: _Keys, reference: NetworkSnapshot
-) -> list[tuple[int, frozenset[int]]]:
+) -> list[tuple[int, np.ndarray]]:
     events = churn.items("events")
     churn.done()
-    changes: list[tuple[int, frozenset[int]]] = []
-    current = reference.nodes
+    slot = {v: s for s, v in enumerate(reference.ids.tolist())}
+    changes: list[tuple[int, np.ndarray]] = []
+    current = np.ones(reference.n, dtype=bool)
     for at, raw in events:
         event = _Keys(raw, at)
         tick = event.integer("tick")
-        deact, act = (
-            frozenset(_as_int(v, where) for where, v in event.items(key, []))
-            for key in ("deactivate", "activate")
-        )
+        keep = current.copy()
+        # each node is checked against the network before the event, so a
+        # node in both lists fails one of the two checks
+        for key, active, state in (("deactivate", False, "inactive"), ("activate", True, "active")):
+            for where, v in event.items(key, []):
+                s = slot.get(_as_int(v, where))
+                if s is None:
+                    raise ScenarioError(f"{where}: node {v} is not part of the reference topology")
+                if current[s] == active:
+                    raise ScenarioError(f"{where} {key}s already-{state} node {v}")
+                keep[s] = active
         event.done()
-        if deact - current:  # a node in both lists fails one of these two checks
-            raise ScenarioError(f"{at} deactivates inactive nodes {sorted(deact - current)}")
-        if act & current:
-            raise ScenarioError(f"{at} activates already-active nodes {sorted(act & current)}")
-        current = (current - deact) | act
-        changes.append((tick, current))
+        if not keep.any():
+            raise ScenarioError(f"{at} would empty the network")
+        if np.array_equal(keep, current):
+            raise ScenarioError(f"{at} does not modify the network")
+        changes.append((tick, keep))
+        current = keep
     return changes
 
 
@@ -709,7 +713,7 @@ def scenario_from_mapping(
     )
 
     churn = keys.mapping("churn", None)
-    changes: list[tuple[int, frozenset[int]]] = []
+    changes: list[tuple[int, np.ndarray]] = []
     if churn is not None:
         churn_kind = churn.pop("kind")
         if churn_kind == "pool_random":
@@ -721,11 +725,11 @@ def scenario_from_mapping(
 
     bank: SignalBank | None = None
     declared_slope: float | None = None
+    nodes = reference.ids.tolist()
     if kind == "consensus":
-        bank, declared_slope = _build_bank(keys.mapping("signals"), reference.sorted_nodes)
+        bank, declared_slope = _build_bank(keys.mapping("signals"), nodes)
 
     initial_states: dict[int, float] | None = None
-    nodes = reference.sorted_nodes
     if isinstance(keys.data.get("initial_states"), (list, tuple)):
         values = keys.items("initial_states")
         if len(values) != len(nodes):
@@ -911,7 +915,7 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
     kernel = edmc_kernel if exact else (  # a decaying state has no levels to skip
         lambda X, U, layout, start=0: admc_kernel(X, U, layout, params.alpha))
     windows = scenario.windows
-    nodes = scenario.reference.sorted_nodes
+    nodes = scenario.reference.ids.tolist()
     a0 = windows[0].slots
     U, target = observer.inputs(0, a0)
     init = scenario.initial_states
@@ -1162,7 +1166,7 @@ def _write_tables(
     values keep the previous tick's bits reuses its strings; each file gets
     one string per tick.  Floats print as ``repr``; no field is quoted.
     """
-    nodes = scenario.reference.sorted_nodes
+    nodes = scenario.reference.ids.tolist()
     ticks = range(len(trace.ticks))
     if scenario.kind == "consensus":
         columns = (trace.outputs, trace.inputs)
@@ -1230,8 +1234,7 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> dict[str, Path]:
         plot_name = "state_trajectories" if scenario.kind == "consensus" else "size_estimates"
         plot_path = plot_dir / f"{plot_name}.csv"
         for w in scenario.windows:
-            text = snapshot_to_text(scenario.reference, w.keep)
-            (plot_dir / f"graph_window_{w.start}.txt").write_text(text)
+            (plot_dir / f"graph_window_{w.start}.txt").write_text(snapshot_to_text(w.graph))
     if scenario.trace.csv or scenario.trace.plotdata:
         _write_tables(scenario, result.trace, paths.get("trace"), plot_path)
     return paths

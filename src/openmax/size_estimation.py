@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "dse_generate",
@@ -123,37 +122,28 @@ def exp_scaled_expn(order: int, x: float) -> float:
 
 
 def upper_incomplete_gamma(a: float, x: float) -> float:
-    """Upper incomplete gamma ``integral_x^inf t^(a-1) e^-t dt`` for ``x > 0``.
+    """Upper incomplete gamma ``integral_x^inf t^(a-1) e^-t dt`` for ``x > 0``
+    and an integer order ``a``, which covers the closed form's ``Gamma(1 - p, .)``.
 
-    Handles any real ``a``, including zero and negative values where the
-    ordinary gamma function has poles.  Negative integers route through the
-    exponential integral (``Gamma(1-n, x) = x^(1-n) E_n(x)``); negative
-    non-integers step down by the recurrence
-    ``Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x) / a`` and may lose a few digits
-    to cancellation.
+    Zero and negative orders, where the ordinary gamma function has poles,
+    route through the exponential integral (``Gamma(1-n, x) = x^(1-n)
+    E_n(x)``); positive ones are a finite sum.  A non-integer order raises
+    ``ValueError``.
     """
     if not x > 0.0:
         raise ValueError("x must be positive")
-    if float(a).is_integer():
-        ai = int(a)
-        if ai <= 0:
-            return math.exp(ai * math.log(x) - x) * exp_scaled_expn(1 - ai, x)
-        # finite sum: Gamma(n, x) = (n-1)! e^-x sum_{k<n} x^k / k!
-        term = math.exp(-x)
-        total = term
-        for k in range(1, ai):
-            term *= x / k
-            total += term
-        return math.factorial(ai - 1) * total
-    if a > 0:
-        return float(_sp.gammaincc(a, x) * _sp.gamma(a))
-    steps = int(math.floor(-a)) + 1
-    b = a + steps
-    value = float(_sp.gammaincc(b, x) * _sp.gamma(b))
-    for _ in range(steps):
-        b -= 1.0
-        value = (value - math.exp(b * math.log(x) - x)) / b
-    return value
+    if not float(a).is_integer():
+        raise ValueError(f"the order must be an integer, got {a}")
+    ai = int(a)
+    if ai <= 0:
+        return math.exp(ai * math.log(x) - x) * exp_scaled_expn(1 - ai, x)
+    # finite sum: Gamma(n, x) = (n-1)! e^-x sum_{k<n} x^k / k!
+    term = math.exp(-x)
+    total = term
+    for k in range(1, ai):
+        term *= x / k
+        total += term
+    return math.factorial(ai - 1) * total
 
 
 def expected_estimate_edmc(n: int, p: int) -> float:

@@ -14,15 +14,17 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from util import is_connected_reference, negated_bank, random_connected_graph, trace_row
-
-from openmax.graph import (
-    NetworkSnapshot,
-    barabasi_albert,
-    diameter,
+from util import (
+    as_masks,
     induced_subgraph,
-    line_graph,
+    is_connected_reference,
+    negated_bank,
+    node_set,
+    random_connected_graph,
+    trace_row,
 )
+
+from openmax.graph import NetworkSnapshot, barabasi_albert, diameter, line_graph
 from openmax.protocols import ProtocolParams, edmc_kernel
 from openmax.signals import Constant, PiecewiseLinear, SignalBank, Sinusoid
 from openmax.simulator import load_preset, make_scenario, run, run_size_estimation
@@ -82,14 +84,14 @@ def _random_bank(rng: np.random.Generator, nodes, max_slope: float) -> SignalBan
 
 def _connected_subset(rng: np.random.Generator, g: NetworkSnapshot) -> frozenset[int]:
     for _ in range(60):
-        keep = frozenset(i for i in g.sorted_nodes if rng.random() < 0.75)
+        keep = frozenset(i for i in g.ids.tolist() if rng.random() < 0.75)
         if len(keep) >= 2 and is_connected_reference(induced_subgraph(g, keep)):
             return keep
-    return g.nodes
+    return node_set(g)
 
 
 def _churn_changes(rng: np.random.Generator, g: NetworkSnapshot, ticks) -> list:
-    changes, current = [], g.nodes
+    changes, current = [], node_set(g)
     for t in ticks:
         for _ in range(80):
             cand = _connected_subset(rng, g)
@@ -97,15 +99,15 @@ def _churn_changes(rng: np.random.Generator, g: NetworkSnapshot, ticks) -> list:
                 changes.append((t, set(cand)))
                 current = cand
                 break
-    return changes
+    return as_masks(g, changes)
 
 
 def _connected_graphs(n: int):
     nodes = tuple(range(1, n + 1))
     slots = list(itertools.combinations(nodes, 2))
     for mask in range(1 << len(slots)):
-        edges = frozenset(slots[j] for j in range(len(slots)) if mask >> j & 1)
-        g = NetworkSnapshot(frozenset(nodes), edges)
+        edges = [slots[j] for j in range(len(slots)) if mask >> j & 1]
+        g = NetworkSnapshot.from_edges(nodes, edges)
         if is_connected_reference(g):
             yield g
 
@@ -159,7 +161,7 @@ def test_03_min_max_duality():
     for _ in range(200):
         n = int(rng.integers(3, 13))
         g = random_connected_graph(rng, n)
-        bank = _random_bank(rng, g.sorted_nodes, 0.05)
+        bank = _random_bank(rng, g.ids.tolist(), 0.05)
         changes = _churn_changes(rng, g, (8, 16))
         for variant in ("approximate", "exact"):
             if variant == "approximate":
@@ -191,7 +193,7 @@ def test_04_churn_window_audit():
     for s in range(100):
         n = int(rng.integers(4, 11))
         g = random_connected_graph(rng, n)
-        bank = _random_bank(rng, g.sorted_nodes, 0.05)
+        bank = _random_bank(rng, g.ids.tolist(), 0.05)
         alpha = bank.slope_bound + float(rng.uniform(0.15, 0.3))
         sc = make_scenario(
             name=f"audit{s}",
@@ -250,7 +252,7 @@ def test_06_size_estimation_unbiasedness():
         g, _ = barabasi_albert(line_graph(5), 100, 2, rng)
         hood = g.layout()
         depth = diameter(hood)
-        U = rng.uniform(0.0, 1.0, (g.n, 50))  # row s: the draws of g.sorted_nodes[s]
+        U = rng.uniform(0.0, 1.0, (g.n, 50))  # row s: the draws of g.ids[s]
         X = np.repeat(U[:, None], depth + 1, axis=1)
         for _ in range(depth + 2):
             edmc_kernel(X, U, hood)

@@ -10,6 +10,9 @@ import io
 import json
 import math
 import operator
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -352,6 +355,13 @@ def test_missing_scenario_exits_1(capsys):
         ("validate", "n: 3}", "n: 3, size: 4}", "topology.size"),
         ("validate", "topology:", "churn: {kind: explicit, events: [{tick: 5.5}]}\ntopology:",
          "churn.events.0.tick"),
+        ("validate", "topology:", "churn: {kind: explicit, events: [{tick: 5, activate: [9]}]}\ntopology:",
+         "churn.events.0.activate.0: node 9 is not part of the reference topology"),
+        ("validate", "topology:",
+         "churn: {kind: explicit, events: [{tick: 5, deactivate: [1, 2, 3]}]}\ntopology:",
+         "churn.events.0 would empty the network"),
+        ("validate", "topology:", "churn: {kind: explicit, events: [{tick: 5}]}\ntopology:",
+         "churn.events.0 does not modify the network"),
         ("validate", "value: 0.1}", 'value: "0.1"}', "signals.default.value"),
         (
             "validate",
@@ -385,7 +395,8 @@ def test_missing_scenario_exits_1(capsys):
          "sweep-trials-on-consensus", "dwell-above-horizon", "breakpoint-tick-float",
          "breakpoint-tick-bool", "seed-negative", "line-n-zero", "seed-line-zero",
          "target-n-zero", "edges-per-new-node-zero", "line-n-string", "dse-p-string",
-         "unknown-topology-key", "event-tick-float", "signal-value-string", "amplitude-bool",
+         "unknown-topology-key", "event-tick-float", "event-node-unknown", "event-empties-network",
+         "event-changes-nothing", "signal-value-string", "amplitude-bool",
          "period-string", "slope-bound-negative", "signal-agent-unknown", "signal-agent-twice",
          "initial-state-twice", "sweep-unparseable", "sweep-list"],
 )
@@ -623,3 +634,19 @@ def test_mutated_configs_fail_at_load_with_the_leaf_path(case):
     number = isinstance(old, (int, float)) and not isinstance(old, bool)
     if number and (isinstance(new, bool) or not isinstance(new, int)):
         assert code == 1 and path in err, err
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """scipy is a test dependency only: no command imports it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, openmax.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

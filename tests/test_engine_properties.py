@@ -26,8 +26,10 @@ from openmax.size_estimation import mle_estimate
 
 from util import (
     adjacency,
+    as_masks,
     dse_inputs_reference,
     exact_kernel_calls,
+    node_set,
     record_exact_kernel_calls,
     reference_outputs,
     value_reference,
@@ -44,7 +46,7 @@ def graphs(draw) -> NetworkSnapshot:
     if n > 1:
         pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
         edges |= draw(st.sets(pairs, max_size=n))
-    return NetworkSnapshot(frozenset(range(1, n + 1)), frozenset(edges))
+    return NetworkSnapshot.from_edges(range(1, n + 1), sorted(edges))
 
 
 @st.composite
@@ -52,7 +54,7 @@ def connected_subsets(draw, g: NetworkSnapshot) -> frozenset[int]:
     """A nonempty node set grown from a drawn root by adding the lowest-ranked
     neighbour of the set, so it induces a connected subgraph."""
     adj = adjacency(g)
-    order = draw(st.permutations(g.sorted_nodes))
+    order = draw(st.permutations(g.ids.tolist()))
     rank = {v: r for r, v in enumerate(order)}
     chosen = {order[0]}
     for _ in range(draw(st.integers(1, g.n)) - 1):
@@ -63,16 +65,16 @@ def connected_subsets(draw, g: NetworkSnapshot) -> frozenset[int]:
 
 @st.composite
 def churn(draw, g: NetworkSnapshot, horizon: int, shortest: int) -> list:
-    """Up to three changes at least ``shortest`` ticks apart, each to a
+    """Up to three changes at least ``shortest`` ticks apart, as masks, each to a
     connected subset that differs from the set before it."""
     gaps = draw(st.lists(st.integers(shortest, 8), max_size=3))
-    changes, active = [], g.nodes
+    changes, active = [], node_set(g)
     for tick in itertools.takewhile(lambda t: t <= horizon, itertools.accumulate(gaps)):
         keep = draw(connected_subsets(g))
         if keep != active:
             changes.append((tick, keep))
             active = keep
-    return changes
+    return as_masks(g, changes)
 
 
 @st.composite
@@ -100,7 +102,7 @@ def scenarios(draw):
             end, length = draw(st.integers(1, horizon)), draw(st.integers(shortest, shortest + 4))
         return PiecewiseLinear(((end - length, a), (end, b)))
 
-    bank = SignalBank({i: signal() for i in g.sorted_nodes})
+    bank = SignalBank({i: signal() for i in g.ids.tolist()})
     params = ProtocolParams(
         mode, "exact" if exact else "approximate", alpha=alpha, delta=delta,
         read_departing=draw(st.booleans()),
@@ -121,9 +123,9 @@ def test_consensus_engine_matches_the_per_agent_oracle(drawn):
         calls = record_exact_kernel_calls(mp)
         res = run(sc)
     want = np.full_like(res.trace.outputs, np.nan)
-    slot = {v: s for s, v in enumerate(sc.reference.sorted_nodes)}
+    slot = {v: s for s, v in enumerate(sc.reference.ids.tolist())}
     ref = reference_outputs(
-        sc, lambda k, g: {i: sign * value_reference(bank.specs[i], k) for i in g.sorted_nodes}
+        sc, lambda k, g: {i: sign * value_reference(bank.specs[i], k) for i in g.ids.tolist()}
     )
     for k, row in enumerate(ref):
         for i, v in row.items():
@@ -159,7 +161,7 @@ def test_size_engine_matches_the_per_agent_oracle(sc):
         calls = record_exact_kernel_calls(mp)
         res = run_size_estimation(sc)
     want = np.full_like(res.trace.estimates, np.nan)
-    slot = {v: s for s, v in enumerate(sc.reference.sorted_nodes)}
+    slot = {v: s for s, v in enumerate(sc.reference.ids.tolist())}
     for k, row in enumerate(reference_outputs(sc, dse_inputs_reference(sc))):
         for i, v in row.items():
             want[k, slot[i]] = mle_estimate(v)

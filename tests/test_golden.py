@@ -20,7 +20,7 @@ from openmax.simulator import load_preset, run, run_size_estimation, write_outpu
 
 from util import line4_churn_scenario
 
-MONTE_CARLO_FIELDS = ("monte_carlo_mean", "ci99", "std_error", "floored_coordinates")
+MONTE_CARLO_FIELDS = ("monte_carlo_mean", "ci99", "std_error")
 
 SCENARIOS = {
     "line6_admc": lambda: load_preset("line6_admc"),

@@ -13,7 +13,6 @@ from openmax.graph import (
     NetworkSnapshot,
     barabasi_albert,
     diameter,
-    induced_subgraph,
     is_connected,
     line_graph,
     snapshot_from_text,
@@ -22,27 +21,40 @@ from openmax.graph import (
 
 from util import (
     adjacency,
+    barabasi_albert_reference,
+    edge_set,
     floyd_warshall_diameter,
     hub_graph,
+    induced_subgraph,
     is_connected_reference,
     layout_reference,
+    node_set,
     random_connected_graph,
+    same_graph,
 )
 
 
 def test_edges_are_normalized_and_value_equal():
-    a = NetworkSnapshot(frozenset({1, 2, 3}), frozenset({(2, 1), (3, 2)}))
-    b = NetworkSnapshot(frozenset({3, 2, 1}), frozenset({(1, 2), (2, 3)}))
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a.edges == frozenset({(1, 2), (2, 3)})
+    a = NetworkSnapshot.from_edges([1, 2, 3], [(2, 1), (3, 2)])
+    b = NetworkSnapshot.from_edges([3, 2, 1, 2], [(1, 2), (2, 3), (3, 2)])  # repeats merge
+    assert same_graph(a, b)
+    assert edge_set(a) == {(1, 2), (2, 3)}
+    assert a.ids.dtype == np.int64 and a.ids.tolist() == [1, 2, 3]
+    assert [half.tolist() for half in a.arcs] == [[0, 1, 1, 2], [1, 0, 2, 1]]
+    assert not any(x.flags.writeable for x in (a.ids, *a.arcs))
+    empty = NetworkSnapshot.from_edges([], [])
+    assert empty.n == 0 and not edge_set(empty)
 
 
 def test_snapshot_rejects_self_loops_and_dangling_edges():
-    with pytest.raises(ValueError):
-        NetworkSnapshot(frozenset({1, 2}), frozenset({(1, 1)}))
-    with pytest.raises(ValueError):
-        NetworkSnapshot(frozenset({1, 2}), frozenset({(1, 3)}))
+    with pytest.raises(ValueError, match="self loop on node 1"):
+        NetworkSnapshot.from_edges([1, 2], [(1, 1)])
+    with pytest.raises(ValueError, match=r"edge \(1, 3\) references a node outside"):
+        NetworkSnapshot.from_edges([1, 2], [(3, 1)])
+    with pytest.raises(ValueError, match="outside"):
+        NetworkSnapshot.from_edges([], [(1, 2)])
+    with pytest.raises(ValueError, match="64 bits"):
+        NetworkSnapshot.from_edges([1, 2**70], [])
 
 
 def test_neighbors_sorted_and_exclude_self():
@@ -56,7 +68,7 @@ def test_neighbors_sorted_and_exclude_self():
 def test_connectivity():
     assert is_connected(line_graph(1).layout())
     assert is_connected(line_graph(4).layout())
-    split = NetworkSnapshot(frozenset({1, 2, 3, 4}), frozenset({(1, 2), (3, 4)}))
+    split = NetworkSnapshot.from_edges([1, 2, 3, 4], [(1, 2), (3, 4)])
     assert not is_connected(split.layout())
     assert not is_connected(line_graph(4).layout(np.zeros(4, dtype=bool)))
     assert not is_connected(line_graph(4).layout(np.array([True, False, True, True])))
@@ -66,10 +78,10 @@ def test_connectivity():
 
 def test_diameter_examples():
     assert diameter(line_graph(6).layout()) == 5
-    star = NetworkSnapshot(frozenset({1, 2, 3, 4}), frozenset({(1, 2), (1, 3), (1, 4)}))
+    star = NetworkSnapshot.from_edges([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)])
     assert diameter(star.layout()) == 2
     assert diameter(line_graph(1).layout()) == 0
-    split = NetworkSnapshot(frozenset({1, 2}), frozenset())
+    split = NetworkSnapshot.from_edges([1, 2], [])
     assert diameter(split.layout()) == math.inf
 
 
@@ -84,29 +96,29 @@ def test_diameter_matches_floyd_warshall_oracle():
             g = random_connected_graph(rng, n, extra_edge_prob=prob)
             assert diameter(g.layout()) == floyd_warshall_diameter(g)
     g = random_connected_graph(rng, 64, extra_edge_prob=2.0 / 64)
-    isolated = NetworkSnapshot(g.nodes | {65}, g.edges)
+    isolated = NetworkSnapshot.from_edges([*g.ids.tolist(), 65], sorted(edge_set(g)))
     h = random_connected_graph(rng, 65, extra_edge_prob=2.0 / 65)
-    two = NetworkSnapshot(
-        g.nodes | {v + 64 for v in h.nodes},
-        g.edges | {(a + 64, b + 64) for a, b in h.edges},
+    two = NetworkSnapshot.from_edges(
+        [*g.ids.tolist(), *(v + 64 for v in h.ids.tolist())],
+        sorted(edge_set(g) | {(a + 64, b + 64) for a, b in edge_set(h)}),
     )
-    single = NetworkSnapshot(frozenset({7}), frozenset())
+    single = NetworkSnapshot.from_edges([7], [])
     for g, want in ((isolated, math.inf), (two, math.inf), (single, 0), (hub_graph(), 4)):
         assert diameter(g.layout()) == want == floyd_warshall_diameter(g)
 
 
 def test_degree_layout_rebuilds_adjacency_in_order():
     rng = np.random.default_rng(17)
-    graphs = [NetworkSnapshot(frozenset({7}), frozenset()), hub_graph()]
+    graphs = [NetworkSnapshot.from_edges([7], []), hub_graph()]
     for _ in range(30):
         g = random_connected_graph(rng, int(rng.integers(2, 16)))
         extra = int(rng.integers(0, 3))  # isolated nodes
-        graphs.append(NetworkSnapshot(g.nodes | set(range(20, 20 + extra)), g.edges))
+        graphs.append(NetworkSnapshot.from_edges([*g.ids.tolist(), *range(20, 20 + extra)], sorted(edge_set(g))))
     hub = graphs[1]
-    graphs.append(NetworkSnapshot(hub.nodes | {30, 31}, hub.edges))
+    graphs.append(NetworkSnapshot.from_edges([*hub.ids.tolist(), 30, 31], sorted(edge_set(hub))))
     for g in graphs:
         order, levels = g.layout()
-        nodes, adj = g.sorted_nodes, adjacency(g)
+        nodes, adj = g.ids.tolist(), adjacency(g)
         degree = [len(adj[v]) for v in nodes]
         assert list(order) == sorted(range(g.n), key=lambda k: -degree[k])
         rebuilt = {v: [] for v in nodes}
@@ -120,10 +132,10 @@ def test_degree_layout_rebuilds_adjacency_in_order():
 def test_line_graph_shape():
     g = line_graph(6)
     assert g.n == 6
-    assert len(g.edges) == 5
+    assert edge_set(g) == {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)}
     single = line_graph(1)
-    assert single.nodes == frozenset({1})
-    assert not single.edges
+    assert single.ids.tolist() == [1]
+    assert not edge_set(single)
 
 
 def test_barabasi_albert_grows_connected_graph():
@@ -136,14 +148,14 @@ def test_barabasi_albert_grows_connected_graph():
     assert list(order) == sorted(order)  # generated ids are assigned in order
     # every generated node attaches to 2 distinct earlier nodes
     for node in order[5:]:
-        below = [e for e in g.edges if max(e) == node]
+        below = [e for e in edge_set(g) if max(e) == node]
         assert len(below) == 2
 
 
 def test_barabasi_albert_deterministic_given_seed():
     a, _ = barabasi_albert(line_graph(5), 40, 2, np.random.default_rng(11))
     b, _ = barabasi_albert(line_graph(5), 40, 2, np.random.default_rng(11))
-    assert a == b
+    assert same_graph(a, b)
 
 
 def test_barabasi_albert_attachment_is_degree_proportional():
@@ -154,7 +166,7 @@ def test_barabasi_albert_attachment_is_degree_proportional():
     hits = 0
     for _ in range(trials):
         g, _ = barabasi_albert(line_graph(3), 4, 1, rng)
-        if (2, 4) in g.edges:
+        if (2, 4) in edge_set(g):
             hits += 1
     freq = hits / trials
     sigma = math.sqrt(0.25 / trials)
@@ -166,31 +178,33 @@ def test_churn_memory_round_trip():
     rng = np.random.default_rng(5)
     for _ in range(20):
         g = random_connected_graph(rng, int(rng.integers(3, 9)))
-        node = int(rng.choice(g.sorted_nodes))
-        reduced = induced_subgraph(g, g.nodes - {node})
-        assert node not in reduced.nodes
-        assert all(node not in e for e in reduced.edges)
-        restored = induced_subgraph(g, reduced.nodes | {node})
-        assert restored == g
+        node = int(rng.choice(g.ids.tolist()))
+        keep = g.ids != node
+        reduced = g.subgraph(keep)
+        assert node not in node_set(reduced)
+        assert all(node not in e for e in edge_set(reduced))
+        assert same_graph(reduced, induced_subgraph(g, node_set(g) - {node}))
+        restored = g.subgraph(keep | (g.ids == node))
+        assert same_graph(restored, g)
 
 
 def test_churn_memory_restores_only_active_endpoints():
-    g = NetworkSnapshot(frozenset({1, 2, 3}), frozenset({(1, 2), (2, 3)}))
-    g1 = induced_subgraph(g, {1, 3})  # 2 leaves: 1-2 and 2-3 go off
-    assert g1.edges == frozenset()
-    g2 = induced_subgraph(g, {1})  # 3 leaves too
-    g3 = induced_subgraph(g, g2.nodes | {2})  # 2 returns
-    assert g3.nodes == frozenset({1, 2})
-    assert g3.edges == frozenset({(1, 2)})  # 2-3 stays off while 3 is inactive
-    with pytest.raises(ValueError):
-        induced_subgraph(g2, {1, 2})  # a node outside the snapshot has no edges to restore
+    g = NetworkSnapshot.from_edges([1, 2, 3], [(1, 2), (2, 3)])
+    g1 = g.subgraph(np.array([True, False, True]))  # 2 leaves: 1-2 and 2-3 go off
+    assert edge_set(g1) == set()
+    g3 = g.subgraph(np.array([True, True, False]))  # 3 leaves too, and 2 returns
+    assert node_set(g3) == {1, 2}
+    assert edge_set(g3) == {(1, 2)}  # 2-3 stays off while 3 is inactive
+    assert [half.tolist() for half in g3.arcs] == [[0, 1], [1, 0]]  # positions among the kept
+    assert same_graph(g1.subgraph(np.array([True, False])), g.subgraph(np.array([True, False, False])))
 
 
 def test_snapshot_text_round_trip_keeps_isolated_nodes():
-    g = NetworkSnapshot(frozenset({1, 2, 3, 7}), frozenset({(1, 2), (2, 3)}))
+    g = NetworkSnapshot.from_edges([1, 2, 3, 7], [(1, 2), (2, 3)])
     text = snapshot_to_text(g)
     assert text.splitlines()[0] == "nodes: 1 2 3 7"
-    assert snapshot_from_text(text) == g
+    assert same_graph(snapshot_from_text(text), g)
+    assert same_graph(snapshot_from_text(text + "2 1\n"), g)  # a repeated edge merges
 
 
 def test_snapshot_text_parse_errors():
@@ -198,6 +212,44 @@ def test_snapshot_text_parse_errors():
         snapshot_from_text("1 2\n")  # no nodes: header
     with pytest.raises(ValueError):
         snapshot_from_text("nodes: 1 2\n1 2 3\n")
+    with pytest.raises(ValueError, match="self loop"):
+        snapshot_from_text("nodes: 1 2\n2 2\n")
+    with pytest.raises(ValueError, match="outside"):
+        snapshot_from_text("nodes: 1 2\n1 3\n")
+
+
+def spaced(g: NetworkSnapshot) -> NetworkSnapshot:
+    """``g`` with node ``v`` renamed ``3 v + 4``, so ids have gaps."""
+    return NetworkSnapshot.from_edges(
+        [3 * v + 4 for v in g.ids.tolist()], [(3 * a + 4, 3 * b + 4) for a, b in edge_set(g)]
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    seed_graph=st.one_of(
+        st.integers(1, 6).map(line_graph),
+        st.builds(
+            lambda n, s: spaced(random_connected_graph(np.random.default_rng(s), n, 0.4)),
+            st.integers(2, 7),
+            st.integers(0, 2**32 - 1),
+        ),
+    ),
+    grown=st.integers(0, 40),
+    edges_per_new_node=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_barabasi_albert_matches_the_set_based_reference(seed_graph, grown, edges_per_new_node, seed):
+    """Same draws, same graph and insertion order as growth over a Python edge set."""
+    target_n = seed_graph.n + grown
+    rng = np.random.default_rng(seed)
+    got, order = barabasi_albert(seed_graph, target_n, edges_per_new_node, rng)
+    ref_rng = np.random.default_rng(seed)
+    want, want_order = barabasi_albert_reference(seed_graph, target_n, edges_per_new_node, ref_rng)
+    assert np.array_equal(got.ids, want.ids)
+    assert all(np.array_equal(a, b) for a, b in zip(got.arcs, want.arcs))
+    assert order == want_order
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws
 
 
 @st.composite
@@ -210,11 +262,12 @@ def masked_graphs(draw) -> tuple[NetworkSnapshot, np.ndarray]:
     n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = random_connected_graph(rng, n, extra_edge_prob=draw(st.sampled_from([0.0, 0.25, 0.6])))
-    edges = sorted(g.edges)
+    edges = sorted(edge_set(g))
     cut = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
-    gone = draw(st.sets(st.sampled_from(g.sorted_nodes), max_size=n - 1))
+    gone = draw(st.sets(st.sampled_from(g.ids.tolist()), max_size=n - 1))
     g = induced_subgraph(
-        NetworkSnapshot(g.nodes, [e for e, c in zip(edges, cut) if not c]), g.nodes - gone
+        NetworkSnapshot.from_edges(g.ids.tolist(), [e for e, c in zip(edges, cut) if not c]),
+        node_set(g) - gone,
     )
     keep = np.array(draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=bool)
     return g, keep
@@ -223,12 +276,12 @@ def masked_graphs(draw) -> tuple[NetworkSnapshot, np.ndarray]:
 @settings(max_examples=250, derandomize=True, deadline=None)
 @given(masked_graphs())
 def test_masked_layout_equals_the_induced_subgraph(case):
-    """Layout, connectivity, diameter and text of ``g`` under a mask are those
-    of the induced subgraph, computed by definition."""
+    """Layout, connectivity, diameter, subgraph and text of ``g`` under a mask
+    are those of the induced subgraph, computed by definition."""
     g, keep = case
-    kept = [v for v, k in zip(g.sorted_nodes, keep) if k]
+    kept = [v for v, k in zip(g.ids.tolist(), keep) if k]
     h = induced_subgraph(g, kept)
-    for mask, nodes in ((keep, kept), (None, g.sorted_nodes)):
+    for mask, nodes in ((keep, kept), (None, g.ids.tolist())):
         rows, levels = g.layout(mask)
         assert (rows.tolist(), [nbr.tolist() for nbr in levels]) == layout_reference(g, nodes)
     layout = g.layout(keep)
@@ -238,5 +291,8 @@ def test_masked_layout_equals_the_induced_subgraph(case):
     else:
         with pytest.raises(ValueError):
             diameter(layout)
-    text = f"nodes: {' '.join(map(str, kept))}\n" + "".join(f"{u} {v}\n" for u, v in sorted(h.edges))
-    assert snapshot_to_text(g, keep) == snapshot_to_text(h) == text
+    sub = g.subgraph(keep)
+    assert same_graph(sub, h)
+    assert not any(x.flags.writeable for x in (sub.ids, *sub.arcs))
+    text = f"nodes: {' '.join(map(str, kept))}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edge_set(h)))
+    assert snapshot_to_text(sub) == snapshot_to_text(h) == text

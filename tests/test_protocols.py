@@ -15,6 +15,8 @@ from openmax.simulator import make_scenario, run
 from util import (
     adjacency,
     admc_step_reference,
+    as_masks,
+    edge_set,
     edmc_step_reference,
     exact_kernel_calls,
     hub_graph,
@@ -36,14 +38,14 @@ def exact_params(delta: int, mode: str = "max") -> ProtocolParams:
 
 
 def admc(g: NetworkSnapshot, x, u, alpha: float) -> np.ndarray:
-    """One approximate step of slot arrays; row ``k`` is ``g.sorted_nodes[k]``."""
+    """One approximate step of slot arrays; row ``k`` is ``g.ids[k]``."""
     X = np.array(x, dtype=float)
     admc_kernel(X, np.asarray(u, dtype=float), g.layout(), alpha)
     return X
 
 
 def edmc(g: NetworkSnapshot, x, u) -> np.ndarray:
-    """One exact step of slot arrays; row ``k`` is ``g.sorted_nodes[k]``."""
+    """One exact step of slot arrays; row ``k`` is ``g.ids[k]``."""
     X = np.array(x, dtype=float)
     edmc_kernel(X, np.asarray(u, dtype=float), g.layout())
     return X
@@ -51,12 +53,13 @@ def edmc(g: NetworkSnapshot, x, u) -> np.ndarray:
 
 def closed_slots(g: NetworkSnapshot, k: int) -> list[int]:
     """Slot ``k`` and the slots of its neighbours."""
-    nodes = g.sorted_nodes
+    nodes = g.ids.tolist()
     return [k, *(nodes.index(j) for j in adjacency(g)[nodes[k]])]
 
 
 def run_constant(params, reference, levels, horizon, initial=None, changes=()):
-    """A run with constant inputs ``levels``, from ``initial`` states if given."""
+    """A run with constant inputs ``levels``, from ``initial`` states if given,
+    through ``changes`` given as ``(tick, active node ids)`` pairs."""
     return run(make_scenario(
         name="hand",
         kind="consensus",
@@ -64,7 +67,7 @@ def run_constant(params, reference, levels, horizon, initial=None, changes=()):
         reference=reference,
         horizon=horizon,
         seed=0,
-        changes=changes,
+        changes=as_masks(reference, changes),
         bank=SignalBank({i: Constant(v) for i, v in levels.items()}),
         initial_states=initial,
     ))
@@ -158,7 +161,7 @@ def test_edmc_cascade_matches_definition_oracle():
         delta = int(rng.integers(1, 5))
         table = rng.uniform(-1, 1, size=(n + 1, 12))
         u_of = lambda i, k: float(table[i, min(k, 11)])
-        nodes, adj = g.sorted_nodes, adjacency(g)
+        nodes, adj = g.ids.tolist(), adjacency(g)
         X = np.array([[u_of(i, 0)] * (delta + 1) for i in nodes])
         init = dict(zip(nodes, map(tuple, X)))
         memo: dict = {}
@@ -178,7 +181,7 @@ def test_exact_delay_identity_on_static_graphs():
         delta = int(diameter(g.layout())) + int(rng.integers(0, 2))
         table = rng.uniform(-5, 5, size=(n + 1, 30))
         u_of = lambda i, k: float(table[i, min(k, 29)])
-        nodes = g.sorted_nodes
+        nodes = g.ids.tolist()
         # resume from arbitrary values: the identity must hold regardless
         X = np.empty((n, delta + 1))
         for s, i in enumerate(nodes):
@@ -214,8 +217,8 @@ def test_min_steps_are_exact_mirrors():
 
 def test_open_step_without_change_equals_closed_step():
     g = line_graph(4)
-    x = {i: float(i) for i in g.sorted_nodes}
-    u = {i: 0.0 for i in g.sorted_nodes}
+    x = {i: float(i) for i in g.ids.tolist()}
+    u = {i: 0.0 for i in g.ids.tolist()}
     got = outputs_at(run_constant(MAX_APPROX, g, u, 1, x), 1)
     assert list(got.values()) == admc(g, list(x.values()), list(u.values()), 0.1).tolist()
 
@@ -247,7 +250,7 @@ def test_open_step_arrivals_start_from_their_input():
 
 
 def test_open_step_full_replacement():
-    reference = NetworkSnapshot(frozenset({1, 2, 5, 6}), frozenset({(1, 2), (2, 5), (5, 6)}))
+    reference = NetworkSnapshot.from_edges([1, 2, 5, 6], [(1, 2), (2, 5), (5, 6)])
     res = run_constant(MAX_APPROX, reference, {1: 0.0, 2: 0.0, 5: 0.3, 6: 0.4}, 2,
                        dict.fromkeys((1, 2, 5, 6), 9.0), [(1, {1, 2}), (2, {5, 6})])
     assert outputs_at(res, 2) == {5: 0.3, 6: 0.4}
@@ -266,18 +269,17 @@ def test_anonymity_under_relabeling():
     for _ in range(8):
         n = int(rng.integers(2, 8))
         g = random_connected_graph(rng, n)
-        perm = {old: new for old, new in zip(g.sorted_nodes, rng.permutation(g.sorted_nodes))}
-        h = NetworkSnapshot(
-            frozenset(perm[v] for v in g.nodes),
-            frozenset((perm[a], perm[b]) for a, b in g.edges),
+        perm = {old: new for old, new in zip(g.ids.tolist(), rng.permutation(g.ids.tolist()))}
+        h = NetworkSnapshot.from_edges(
+            [perm[v] for v in g.ids.tolist()], [(perm[a], perm[b]) for a, b in edge_set(g)]
         )
         x = rng.uniform(-2, 2, size=n)
         u = rng.uniform(-2, 2, size=n)
         out_g = admc(g, x, u, 0.2)
         # node perm[i] of h keeps the row of node i of g
-        row = {perm[i]: s for s, i in enumerate(g.sorted_nodes)}
+        row = {perm[i]: s for s, i in enumerate(g.ids.tolist())}
         out_h = x.copy()
-        slots = np.array([row[v] for v in h.sorted_nodes])
+        slots = np.array([row[v] for v in h.ids.tolist()])
         rows, levels = h.layout()
         admc_kernel(out_h, u, (slots[rows], [slots[nbr] for nbr in levels]), 0.2)
         assert np.array_equal(out_h, out_g)
@@ -318,7 +320,7 @@ def test_kernels_match_per_agent_reference_bit_for_bit():
     for trial in range(50):
         g = random_connected_graph(rng, int(rng.integers(1, 9))) if trial < 40 else hub_graph()
         shape = () if trial % 2 else (3,)
-        nodes = g.sorted_nodes
+        nodes = g.ids.tolist()
 
         def per_agent(X):
             return dict(zip(nodes, X.tolist() if X.ndim == 1 else X))
@@ -411,7 +413,7 @@ def test_moving_exact_windows_split_into_blocks_match_the_oracle(
     assert calls == exact_kernel_calls(sc)
     sign = 1.0 if mode == "max" else -1.0
     want = reference_outputs(
-        sc, lambda k, g: {i: sign * value_reference(bank.specs[i], k) for i in g.sorted_nodes}
+        sc, lambda k, g: {i: sign * value_reference(bank.specs[i], k) for i in g.ids.tolist()}
     )
     for k in range(len(want)):
         got = trace_row(res, res.trace.outputs, k)

@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: small random graphs, churn scripts, and
 the scalar reference implementations that the vectorized code is checked
-against (per-agent kernels, signal values and random walks, slope
-certification, brute-force Monte Carlo)."""
+against (graphs as Python sets, per-agent kernels, signal values and random
+walks, slope certification, brute-force Monte Carlo)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from openmax.graph import NetworkSnapshot, induced_subgraph, snapshot_from_text
+from openmax.graph import NetworkSnapshot, snapshot_from_text
 from openmax.protocols import ProtocolParams
 from openmax.signals import (
     ClampedRandomWalk,
@@ -38,8 +38,23 @@ nodes: 1 2 3 4
 """
 
 
+def as_masks(
+    reference: NetworkSnapshot, changes: Iterable[tuple[int, Iterable[int]]]
+) -> list[tuple[int, np.ndarray]]:
+    """``(tick, active node ids)`` pairs as the ``(tick, keep)`` masks over
+    ``reference.ids`` that :func:`make_scenario` takes."""
+    out = []
+    for tick, active in changes:
+        active = sorted(active)
+        assert set(active) <= node_set(reference), active
+        out.append((tick, np.isin(reference.ids, active)))
+    return out
+
+
 def line4_churn_scenario(**overrides) -> Scenario:
-    """Line on 1..4; node 4 leaves at tick 10 and returns at tick 20."""
+    """Line on 1..4; node 4 leaves at tick 10 and returns at tick 20.
+
+    ``changes`` are given as ``(tick, active node ids)`` pairs."""
     base = dict(
         name="mini",
         kind="consensus",
@@ -52,7 +67,7 @@ def line4_churn_scenario(**overrides) -> Scenario:
         bank=SignalBank({1: Constant(0.1), 2: Constant(0.3), 3: Constant(0.2), 4: Constant(0.9)}),
     )
     base.update(overrides)
-    return make_scenario(**base)
+    return make_scenario(**{**base, "changes": as_masks(base["reference"], base["changes"])})
 
 
 def random_connected_graph(
@@ -67,7 +82,7 @@ def random_connected_graph(
         for v in range(u + 1, n + 1):
             if (u, v) not in edges and rng.random() < extra_edge_prob:
                 edges.add((u, v))
-    return NetworkSnapshot(frozenset(range(1, n + 1)), frozenset(edges))
+    return NetworkSnapshot.from_edges(range(1, n + 1), sorted(edges))
 
 
 def hub_graph() -> NetworkSnapshot:
@@ -76,24 +91,79 @@ def hub_graph() -> NetworkSnapshot:
     The hubs tie at degree 11 and most leaves at degree 2, so the degree
     layout has eleven levels, most of them short."""
     edges = {(1, 2), (12, 13), (13, 14)} | {(h, v) for h in (1, 2) for v in range(3, 13)}
-    return NetworkSnapshot(frozenset(range(1, 15)), frozenset(edges))
+    return NetworkSnapshot.from_edges(range(1, 15), sorted(edges))
+
+
+def node_set(g: NetworkSnapshot) -> frozenset[int]:
+    return frozenset(g.ids.tolist())
+
+
+def edge_set(g: NetworkSnapshot) -> frozenset[tuple[int, int]]:
+    """Every edge once, as a ``(low, high)`` pair of node ids."""
+    src, dst = g.arcs
+    up = src < dst
+    return frozenset(zip(g.ids[src[up]].tolist(), g.ids[dst[up]].tolist()))
+
+
+def same_graph(a: NetworkSnapshot, b: NetworkSnapshot) -> bool:
+    """Equal ids and equal arcs."""
+    return all(np.array_equal(x, y) for x, y in zip((a.ids, *a.arcs), (b.ids, *b.arcs)))
+
+
+def induced_subgraph(g: NetworkSnapshot, keep: Iterable[int]) -> NetworkSnapshot:
+    """``g`` restricted to the node ids ``keep`` and the edges among them, by
+    definition over Python sets."""
+    kept = frozenset(int(n) for n in keep)
+    missing = kept - node_set(g)
+    if missing:
+        raise ValueError(f"nodes {sorted(missing)} are not active in this snapshot")
+    return NetworkSnapshot.from_edges(
+        sorted(kept), sorted(e for e in edge_set(g) if e[0] in kept and e[1] in kept)
+    )
+
+
+def barabasi_albert_reference(
+    seed_graph: NetworkSnapshot, target_n: int, edges_per_new_node: int, rng: np.random.Generator
+) -> tuple[NetworkSnapshot, tuple[int, ...]]:
+    """Preferential attachment grown over a Python set of edges: one
+    ``rng.integers(len(pool))`` draw per attempt from a pool that lists both
+    endpoints of the seed's sorted edges, then of each new edge."""
+    assert is_connected_reference(seed_graph)
+    order: list[int] = seed_graph.ids.tolist()
+    edges: set[tuple[int, int]] = set(edge_set(seed_graph))
+    pool: list[int] = [n for e in sorted(edges) for n in e]
+    next_id = order[-1] + 1
+    while len(order) < target_n:
+        k = min(edges_per_new_node, len(order))
+        targets: set[int] = set()
+        if pool:
+            while len(targets) < k:
+                targets.add(pool[int(rng.integers(len(pool)))])
+        else:
+            targets.update(order[:k])  # degenerate one-node seed
+        for t in sorted(targets):
+            edges.add((t, next_id))
+            pool.extend((t, next_id))
+        order.append(next_id)
+        next_id += 1
+    return NetworkSnapshot.from_edges(order, sorted(edges)), tuple(order)
 
 
 def adjacency(g: NetworkSnapshot) -> dict[int, tuple[int, ...]]:
     """Each node's sorted neighbours; a node is never its own neighbour."""
-    adj: dict[int, list[int]] = {n: [] for n in g.sorted_nodes}
-    for u, v in g.edges:
+    adj: dict[int, list[int]] = {n: [] for n in g.ids.tolist()}
+    for u, v in edge_set(g):
         adj[u].append(v)
         adj[v].append(u)
-    return {n: tuple(sorted(adj[n])) for n in g.sorted_nodes}
+    return {n: tuple(sorted(adj[n])) for n in g.ids.tolist()}
 
 
 def is_connected_reference(g: NetworkSnapshot) -> bool:
     """Connectivity by a depth-first walk over Python sets; False when empty."""
-    if not g.nodes:
+    if not g.n:
         return False
     adj = adjacency(g)
-    stack = [g.sorted_nodes[0]]
+    stack = [int(g.ids[0])]
     seen = set(stack)
     while stack:
         for v in adj[stack.pop()]:
@@ -105,13 +175,13 @@ def is_connected_reference(g: NetworkSnapshot) -> bool:
 
 def layout_reference(g: NetworkSnapshot, kept: Iterable[int]) -> tuple[list[int], list[list[int]]]:
     """The degree layout of ``induced_subgraph(g, kept)`` by definition, over
-    positions in ``g.sorted_nodes``: the kept positions by descending degree,
+    positions in ``g.ids``: the kept positions by descending degree,
     ties in ascending order, and per ``s`` the position of the ``s``-th
     smallest neighbour of each of them that has one."""
     h = induced_subgraph(g, kept)
     adj = adjacency(h)
-    pos = {v: k for k, v in enumerate(g.sorted_nodes)}
-    order = sorted(h.sorted_nodes, key=lambda v: -len(adj[v]))
+    pos = {v: k for k, v in enumerate(g.ids.tolist())}
+    order = sorted(h.ids.tolist(), key=lambda v: -len(adj[v]))
     depth = max(map(len, adj.values()), default=0)
     levels = [[pos[adj[v][s]] for v in order if len(adj[v]) > s] for s in range(depth)]
     return [pos[v] for v in order], levels
@@ -119,12 +189,12 @@ def layout_reference(g: NetworkSnapshot, kept: Iterable[int]) -> tuple[list[int]
 
 def floyd_warshall_diameter(g: NetworkSnapshot) -> float:
     """Independent diameter computation used as an oracle against BFS."""
-    order = g.sorted_nodes
+    order = g.ids.tolist()
     idx = {n: i for i, n in enumerate(order)}
     size = len(order)
     dist = np.full((size, size), np.inf)
     np.fill_diagonal(dist, 0.0)
-    for u, v in g.edges:
+    for u, v in edge_set(g):
         dist[idx[u], idx[v]] = 1.0
         dist[idx[v], idx[u]] = 1.0
     for k in range(size):
@@ -138,7 +208,7 @@ def admc_step_reference(
     """Per-agent approximate max step, one Python loop over the agents."""
     adj = adjacency(g)
     new: dict[int, State] = {}
-    for i in g.sorted_nodes:
+    for i in g.ids.tolist():
         xi = x[i]
         if isinstance(xi, float):
             best = xi
@@ -163,7 +233,7 @@ def edmc_step_reference(
     """Per-agent exact max step: shift each cascade, load the input."""
     adj = adjacency(g)
     new: dict[int, State] = {}
-    for i in g.sorted_nodes:
+    for i in g.ids.tolist():
         own = x[i]
         agg = own[:-1]
         for j in adj[i]:
@@ -195,16 +265,17 @@ def open_step_reference(
     off, still read the last states of departing neighbours; arriving agents
     start from their next-tick input and read nobody this tick.
     """
-    departing = g_now.nodes - g_next.nodes
+    now, after = node_set(g_now), node_set(g_next)
+    departing = now - after
     base = g_now
     if not params.read_departing and departing:
-        base = induced_subgraph(g_now, g_now.nodes - departing)
+        base = induced_subgraph(g_now, now - departing)
     if params.variant == "approximate":
         stepped = admc_step_reference(base, x, u_now, params.alpha)
     else:
         stepped = edmc_step_reference(base, x, u_now)
-    new = {i: stepped[i] for i in sorted(g_now.nodes & g_next.nodes)}
-    new.update((i, start_state(params, u_next[i])) for i in sorted(g_next.nodes - g_now.nodes))
+    new = {i: stepped[i] for i in sorted(now & after)}
+    new.update((i, start_state(params, u_next[i])) for i in sorted(after - now))
     return new
 
 
@@ -221,10 +292,10 @@ def reference_outputs(
     exact = params.variant == "exact"
     graphs = [w.graph for w in scenario.windows for _ in range(w.start, w.end + 1)]
     u = inputs(0, graphs[0])
-    states = {i: start_state(params, u[i]) for i in graphs[0].sorted_nodes}
+    states = {i: start_state(params, u[i]) for i in graphs[0].ids.tolist()}
     outs = []
     for k, g in enumerate(graphs):
-        outs.append({i: states[i][-1] if exact else states[i] for i in g.sorted_nodes})
+        outs.append({i: states[i][-1] if exact else states[i] for i in g.ids.tolist()})
         if k < scenario.horizon:
             u_next = inputs(k + 1, graphs[k + 1])
             states = open_step_reference(params, g, graphs[k + 1], states, u, u_next)
@@ -244,7 +315,7 @@ def dse_inputs_reference(scenario: Scenario) -> Callable[[int, NetworkSnapshot],
             old = held["u"]
             held["u"] = {
                 i: old[i] if i in old else dse_generate(scenario.dse.p, draws)
-                for i in g.sorted_nodes
+                for i in g.ids.tolist()
             }
             held["graph"] = g
         return held["u"]
@@ -326,9 +397,9 @@ def trace_row(result: RunResult, table: np.ndarray, k: int) -> dict[int, float]:
     """
     sc = result.scenario
     w = next(w for w in sc.windows if w.start <= k <= w.end)
-    assert np.array_equal(np.asarray(sc.reference.sorted_nodes)[w.slots], w.graph.sorted_nodes)
+    assert np.array_equal(sc.reference.ids[w.slots], w.graph.ids)
     assert np.isnan(np.delete(table[k], w.slots)).all()
-    return dict(zip(w.graph.sorted_nodes, table[k, w.slots].tolist()))
+    return dict(zip(w.graph.ids.tolist(), table[k, w.slots].tolist()))
 
 
 def value_reference(spec: SignalSpec, k: int) -> float:
