@@ -6,10 +6,15 @@ is the ``s``-th smallest node.  A membership change never mutates a snapshot:
 the network after it is the reference topology induced on a boolean mask of
 active positions, so a returning node gets back exactly its reference edges
 to active endpoints.  That subgraph's :meth:`~NetworkSnapshot.layout` is the
-adjacency's one array form; over it, :func:`closed_reduce` folds the kernels'
-neighbourhood max and each level of the one BFS behind :func:`is_connected`
-and :func:`diameter`.  :meth:`~NetworkSnapshot.subgraph` builds the subgraph
-as a snapshot of its own, for its text form.
+adjacency's one array form.  Over it, :func:`closed_reduce` folds the
+kernels' neighbourhood max, and one bit-parallel BFS from a set of source
+rows, which ORs the layout's levels of fewer than 64 rows in one padded
+gather, is behind :func:`is_connected` (one source) and :func:`diameter`.
+The diameter is the fringe bound of Crescenzi, Grossi, Habib, Lanzi and
+Marino ("On computing the diameter of real-world undirected graphs", 2013):
+a search from the highest-degree row, then one from each of its outer
+distance fringes until the bound closes.  :meth:`~NetworkSnapshot.subgraph`
+builds the subgraph as a snapshot of its own, for its text form.
 """
 
 from __future__ import annotations
@@ -51,6 +56,23 @@ def _unique(a: np.ndarray) -> np.ndarray:
     return a[first]
 
 
+def _int64(values: object, what: str) -> np.ndarray:
+    """``values`` as an int64 array; a value that is not an integer, or does
+    not fit in 64 bits, raises ``ValueError``."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iub":
+        bad = [v for v in a.flat if not isinstance(v, int)]
+        if bad:
+            raise ValueError(f"{what} must be integers, got {bad[0]}")
+    try:
+        ints = a.astype(np.int64)
+    except OverflowError:
+        ints = None
+    if ints is None or not np.array_equal(ints, a):
+        raise ValueError(f"{what} must fit in 64 bits")
+    return ints
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkSnapshot:
     """Undirected graph on the sorted int64 node ``ids``; isolated nodes are
@@ -68,13 +90,10 @@ class NetworkSnapshot:
     def from_edges(cls, nodes: Iterable[int], edges: Sequence) -> NetworkSnapshot:
         """The graph on ``nodes`` whose edges are the node-id pairs of
         ``edges``, a sequence or ``(m, 2)`` array; a repeated node or edge, in
-        either direction, counts once.  A self loop or an edge to a node
-        outside ``nodes`` raises ``ValueError``."""
-        try:
-            ids = _unique(np.fromiter(nodes, dtype=np.int64))
-            ends = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
-        except OverflowError:
-            raise ValueError("node ids must fit in 64 bits") from None
+        either direction, counts once.  A non-integer id or endpoint, a self
+        loop or an edge to a node outside ``nodes`` raises ``ValueError``."""
+        ids = _unique(_int64(list(nodes), "node ids"))
+        ends = _int64(edges, "edge endpoints").reshape(len(edges), 2)
         loop = ends[:, 0] == ends[:, 1]
         if loop.any():
             raise ValueError(f"self loop on node {ends[loop][0, 0]} is not allowed")
@@ -129,41 +148,73 @@ def closed_reduce(ufunc: np.ufunc, A: np.ndarray, rows: np.ndarray, levels: Iter
     return out
 
 
-def _search(layout: Layout, sources: int) -> tuple[bool, int]:
-    """Breadth-first searches from the first ``sources`` rows of ``layout`` at
-    once: bit ``j`` of row ``v`` (ranks in row order) says the search from ``j``
-    has reached ``v``.  Returns whether the first search reached every row, and
-    the search depth."""
+def _search(layout: Layout, sources: np.ndarray) -> tuple[np.ndarray, int]:
+    """Breadth-first searches from the layout ranks ``sources`` at once: bit
+    ``j`` of row ``v`` (ranks in row order) says the search from
+    ``sources[j]`` has reached ``v``.  Returns the first search's distance to
+    every row (-1 where unreached) and the search depth, the largest
+    eccentricity among the sources.
+
+    Each level ORs a row's neighbours into its frontier: one call per layout
+    level that has 64 rows or more, then one padded gather for the shorter
+    tail, whose row ``j`` is padded with ``j`` itself.  A bitwise OR is exact
+    in any order.
+    """
     rows, levels = layout
     m = len(rows)
     rank = np.empty(rows.max() + 1, dtype=np.intp)
-    rank[rows] = ranks = np.arange(m)
-    levels = [rank[nbr] for nbr in levels]
-    k = np.arange(sources)
-    seen = np.zeros((m, -(-sources // 64)), dtype=np.uint64)
-    seen[k, k // 64] = np.uint64(1) << (k % 64).astype(np.uint64)
-    frontier, depth = seen.copy(), -1
-    while frontier.any():
-        frontier = closed_reduce(np.bitwise_or, frontier, ranks, levels)
-        frontier &= ~seen
+    rank[rows] = np.arange(m)
+    wide = sum(len(nbr) >= 64 for nbr in levels)
+    head = [rank[nbr] for nbr in levels[:wide]]
+    tail = np.empty((0, 0), dtype=np.intp)
+    if wide < len(levels):
+        lengths = np.array([len(nbr) for nbr in levels[wide:]])
+        tail = np.repeat(np.arange(lengths[0]), len(lengths)).reshape(-1, len(lengths))
+        tail.T[np.arange(lengths[0]) < lengths[:, None]] = rank[np.concatenate(levels[wide:])]
+    k = np.arange(len(sources))
+    frontier = np.zeros((m, -(-len(sources) // 64)), dtype=np.uint64)
+    frontier[sources, k // 64] = np.uint64(1) << (k % 64).astype(np.uint64)
+    seen, dist, depth = frontier.copy(), np.full(m, -1), 0
+    dist[sources[0]] = 0
+    while True:
+        reached = frontier.copy()
+        for nbr in head:
+            reached[: len(nbr)] |= frontier[nbr]
+        reached[: len(tail)] |= np.bitwise_or.reduce(frontier[tail], axis=1)
+        frontier = reached & ~seen
+        if not frontier.any():
+            return dist, depth
         seen |= frontier
         depth += 1
-    return bool((seen[:, 0] & np.uint64(1)).all()), depth
+        dist[(frontier[:, 0] & np.uint64(1)) != 0] = depth
 
 
 def is_connected(layout: Layout) -> bool:
     """Whether a :meth:`~NetworkSnapshot.layout` is one nonempty component."""
-    return len(layout[0]) > 0 and _search(layout, 1)[0]
+    return len(layout[0]) > 0 and bool((_search(layout, np.array([0]))[0] >= 0).all())
 
 
 def diameter(layout: Layout) -> float:
     """Longest shortest-path length of a :meth:`~NetworkSnapshot.layout`; 0 for
-    one node, ``math.inf`` if a search leaves some row unreached."""
-    m = len(layout[0])
-    if not m:
+    one node, ``math.inf`` if some row is unreached.
+
+    The fringe bound of Crescenzi, Grossi, Habib, Lanzi and Marino (2013).
+    One search from row 0, the highest-degree row, gives every row's
+    distance to it.  Two rows within ``i`` of row 0 are at most ``2 i``
+    apart, so once ``bound``, the largest eccentricity among row 0 and the
+    rows farther than ``i`` from it, reaches ``2 i``, it is the diameter.
+    Each step searches from the whole fringe at distance ``i`` at once.
+    """
+    if not len(layout[0]):
         raise ValueError("diameter of an empty snapshot is undefined")
-    connected, depth = _search(layout, m)
-    return depth if connected else math.inf
+    dist, bound = _search(layout, np.array([0]))
+    if (dist < 0).any():
+        return math.inf
+    i = bound
+    while bound < 2 * i:
+        bound = max(bound, _search(layout, np.flatnonzero(dist == i))[1])
+        i -= 1
+    return bound
 
 
 def line_graph(n: int) -> NetworkSnapshot:

@@ -29,6 +29,7 @@ from util import (
     as_masks,
     dse_inputs_reference,
     exact_kernel_calls,
+    floyd_warshall_distances,
     node_set,
     record_exact_kernel_calls,
     reference_outputs,
@@ -39,9 +40,9 @@ GRID = (-0.5, -0.25, -0.0, 0.0, 0.25, 0.5)
 
 
 @st.composite
-def graphs(draw) -> NetworkSnapshot:
-    """A random tree on 1..n plus up to n extra edges."""
-    n = draw(st.integers(1, 10))
+def graphs(draw, sizes: tuple[int, int] = (1, 10)) -> NetworkSnapshot:
+    """A random tree on 1..n, ``n`` in ``sizes``, plus up to n extra edges."""
+    n = draw(st.integers(*sizes))
     edges = {(draw(st.integers(1, i - 1)), i) for i in range(2, n + 1)}
     if n > 1:
         pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
@@ -64,10 +65,10 @@ def connected_subsets(draw, g: NetworkSnapshot) -> frozenset[int]:
 
 
 @st.composite
-def churn(draw, g: NetworkSnapshot, horizon: int, shortest: int) -> list:
-    """Up to three changes at least ``shortest`` ticks apart, as masks, each to a
-    connected subset that differs from the set before it."""
-    gaps = draw(st.lists(st.integers(shortest, 8), max_size=3))
+def churn(draw, g: NetworkSnapshot, horizon: int, shortest: int, longest: int = 8) -> list:
+    """Up to three changes ``shortest`` to ``longest`` ticks apart, as masks,
+    each to a connected subset that differs from the set before it."""
+    gaps = draw(st.lists(st.integers(shortest, longest), max_size=3))
     changes, active = [], node_set(g)
     for tick in itertools.takewhile(lambda t: t <= horizon, itertools.accumulate(gaps)):
         keep = draw(connected_subsets(g))
@@ -168,3 +169,40 @@ def test_size_engine_matches_the_per_agent_oracle(sc):
     assert np.array_equal(res.trace.estimates.view(np.int64), want.view(np.int64))
     if sc.params.variant == "exact":
         assert calls == exact_kernel_calls(sc)
+
+
+@st.composite
+def constant_exact_scenarios(draw):
+    """An exact consensus scenario on 8-120 nodes with constant inputs, random
+    initial states, and windows long enough to settle.
+
+    The cascade depth is one below to two above the reference's diameter,
+    and the input extremum sits alone at one end of a longest shortest path,
+    so a depth short of the diameter leaves the other end off the target."""
+    g = draw(graphs((8, 120)))
+    dist = floyd_warshall_distances(g)
+    delta = int(dist.max()) + draw(st.integers(-1, 2))
+    horizon = draw(st.integers(2 * delta + 4, 60))
+    mode = draw(st.sampled_from(["max", "min"]))
+    ids = g.ids.tolist()
+    inputs = {i: draw(st.sampled_from(GRID)) for i in ids}
+    inputs[ids[int(dist.max(axis=1).argmax())]] = 1.0 if mode == "max" else -1.0
+    params = ProtocolParams(mode, "exact", delta=delta, read_departing=draw(st.booleans()))
+    return make_scenario(
+        name="drawn", kind="consensus", params=params, reference=g, horizon=horizon, seed=0,
+        changes=draw(churn(g, horizon, delta + 2, delta + 12)),
+        bank=SignalBank({i: Constant(v) for i, v in inputs.items()}),
+        initial_states={i: draw(st.floats(-2, 2)) for i in ids},
+    )
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(constant_exact_scenarios())
+def test_exact_windows_are_exact_once_the_cascade_spans_the_diameter(sc):
+    """The cascade's bound: a window whose depth covers its reported diameter
+    has error exactly 0 from offset delta + 1 on, under constant inputs."""
+    res = run(sc)
+    for row in res.summary["windows"]:
+        assert row["bounds"]["assumptions_ok"] == (sc.params.delta >= row["diameter"])
+        if row["bounds"]["assumptions_ok"]:
+            assert not res.trace.errors[row["start"] + sc.params.delta + 1 : row["end"] + 1].any()

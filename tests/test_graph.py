@@ -57,6 +57,17 @@ def test_snapshot_rejects_self_loops_and_dangling_edges():
         NetworkSnapshot.from_edges([1, 2**70], [])
 
 
+def test_snapshot_rejects_non_integer_ids_and_endpoints():
+    with pytest.raises(ValueError, match="node ids must be integers, got 1.5"):
+        NetworkSnapshot.from_edges([1.5, 2], [])
+    with pytest.raises(ValueError, match="edge endpoints must be integers, got 1.7"):
+        NetworkSnapshot.from_edges([1, 2], [(1.7, 2)])
+    with pytest.raises(ValueError, match="edge endpoints must be integers"):
+        NetworkSnapshot.from_edges([1, 2], np.array([[1.0, 2.0]]))
+    with pytest.raises(ValueError, match="edge endpoints must fit in 64 bits"):
+        NetworkSnapshot.from_edges([1, 2], [(1, 2**64)])
+
+
 def test_neighbors_sorted_and_exclude_self():
     g = line_graph(3)
     rows, levels = g.layout()
@@ -83,6 +94,8 @@ def test_diameter_examples():
     assert diameter(line_graph(1).layout()) == 0
     split = NetworkSnapshot.from_edges([1, 2], [])
     assert diameter(split.layout()) == math.inf
+    cycle = NetworkSnapshot.from_edges(range(70), [(v, (v + 1) % 70) for v in range(70)])
+    assert diameter(cycle.layout()) == 35  # every level has 64 rows or more
 
 
 def test_diameter_matches_floyd_warshall_oracle():
@@ -296,3 +309,37 @@ def test_masked_layout_equals_the_induced_subgraph(case):
     assert not any(x.flags.writeable for x in (sub.ids, *sub.arcs))
     text = f"nodes: {' '.join(map(str, kept))}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edge_set(h)))
     assert snapshot_to_text(sub) == snapshot_to_text(h) == text
+
+
+@st.composite
+def wide_graphs(draw) -> tuple[NetworkSnapshot, np.ndarray]:
+    """A graph and a position mask over it that keeps 64 or more rows with a
+    neighbour, so the layout mixes levels of 64 rows or more with shorter ones.
+
+    Either a Barabasi-Albert graph of 150-300 nodes under a random mask,
+    connected or not, or a lollipop: a clique of 65-80 nodes with a path of
+    1-40 nodes hanging off one clique node, all kept.  The path's far end
+    is farthest from the hub, so the diameter search walks fringe after
+    fringe back along the path."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(150, 300))
+        g, _ = barabasi_albert(line_graph(draw(st.integers(1, 5))), n, draw(st.integers(1, 3)), rng)
+        return g, rng.random(n) < draw(st.sampled_from([0.9, 0.97, 1.0]))
+    clique, path = draw(st.integers(65, 80)), draw(st.integers(1, 40))
+    edges = [(u, v) for u in range(1, clique + 1) for v in range(u + 1, clique + 1)]
+    edges += [(v, v + 1) for v in range(clique, clique + path)]
+    return NetworkSnapshot.from_edges(range(1, clique + path + 1), edges), np.ones(clique + path, dtype=bool)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(wide_graphs())
+def test_wide_layout_diameter_and_connectivity_match_the_oracles(case):
+    """The searches over a layout whose short levels fold as one padded
+    gather agree with Floyd-Warshall and a depth-first walk."""
+    g, keep = case
+    h = induced_subgraph(g, g.ids[keep].tolist())
+    layout = g.layout(keep)
+    assert len(layout[1][0]) >= 64 > len(layout[1][-1])
+    assert is_connected(layout) == is_connected_reference(h)
+    assert diameter(layout) == floyd_warshall_diameter(h)

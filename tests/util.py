@@ -189,6 +189,12 @@ def layout_reference(g: NetworkSnapshot, kept: Iterable[int]) -> tuple[list[int]
 
 def floyd_warshall_diameter(g: NetworkSnapshot) -> float:
     """Independent diameter computation used as an oracle against BFS."""
+    return float(floyd_warshall_distances(g).max())
+
+
+def floyd_warshall_distances(g: NetworkSnapshot) -> np.ndarray:
+    """Shortest-path lengths between positions in ``g.ids``, ``inf`` where
+    no path joins them."""
     order = g.ids.tolist()
     idx = {n: i for i, n in enumerate(order)}
     size = len(order)
@@ -199,7 +205,7 @@ def floyd_warshall_diameter(g: NetworkSnapshot) -> float:
         dist[idx[v], idx[u]] = 1.0
     for k in range(size):
         dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
-    return float(dist.max())
+    return dist
 
 
 def admc_step_reference(
