@@ -1,4 +1,4 @@
-"""Worst-case tracking bounds and empirical convergence detection.
+"""Worst-case tracking bounds and the audit of measured errors against them.
 
 For the approximate variant on a window that starts at a membership change
 and stays unchanged for the dwell time, with decay ``alpha`` larger than the
@@ -16,9 +16,11 @@ For the exact variant with cascade depth ``delta >= d`` both times equal
 Min-mode runs are bounded through the negation mirror: the simulator passes
 the negated states and input minimum, so only the max formulas exist here.
 
-:func:`detect_times` recovers both times from a realized error trace, and
-:func:`audit_window` counts violations of the decrease/containment behavior
-the formulas promise.
+:func:`audit_window` reads one window's realized errors against these
+formulas and returns one record: the measured times, the maxima, and the
+counts of decrease and containment violations.  Two constants set its
+tolerances: ``BAND_TOL`` widens the band, and ``DECREASE_TOL`` is how far an
+error may rise and still count as decreasing.
 """
 
 from __future__ import annotations
@@ -32,13 +34,15 @@ import numpy as np
 __all__ = [
     "AssumptionViolation",
     "BoundsReport",
-    "DetectedTimes",
-    "WindowAudit",
     "admc_bounds",
     "edmc_bounds",
-    "detect_times",
     "audit_window",
 ]
+
+# An error at most this far above the tracking band still counts as inside it.
+BAND_TOL = 1e-9
+# A step up by less than this still counts as a decrease.
+DECREASE_TOL = 1e-12
 
 
 class AssumptionViolation(ValueError):
@@ -173,103 +177,41 @@ def edmc_bounds(
     )
 
 
-@dataclass(frozen=True)
-class DetectedTimes:
-    """Empirical transient/convergence offsets measured from a change tick."""
+def audit_window(errors: Sequence[float], report: BoundsReport) -> dict:
+    """One window's realized errors read against its bounds report.
 
-    transient_time: int
-    convergence_time: int | None
-    converged: bool
+    ``errors[c]`` is the tracking error ``c`` ticks after the change.  An
+    error is above the band when it exceeds ``tracking_bound`` by more than
+    ``BAND_TOL``; a step is stuck when it starts above the band and the next
+    error is not below the current one plus ``DECREASE_TOL``.
 
-
-def detect_times(
-    errors: Sequence[float],
-    band: float,
-    *,
-    band_tol: float = 1e-9,
-    decrease_tol: float = 1e-12,
-) -> DetectedTimes:
-    """Read both times off a window's error trace.
-
-    ``errors[c]`` is the tracking error ``c`` ticks after the change.  The
-    convergence offset is the first from which the error stays inside the
-    band through the end of the window; the transient offset is the first
-    from which the error strictly decreases until it enters the band.
-    Non-decreasing steps inside the band are not violations.
+    The measured convergence offset is the first from which the error stays
+    inside the band through the end of the window (``None`` if the last
+    error is above it); the measured transient offset is one past the last
+    stuck step before it.  Decrease is required from the report's transient
+    offset up to its convergence offset; containment from its convergence
+    offset to the end of the window, but only when the window reaches it.
+    Maxima are the first maximal error, as ``max`` picks it.
     """
-    if band < 0:
-        raise ValueError("band must be nonnegative")
-    if not len(errors):
-        raise ValueError("empty error window")
-    last = len(errors) - 1
-
-    conv: int | None = 0
-    for k in range(last, -1, -1):
-        if errors[k] > band + band_tol:
-            conv = None if k == last else k + 1
-            break
-    converged = conv is not None
-
-    end = conv if converged else last
-    transient = 0
-    for k in range(end - 1, -1, -1):
-        if errors[k] <= band + band_tol:
-            continue
-        if not errors[k + 1] < errors[k] + decrease_tol:
-            transient = k + 1
-            break
-    return DetectedTimes(transient, conv, converged)
-
-
-@dataclass(frozen=True)
-class WindowAudit:
-    """Violation counts of the promised decrease/containment behavior."""
-
-    detected: DetectedTimes
-    decrease_violations: int
-    containment_violations: int
-    max_error_after_convergence: float | None
-    audited_containment: bool
-
-
-def audit_window(
-    errors: Sequence[float],
-    report: BoundsReport,
-    *,
-    band_tol: float = 1e-9,
-    decrease_tol: float = 1e-12,
-) -> WindowAudit:
-    """Check one window's realized errors against its bounds report.
-
-    Decrease is required from the transient offset up to the convergence
-    offset whenever the error sits above the band.  Containment is required
-    from the convergence offset to the end of the window, but only when the
-    window is long enough to reach it.
-    """
-    band = report.tracking_bound
-    last = len(errors) - 1
-    detected = detect_times(errors, band, band_tol=band_tol, decrease_tol=decrease_tol)
-
-    decrease_violations = 0
-    t_start = report.transient_time
-    t_conv = report.convergence_time if report.convergence_time is not None else last + 1
-    for k in range(t_start, min(t_conv, last - 1) + 1):
-        if errors[k] <= band + band_tol:
-            continue
-        if not errors[k + 1] < errors[k] + decrease_tol:
-            decrease_violations += 1
-
-    containment_violations = 0
-    max_tail: float | None = None
-    audited = report.convergence_time is not None and report.convergence_time <= last
-    if audited:
-        tail = [errors[k] for k in range(report.convergence_time, last + 1)]
-        max_tail = max(tail)
-        containment_violations = sum(1 for e in tail if e > band + band_tol)
-    return WindowAudit(
-        detected=detected,
-        decrease_violations=decrease_violations,
-        containment_violations=containment_violations,
-        max_error_after_convergence=max_tail,
-        audited_containment=audited,
-    )
+    e = np.asarray(errors, dtype=float)
+    last = len(e) - 1
+    above = e > report.tracking_bound + BAND_TOL
+    stuck = above[:-1] & ~(e[1:] < e[:-1] + DECREASE_TOL)
+    outside = np.flatnonzero(above)
+    conv = 0 if not len(outside) else None if outside[-1] == last else int(outside[-1]) + 1
+    rises = np.flatnonzero(stuck[:conv])
+    t_conv = report.convergence_time
+    stop = None if t_conv is None else t_conv + 1
+    audited = t_conv is not None and t_conv <= last
+    tail = e[t_conv:] if audited else None
+    return {
+        "transient_time": int(rises[-1]) + 1 if len(rises) else 0,
+        "convergence_time": conv,
+        "converged": conv is not None,
+        "max_error": float(e[np.argmax(e)]),
+        "final_error": float(e[-1]),
+        "max_error_after_convergence": float(tail[np.argmax(tail)]) if audited else None,
+        "decrease_violations": int(stuck[report.transient_time : stop].sum()),
+        "containment_violations": int(above[t_conv:].sum()) if audited else 0,
+        "containment_audited": audited,
+    }

@@ -230,7 +230,7 @@ def barabasi_albert(
     target_n: int,
     edges_per_new_node: int,
     rng: np.random.Generator,
-) -> tuple[NetworkSnapshot, tuple[int, ...]]:
+) -> NetworkSnapshot:
     """Grow a scale-free graph by degree-proportional preferential attachment.
 
     Parameters
@@ -248,11 +248,11 @@ def barabasi_albert(
 
     Returns
     -------
-    (NetworkSnapshot, tuple[int, ...])
-        The grown graph and the node insertion order (seed nodes first, in id
-        order, then generated nodes in creation order).  The trailing entries
-        of the order are what membership churn rules such as "the last m
-        nodes added" refer to.
+    NetworkSnapshot
+        The grown graph.  Generated nodes get ascending ids in creation
+        order, so its last positions hold the last nodes added, which is
+        what membership churn rules such as "the last m nodes added" refer
+        to.
     """
     if not is_connected(seed_graph.layout()):
         raise ValueError("seed graph must be connected")
@@ -282,7 +282,7 @@ def barabasi_albert(
         order.append(next_id)
         next_id += 1
 
-    return NetworkSnapshot.from_edges(order, np.reshape(pool, (-1, 2))), tuple(order)
+    return NetworkSnapshot.from_edges(order, np.reshape(pool, (-1, 2)))
 
 
 def snapshot_to_text(g: NetworkSnapshot) -> str:

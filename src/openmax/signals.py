@@ -136,8 +136,8 @@ class ClampedRandomWalk:
     hi: float | None = None
 
     def __post_init__(self) -> None:
-        if self.step_bound < 0:
-            raise ValueError("step bound must be nonnegative")
+        if not 0 <= 2 * self.step_bound < math.inf:  # steps are drawn from [-b, b]
+            raise ValueError(f"step bound {self.step_bound} must be nonnegative, twice it finite")
 
     @property
     def slope_bound(self) -> float:
@@ -206,7 +206,8 @@ def certify_slope(table: np.ndarray, agents: Sequence[int], bound: float) -> flo
     such agent and its tick.
     """
     tol = 1e-9 * max(1.0, abs(bound)) + 1e-12
-    change = np.abs(np.diff(table, axis=0))
+    with np.errstate(over="ignore"):  # a change past the float range reads as inf
+        change = np.abs(np.diff(table, axis=0))
     bad = ~(change <= bound + tol)
     if bad.any():
         s = int(np.argmax(bad.any(axis=0)))

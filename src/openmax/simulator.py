@@ -187,14 +187,14 @@ class Scenario:
 
     A consensus run's ``inputs`` is its ``(horizon + 1, slots)`` float64 signal
     table: cell ``[k, s]`` is the reference value at tick ``k`` of agent
-    ``reference.ids[s]``, active or not.
+    ``reference.ids[s]``, active or not.  ``initial_states``, when given, is
+    the read-only ``(slots,)`` float64 array of the agents' states at tick 0.
     """
 
     name: str
     kind: str
     params: ProtocolParams
     reference: NetworkSnapshot
-    insertion_order: tuple[int, ...]
     horizon: int
     dwell: int
     seed: int
@@ -202,7 +202,7 @@ class Scenario:
     windows: tuple[Window, ...]
     inputs: np.ndarray | None = None
     dse: DseConfig | None = None
-    initial_states: dict[int, float] | None = None
+    initial_states: np.ndarray | None = None
     trace: TraceOptions = field(default=TraceOptions())
 
 
@@ -291,7 +291,6 @@ def make_scenario(
     bank: SignalBank | None = None,
     dse: DseConfig | None = None,
     initial_states: Mapping[int, float] | None = None,
-    insertion_order: Sequence[int] | None = None,
     trace: TraceOptions = TraceOptions(),
     declared_slope: float | None = None,
 ) -> Scenario:
@@ -314,10 +313,6 @@ def make_scenario(
         raise ScenarioError("seed must be a nonnegative integer")
 
     nodes = reference.ids.tolist()
-    order = tuple(nodes if insertion_order is None else insertion_order)
-    if sorted(order) != nodes:
-        raise ScenarioError("insertion order must list exactly the reference nodes")
-
     ticks = [_as_int(t, "change tick") for t, _ in changes]
     if any(b <= a for a, b in zip(ticks, ticks[1:])):
         raise ScenarioError("change ticks must be strictly increasing")
@@ -373,8 +368,18 @@ def make_scenario(
         if missing:
             raise ScenarioError(f"agents {missing} have no reference signal")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
-        inputs = signal_table(bank, nodes, horizon, rng)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            inputs = signal_table(bank, nodes, horizon, rng)
+        bad = ~np.isfinite(inputs)
+        if bad.any():
+            k, s = np.argwhere(bad)[0]
+            raise ScenarioError(
+                f"signals: agent {nodes[s]} has input {inputs[k, s]} at tick {k}; "
+                "inputs must stay finite"
+            )
         slope_bound = bank.slope_bound if declared_slope is None else float(declared_slope)
+        if not math.isfinite(slope_bound):
+            raise ScenarioError(f"signals: the input slope bound {slope_bound} is not finite")
         certify_slope(inputs, nodes, slope_bound)
     else:
         inputs = None
@@ -399,20 +404,21 @@ def make_scenario(
             "the delayed extremum cannot settle between changes"
         )
 
-    states: dict[int, float] | None = None
+    states: np.ndarray | None = None
     if initial_states is not None:
-        states = {int(i): float(v) for i, v in initial_states.items()}
-        if sorted(states) != nodes:
+        given = {int(i): float(v) for i, v in initial_states.items()}
+        if sorted(given) != nodes:
             raise ScenarioError("initial states must cover exactly the starting agents")
-        if not all(math.isfinite(v) for v in states.values()):
+        states = np.array([given[i] for i in nodes])
+        if not np.isfinite(states).all():
             raise ScenarioError("initial states must be finite")
+        states.flags.writeable = False
 
     return Scenario(
         name=str(name),
         kind=kind,
         params=params,
         reference=reference,
-        insertion_order=order,
         horizon=horizon,
         dwell=dwell,
         seed=seed,
@@ -510,9 +516,7 @@ class _Keys:
 MAX_REDRAWS = 100
 
 
-def _build_topology(
-    topo: _Keys, seed: int, horizon: int, p: int | None
-) -> tuple[NetworkSnapshot, tuple[int, ...]]:
+def _build_topology(topo: _Keys, seed: int, horizon: int, p: int | None) -> NetworkSnapshot:
     """Grow the reference topology once its size is known to fit ``MAX_CELLS``."""
 
     def fits(nodes: int, keys: str) -> None:
@@ -527,7 +531,6 @@ def _build_topology(
         n = topo.integer("n", least=1)
         fits(n, "topology.n")
         g = line_graph(n)
-        order = tuple(g.ids.tolist())
     elif kind == "barabasi_albert":
         seed_line = topo.integer("seed_line", 5, least=1)
         target_n = topo.integer("target_n", least=1)
@@ -538,18 +541,17 @@ def _build_topology(
                 f"topology.target_n ({target_n}) must be at least topology.seed_line ({seed_line})"
             )
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-        g, order = barabasi_albert(line_graph(seed_line), target_n, m, rng)
+        g = barabasi_albert(line_graph(seed_line), target_n, m, rng)
     elif kind == "explicit":
         text = topo.pop("text")
         if not isinstance(text, str):
             raise ScenarioError(f"topology.text must be an edge-list block, got {text!r}")
         g = topo.make(snapshot_from_text, text)
         fits(g.n, "topology.text")
-        order = tuple(g.ids.tolist())
     else:
         raise ScenarioError(f"topology.kind: unknown topology kind {kind!r}")
     topo.done()
-    return g, order
+    return g
 
 
 # The signal kinds whose fields are all reals: each is read from the key of its name.
@@ -596,11 +598,7 @@ def _build_bank(sig: _Keys, nodes: Sequence[int]) -> tuple[SignalBank, float | N
 
 
 def _realize_pool_churn(
-    churn: _Keys,
-    reference: NetworkSnapshot,
-    order: Sequence[int],
-    seed: int,
-    horizon: int,
+    churn: _Keys, reference: NetworkSnapshot, seed: int, horizon: int
 ) -> list[tuple[int, np.ndarray]]:
     pool_size = churn.integer("pool_size", 25)
     every = churn.integer("every", least=1)
@@ -616,7 +614,7 @@ def _realize_pool_churn(
             f"{churn.at('activation_probability')} must lie strictly inside (0, 1), got {prob}"
         )
 
-    pool = np.searchsorted(reference.ids, order[-pool_size:])  # positions, newest last
+    pool = np.arange(reference.n - pool_size, reference.n)  # the highest ids: the newest grown
     core = np.ones(reference.n, dtype=bool)
     core[pool] = False
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
@@ -708,16 +706,15 @@ def scenario_from_mapping(
         dse = section.make(DseConfig, section.integer("p"), section.integer("mc_trials", 2000))
         section.done()
 
-    reference, order = _build_topology(
-        keys.mapping("topology"), root_seed, horizon, dse.p if dse else None
-    )
+    topology = keys.mapping("topology")
+    reference = _build_topology(topology, root_seed, horizon, dse.p if dse else None)
 
     churn = keys.mapping("churn", None)
     changes: list[tuple[int, np.ndarray]] = []
     if churn is not None:
         churn_kind = churn.pop("kind")
         if churn_kind == "pool_random":
-            changes = _realize_pool_churn(churn, reference, order, root_seed, horizon)
+            changes = _realize_pool_churn(churn, reference, root_seed, horizon)
         elif churn_kind == "explicit":
             changes = _realize_explicit_churn(churn, reference)
         else:
@@ -757,7 +754,6 @@ def scenario_from_mapping(
         bank=bank,
         dse=dse,
         initial_states=initial_states,
-        insertion_order=order,
         trace=trace,
         declared_slope=declared_slope,
     )
@@ -915,12 +911,11 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
     kernel = edmc_kernel if exact else (  # a decaying state has no levels to skip
         lambda X, U, layout, start=0: admc_kernel(X, U, layout, params.alpha))
     windows = scenario.windows
-    nodes = scenario.reference.ids.tolist()
     a0 = windows[0].slots
     U, target = observer.inputs(0, a0)
     init = scenario.initial_states
-    prior = U[a0] if init is None else observer.sign * np.array([init[i] for i in nodes])
-    X = np.zeros((len(nodes), *((params.delta + 1,) if exact else ()), *U.shape[1:]))
+    prior = U[a0] if init is None else observer.sign * init
+    X = np.zeros((scenario.reference.n, *((params.delta + 1,) if exact else ()), *U.shape[1:]))
     X[a0] = prior[:, None] if exact else prior  # a cascade holds the prior on every level
     if exact:
         X[a0, 0] = U[a0]  # but its input on level 0
@@ -971,7 +966,7 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
 
     errors = np.asarray(errors)
     windows = [
-        (w, d, report, _empirical_dict(errors[w.start : w.end + 1], report))
+        (w, d, report, audit_window(errors[w.start : w.end + 1], report))
         for w, (d, report) in zip(scenario.windows, bounds)
     ]
     counts = np.asarray([len(w.slots) for w in scenario.windows for _ in range(w.start, w.end + 1)])
@@ -991,26 +986,6 @@ def _window_bounds(
     if params.variant == "exact":
         return d, edmc_bounds(params.delta, scenario.slope_bound, diameter=d, dwell=scenario.dwell)
     return d, admc_bounds(d, params.alpha, scenario.slope_bound, outs, target, dwell=scenario.dwell)
-
-
-def _empirical_dict(errs: Sequence[float], report: BoundsReport) -> dict:
-    audit = audit_window(errs, report)
-    det = audit.detected
-    return {
-        "transient_time": det.transient_time,
-        "convergence_time": det.convergence_time,
-        "converged": det.converged,
-        "max_error": float(max(errs)),
-        "final_error": float(errs[-1]),
-        "max_error_after_convergence": (
-            None
-            if audit.max_error_after_convergence is None
-            else float(audit.max_error_after_convergence)
-        ),
-        "decrease_violations": audit.decrease_violations,
-        "containment_violations": audit.containment_violations,
-        "containment_audited": audit.audited_containment,
-    }
 
 
 def _summary_head(scenario: Scenario) -> dict:

@@ -249,7 +249,7 @@ def test_06_size_estimation_unbiasedness():
     estimates = []
     for s in range(200):
         rng = np.random.default_rng(np.random.SeedSequence((9000, s)))
-        g, _ = barabasi_albert(line_graph(5), 100, 2, rng)
+        g = barabasi_albert(line_graph(5), 100, 2, rng)
         hood = g.layout()
         depth = diameter(hood)
         U = rng.uniform(0.0, 1.0, (g.n, 50))  # row s: the draws of g.ids[s]

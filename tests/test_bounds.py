@@ -1,18 +1,23 @@
-"""Closed-form bound values, validation, and empirical time detection."""
+"""Closed-form bound values, validation, and the window audit."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from openmax.bounds import (
+    BAND_TOL,
+    DECREASE_TOL,
     BoundsReport,
     admc_bounds,
     audit_window,
-    detect_times,
     edmc_bounds,
 )
+
+from util import audit_window_reference
 
 LINE6_X0 = [0.0, 0.4, 0.8, 1.2, 1.6, 2.0]
 
@@ -124,6 +129,8 @@ def test_bounds_report_validation_and_dict():
         BoundsReport(5, 3, 1.0, 0.5, True)
     with pytest.raises(ValueError):
         BoundsReport(1, 2, 0.2, 0.5, True)
+    with pytest.raises(ValueError):  # a negative band
+        BoundsReport(1, 2, -0.1, -0.2, True)
     rep = BoundsReport(1, 2, 0.5, 0.2, True)
     d = rep.to_dict()
     assert set(d) == {
@@ -136,59 +143,102 @@ def test_bounds_report_validation_and_dict():
     }
 
 
-def test_detect_times_zero_error_trace():
-    out = detect_times([0.0, 0.0, 0.0, 0.0], 0.3)
-    assert out.transient_time == 0
-    assert out.convergence_time == 0
-    assert out.converged
+def test_audit_window_zero_error_trace():
+    audit = audit_window([0.0, 0.0, 0.0, 0.0], BoundsReport(0, 0, 0.3, 0.0, True))
+    assert audit["transient_time"] == 0
+    assert audit["convergence_time"] == 0
+    assert audit["converged"]
+    with pytest.raises(ValueError):  # a window has at least one tick
+        audit_window([], BoundsReport(0, 0, 0.3, 0.0, True))
 
 
-def test_detect_times_synthetic_round_trip():
+def test_audit_window_synthetic_round_trip():
     errors = [2.0, 2.4, 1.5, 1.0, 0.6, 0.4, 0.45, 0.2, 0.3]
-    out = detect_times(errors, 0.5)
-    assert out.converged
-    assert out.convergence_time == 5
-    assert out.transient_time == 1  # the initial rise pushes the start to 1
+    audit = audit_window(errors, BoundsReport(0, 0, 0.5, 0.0, True))
+    assert audit["converged"]
+    assert audit["convergence_time"] == 5
+    assert audit["transient_time"] == 1  # the initial rise pushes the start to 1
     # the 0.4 -> 0.45 wiggle inside the band is not a violation
+    assert (audit["max_error"], audit["final_error"]) == (2.4, 0.3)
 
 
-def test_detect_times_not_converged():
-    out = detect_times([1.0, 0.9, 0.8], 0.1)
-    assert not out.converged
-    assert out.convergence_time is None
-    assert out.transient_time == 0
-    out = detect_times([0.05, 0.02, 0.2], 0.1)
-    assert not out.converged
-
-
-def test_detect_times_validation():
-    with pytest.raises(ValueError):
-        detect_times([], 0.1)
-    with pytest.raises(ValueError):
-        detect_times([0.1], -1.0)
+def test_audit_window_not_converged():
+    audit = audit_window([1.0, 0.9, 0.8], BoundsReport(0, 0, 0.1, 0.0, True))
+    assert not audit["converged"]
+    assert audit["convergence_time"] is None
+    assert audit["transient_time"] == 0
+    assert not audit_window([0.05, 0.02, 0.2], BoundsReport(0, 0, 0.1, 0.0, True))["converged"]
 
 
 def test_audit_window_counts_violations():
     rep = BoundsReport(1, 3, 0.5, 0.1, True)
     clean = [2.0, 1.4, 0.9, 0.3, 0.4, 0.2]
     audit = audit_window(clean, rep)
-    assert audit.decrease_violations == 0
-    assert audit.containment_violations == 0
-    assert audit.audited_containment
-    assert audit.max_error_after_convergence == pytest.approx(0.4)
+    assert audit["decrease_violations"] == 0
+    assert audit["containment_violations"] == 0
+    assert audit["containment_audited"]
+    assert audit["max_error_after_convergence"] == pytest.approx(0.4)
 
     rising = [2.0, 1.4, 1.6, 0.3, 0.4, 0.2]  # rise above the band inside [1, 3]
     audit = audit_window(rising, rep)
-    assert audit.decrease_violations == 1
+    assert audit["decrease_violations"] == 1
 
     escaping = [2.0, 1.4, 0.9, 0.3, 0.7, 0.2]  # pops above the band after T^c
     audit = audit_window(escaping, rep)
-    assert audit.containment_violations == 1
+    assert audit["containment_violations"] == 1
 
 
 def test_audit_window_skips_containment_when_window_too_short():
     rep = BoundsReport(1, 10, 0.5, 0.1, True)
     audit = audit_window([2.0, 1.5, 1.0], rep)
-    assert not audit.audited_containment
-    assert audit.containment_violations == 0
-    assert audit.max_error_after_convergence is None
+    assert not audit["containment_audited"]
+    assert audit["containment_violations"] == 0
+    assert audit["max_error_after_convergence"] is None
+
+
+@st.composite
+def audited_windows(draw) -> tuple[np.ndarray, BoundsReport]:
+    """An error trace that sits on the audit's edges, and a report to read it by.
+
+    Each error is 0.0 or -0.0, the band widened by exactly ``BAND_TOL`` or a
+    hair to either side of it, a value well inside or above the band, a
+    repeat of the previous error, or the previous error raised by a fraction
+    of ``DECREASE_TOL`` up to the whole of it.  The report's offsets may be
+    ``None`` or lie beyond the window."""
+    band = draw(st.sampled_from([0.0, 1e-9, 0.1, 0.5]))
+    edge = band + BAND_TOL
+    errors = [draw(st.sampled_from([0.0, -0.0, edge]))]
+    for _ in range(draw(st.integers(0, 24))):
+        prev = errors[-1]
+        errors.append(
+            draw(
+                st.sampled_from(
+                    [
+                        0.0,
+                        -0.0,
+                        edge,
+                        np.nextafter(edge, -math.inf),
+                        np.nextafter(edge, math.inf),
+                        band + 1e-9,
+                        band - 1e-9,
+                        prev,
+                        prev + DECREASE_TOL,
+                        prev + DECREASE_TOL / 2,
+                    ]
+                )
+                | st.floats(0.0, 2 * band + 1.0)
+            )
+        )
+    beyond = len(errors) + 3
+    transient = draw(st.integers(0, beyond))
+    convergence = draw(st.none() | st.integers(transient, beyond + 1))
+    steady = draw(st.sampled_from([0.0, band]))
+    return np.array(errors, dtype=float), BoundsReport(transient, convergence, band, steady, True)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(audited_windows())
+def test_audit_window_matches_the_loop_reference(window):
+    """The one-pass audit returns the loop audit's record, value and type alike."""
+    errors, report = window
+    assert repr(audit_window(errors, report)) == repr(audit_window_reference(errors, report))

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -468,14 +469,33 @@ def test_oversized_run_exits_1_before_allocating(command, base, old, new, keys, 
             "signals.agents.3.amplitude",
         ),
         ("signals:\n", "signals:\n  slope_bound: .nan\n", "slope_bound"),
+        # finite numbers whose slope bound, values or step range pass the float range
+        (
+            "3: {kind: constant, value: 0.8}",
+            "3: {kind: sinusoid, amplitude: 1.0e+308, period: 0.5, offset: 1.0e+308}",
+            "signals: the input slope bound inf is not finite",
+        ),
+        (
+            "3: {kind: constant, value: 0.8}",
+            "3: {kind: sinusoid, amplitude: 1.0e+308, period: 4, offset: 1.0e+308}",
+            "signals: agent 3 has input inf at tick 1",
+        ),
+        (
+            "3: {kind: constant, value: 0.8}",
+            "3: {kind: random_walk_clamped, step_bound: 1.0e+308}",
+            "signals.agents.3: step bound",
+        ),
     ],
-    ids=["nan-default", "inf-agent", "nan-point", "nan-amplitude", "nan-slope-bound"],
+    ids=["nan-default", "inf-agent", "nan-point", "nan-amplitude", "nan-slope-bound",
+         "overflow-slope-bound", "overflow-input", "overflow-step-range"],
 )
 def test_non_finite_signal_numbers_exit_1(old, new, section, tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(MINI_CONSENSUS.replace(old, new))
-    assert main(["validate", "--scenario", str(bad)]) == 1
-    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # nothing overflows on the way
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err

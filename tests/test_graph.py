@@ -153,21 +153,20 @@ def test_line_graph_shape():
 
 def test_barabasi_albert_grows_connected_graph():
     rng = np.random.default_rng(7)
-    g, order = barabasi_albert(line_graph(5), 100, 2, rng)
+    g = barabasi_albert(line_graph(5), 100, 2, rng)
     assert g.n == 100
     assert is_connected(g.layout())
-    assert order[:5] == (1, 2, 3, 4, 5)
-    assert len(order) == 100
-    assert list(order) == sorted(order)  # generated ids are assigned in order
+    # generated ids ascend in insertion order, so the last positions are the newest nodes
+    assert g.ids.tolist() == list(range(1, 101))
     # every generated node attaches to 2 distinct earlier nodes
-    for node in order[5:]:
+    for node in range(6, 101):
         below = [e for e in edge_set(g) if max(e) == node]
         assert len(below) == 2
 
 
 def test_barabasi_albert_deterministic_given_seed():
-    a, _ = barabasi_albert(line_graph(5), 40, 2, np.random.default_rng(11))
-    b, _ = barabasi_albert(line_graph(5), 40, 2, np.random.default_rng(11))
+    a = barabasi_albert(line_graph(5), 40, 2, np.random.default_rng(11))
+    b = barabasi_albert(line_graph(5), 40, 2, np.random.default_rng(11))
     assert same_graph(a, b)
 
 
@@ -178,7 +177,7 @@ def test_barabasi_albert_attachment_is_degree_proportional():
     rng = np.random.default_rng(99)
     hits = 0
     for _ in range(trials):
-        g, _ = barabasi_albert(line_graph(3), 4, 1, rng)
+        g = barabasi_albert(line_graph(3), 4, 1, rng)
         if (2, 4) in edge_set(g):
             hits += 1
     freq = hits / trials
@@ -253,15 +252,16 @@ def spaced(g: NetworkSnapshot) -> NetworkSnapshot:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_barabasi_albert_matches_the_set_based_reference(seed_graph, grown, edges_per_new_node, seed):
-    """Same draws, same graph and insertion order as growth over a Python edge set."""
+    """Same draws and same graph as growth over a Python edge set, whose
+    insertion order is the grown graph's ascending ids."""
     target_n = seed_graph.n + grown
     rng = np.random.default_rng(seed)
-    got, order = barabasi_albert(seed_graph, target_n, edges_per_new_node, rng)
+    got = barabasi_albert(seed_graph, target_n, edges_per_new_node, rng)
     ref_rng = np.random.default_rng(seed)
     want, want_order = barabasi_albert_reference(seed_graph, target_n, edges_per_new_node, ref_rng)
     assert np.array_equal(got.ids, want.ids)
     assert all(np.array_equal(a, b) for a, b in zip(got.arcs, want.arcs))
-    assert order == want_order
+    assert tuple(got.ids.tolist()) == want_order
     assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws
 
 
@@ -324,7 +324,7 @@ def wide_graphs(draw) -> tuple[NetworkSnapshot, np.ndarray]:
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         n = draw(st.integers(150, 300))
-        g, _ = barabasi_albert(line_graph(draw(st.integers(1, 5))), n, draw(st.integers(1, 3)), rng)
+        g = barabasi_albert(line_graph(draw(st.integers(1, 5))), n, draw(st.integers(1, 3)), rng)
         return g, rng.random(n) < draw(st.sampled_from([0.9, 0.97, 1.0]))
     clique, path = draw(st.integers(65, 80)), draw(st.integers(1, 40))
     edges = [(u, v) for u in range(1, clique + 1) for v in range(u + 1, clique + 1)]

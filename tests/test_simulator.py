@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,13 @@ import openmax.simulator as simulator
 from openmax.bounds import AssumptionViolation
 from openmax.graph import NetworkSnapshot, line_graph, snapshot_from_text
 from openmax.protocols import ProtocolParams, admc_kernel
-from openmax.signals import Constant, PiecewiseLinear, SignalBank, SlopeCertificationError
+from openmax.signals import (
+    Constant,
+    PiecewiseLinear,
+    SignalBank,
+    Sinusoid,
+    SlopeCertificationError,
+)
 from openmax.size_estimation import _open_uniform, dse_generate, mle_estimate
 from openmax.simulator import (
     ConnectivityLost,
@@ -77,7 +84,8 @@ def test_load_preset_line6_admc_fields():
     assert sc.dwell == 250
     assert sc.slope_bound == 0.02
     assert len(sc.windows) == 1
-    assert sc.initial_states == {1: 0.0, 2: 0.4, 3: 0.8, 4: 1.2, 5: 1.6, 6: 2.0}
+    assert sc.initial_states.tolist() == [0.0, 0.4, 0.8, 1.2, 1.6, 2.0]  # in slot order
+    assert sc.initial_states.dtype == np.float64 and not sc.initial_states.flags.writeable
     assert sc.inputs.shape == (251, 6)
     assert sc.inputs[70, 5] == pytest.approx(0.0, abs=1e-15)
 
@@ -119,7 +127,7 @@ def test_run_matches_inline_loop():
     res = run(sc)
     g = sc.reference
     hood = g.layout()
-    X = np.array([sc.initial_states[i] for i in g.ids.tolist()])
+    X = sc.initial_states.copy()
     for k in range(40):
         outs = dict(zip(g.ids.tolist(), X.tolist()))
         assert outs == trace_row(res, res.trace.outputs, k)
@@ -202,13 +210,14 @@ def test_min_mode_mirrors_negated_max():
 
 def test_ba_preset_churn_touches_only_the_pool():
     sc = load_preset("ba100_dse_admc")
-    core = frozenset(sc.insertion_order[:-25])
+    ids = sc.reference.ids.tolist()  # ascending, so in insertion order
+    core = frozenset(ids[:-25])
     assert len(sc.windows) == 5
     assert [w.start for w in sc.windows] == [0, 120, 240, 360, 480]
     for w in sc.windows:
         assert core <= node_set(w.graph)
     for before, after in zip(sc.windows, sc.windows[1:]):
-        assert node_set(before.graph) ^ node_set(after.graph) <= set(sc.insertion_order[-25:])
+        assert node_set(before.graph) ^ node_set(after.graph) <= set(ids[-25:])
 
 
 def test_windows_are_induced_subgraphs_of_the_reference():
@@ -478,8 +487,8 @@ def test_non_finite_states_abort_with_tick_context():
         seed=0,
     )
     nan_bank = SignalBank({1: Constant(float("nan")), 2: Constant(0.2)})
-    # slope certification rejects a NaN input when the scenario is built...
-    with pytest.raises(SlopeCertificationError, match="agent 1"):
+    # a NaN input is rejected when the scenario is built...
+    with pytest.raises(ScenarioError, match="agent 1 has input nan at tick 0"):
         make_scenario(**parts, bank=nan_bank)
     # ...and the run-time finite check still stops a table that got past it
     sc = make_scenario(**parts, bank=SignalBank({1: Constant(0.1), 2: Constant(0.2)}))
@@ -487,6 +496,32 @@ def test_non_finite_states_abort_with_tick_context():
     nan_table[:, 0] = np.nan
     with pytest.raises(RunExecutionError, match="tick 0"):
         run(replace(sc, inputs=nan_table))
+
+
+def test_make_scenario_rejects_signals_past_the_float_range():
+    parts = dict(
+        name="overflow",
+        kind="consensus",
+        params=ProtocolParams(mode="max", variant="exact", delta=3),
+        reference=line_graph(3),
+        horizon=40,
+        seed=1,
+    )
+
+    def everyone(spec):
+        return SignalBank({i: spec for i in (1, 2, 3)})
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        with pytest.raises(ScenarioError, match="slope bound inf is not finite"):
+            make_scenario(**parts, bank=everyone(Sinusoid(1.0e308, 0.5)))
+        # 1e308 + 1e308 * sin(pi / 2) at tick 1
+        with pytest.raises(ScenarioError, match="agent 1 has input inf at tick 1"):
+            make_scenario(**parts, bank=everyone(Sinusoid(1.0e308, 4.0, offset=1.0e308)))
+        # finite values whose change is past the float range break any finite bound
+        jump = everyone(PiecewiseLinear(((0, -1.0e308), (1, 1.0e308))))
+        with pytest.raises(SlopeCertificationError, match="agent 1 moves by inf"):
+            make_scenario(**parts, bank=jump, declared_slope=1.0)
 
 
 def test_write_outputs_layout_and_formats(tmp_path):

@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: small random graphs, churn scripts, and
 the scalar reference implementations that the vectorized code is checked
 against (graphs as Python sets, per-agent kernels, signal values and random
-walks, slope certification, brute-force Monte Carlo)."""
+walks, slope certification, window audits, brute-force Monte Carlo)."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
+from openmax.bounds import BoundsReport
 from openmax.graph import NetworkSnapshot, snapshot_from_text
 from openmax.protocols import ProtocolParams
 from openmax.signals import (
@@ -494,6 +495,52 @@ def certify_slope_reference(columns: Mapping[int, Sequence[float]], bound: float
                 )
             prev = cur
     return worst
+
+
+def audit_window_reference(errors: Sequence[float], report: BoundsReport) -> dict:
+    """A window's audit record from scalar loops over its errors: the times read
+    backward from the end, the decrease and containment counts forward."""
+    band, band_tol, decrease_tol = report.tracking_bound, 1e-9, 1e-12
+    last = len(errors) - 1
+    conv: int | None = 0
+    for k in range(last, -1, -1):
+        if errors[k] > band + band_tol:
+            conv = None if k == last else k + 1
+            break
+    transient = 0
+    for k in range((last if conv is None else conv) - 1, -1, -1):
+        if errors[k] <= band + band_tol:
+            continue
+        if not errors[k + 1] < errors[k] + decrease_tol:
+            transient = k + 1
+            break
+
+    decrease = 0
+    t_conv = report.convergence_time if report.convergence_time is not None else last + 1
+    for k in range(report.transient_time, min(t_conv, last - 1) + 1):
+        if errors[k] <= band + band_tol:
+            continue
+        if not errors[k + 1] < errors[k] + decrease_tol:
+            decrease += 1
+
+    containment = 0
+    max_tail = None
+    audited = report.convergence_time is not None and report.convergence_time <= last
+    if audited:
+        tail = [errors[k] for k in range(report.convergence_time, last + 1)]
+        max_tail = float(max(tail))
+        containment = sum(1 for e in tail if e > band + band_tol)
+    return {
+        "transient_time": transient,
+        "convergence_time": conv,
+        "converged": conv is not None,
+        "max_error": float(max(errors)),
+        "final_error": float(errors[-1]),
+        "max_error_after_convergence": max_tail,
+        "decrease_violations": decrease,
+        "containment_violations": containment,
+        "containment_audited": audited,
+    }
 
 
 def worst_case_estimates_reference(
