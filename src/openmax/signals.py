@@ -1,12 +1,12 @@
 """Per-agent reference signals with certified per-tick slope bounds.
 
 Every signal kind is a frozen parameter record that declares an upper bound
-on ``|u(k+1) - u(k)|``.  The bank of all agents' signals carries the global
-bound used by the tracking-error formulas.  A run's inputs are realized once,
-by :func:`signal_table`, as a ``(horizon + 1, agents)`` float64 table in
-sorted agent order; :func:`certify_slope` verifies the declared bound against
-that table.  Random walks draw their steps from the generator passed to
-:func:`signal_table`, so the table is fixed once the seed is.
+on ``|u(k+1) - u(k)|``; the largest over all agents is the global bound used
+by the tracking-error formulas.  A run's inputs are realized once, by
+:func:`signal_table`, as a ``(horizon + 1, slots)`` float64 table with one
+column per signal, in slot order; :func:`certify_slope` verifies the declared
+bound against that table.  Random walks draw their steps from the generator
+passed to :func:`signal_table`, so the table is fixed once the seed is.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "PiecewiseLinear",
     "Sinusoid",
     "ClampedRandomWalk",
-    "SignalBank",
     "SlopeCertificationError",
     "signal_table",
     "certify_slope",
@@ -138,39 +137,24 @@ class ClampedRandomWalk:
     def __post_init__(self) -> None:
         if not 0 <= 2 * self.step_bound < math.inf:  # steps are drawn from [-b, b]
             raise ValueError(f"step bound {self.step_bound} must be nonnegative, twice it finite")
+        if self.lo is not None and self.hi is not None and self.lo > self.hi:
+            raise ValueError(f"lower clamp {self.lo} is above the upper clamp {self.hi}")
 
     @property
     def slope_bound(self) -> float:
         return self.step_bound
 
 
-@dataclass(frozen=True, eq=False)
-class SignalBank:
-    """Mapping from agent id to its signal; the global slope bound is the max."""
-
-    specs: Mapping[int, SignalSpec]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "specs", dict(self.specs))
-        if not self.specs:
-            raise ValueError("signal bank must not be empty")
-
-    @cached_property
-    def slope_bound(self) -> float:
-        return max(spec.slope_bound for spec in self.specs.values())
-
-
 def signal_table(
-    bank: SignalBank, agents: Sequence[int], horizon: int, rng: np.random.Generator
+    specs: Sequence[SignalSpec], horizon: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """The inputs of ``agents`` over ticks ``[0, horizon]``: column ``s`` holds
-    the values of ``agents[s]``, a float64 array of shape ``(horizon + 1, len(agents))``.
+    """The inputs over ticks ``[0, horizon]``: column ``s`` holds the values
+    of ``specs[s]``, a float64 array of shape ``(horizon + 1, len(specs))``.
 
     All walks' steps come from one ``(walks, horizon)`` draw of ``rng``, one
-    row per walk in ``agents`` order.  Each clamp keeps Python's ``max``/``min``
+    row per walk in column order.  Each clamp keeps Python's ``max``/``min``
     tie rule, so a walk starting at ``-0.0`` with ``lo=0.0`` stays at ``-0.0``.
     """
-    specs = [bank.specs[i] for i in agents]
     table = np.empty((horizon + 1, len(specs)))
     walks = []
     for s, spec in enumerate(specs):
@@ -182,18 +166,17 @@ def signal_table(
         return table
 
     params = [specs[s] for s in walks]
+    walks = np.array(walks, dtype=np.intp)
     b = np.array([w.step_bound for w in params])[:, None]
     lo = np.array([-math.inf if w.lo is None else w.lo for w in params])
     hi = np.array([math.inf if w.hi is None else w.hi for w in params])
     steps = rng.uniform(-b, b, size=(len(walks), horizon)).T
     x = np.array([w.start for w in params])
-    path = np.empty((horizon + 1, len(walks)))
     for k in range(horizon + 1):
         if k:
             x = x + steps[k - 1]
         x = np.where(lo > x, lo, x)
-        path[k] = x = np.where(hi < x, hi, x)
-    table[:, walks] = path
+        table[k, walks] = x = np.where(hi < x, hi, x)
     return table
 
 
@@ -207,7 +190,8 @@ def certify_slope(table: np.ndarray, agents: Sequence[int], bound: float) -> flo
     """
     tol = 1e-9 * max(1.0, abs(bound)) + 1e-12
     with np.errstate(over="ignore"):  # a change past the float range reads as inf
-        change = np.abs(np.diff(table, axis=0))
+        change = np.diff(table, axis=0)
+        np.abs(change, out=change)
     bad = ~(change <= bound + tol)
     if bad.any():
         s = int(np.argmax(bad.any(axis=0)))

@@ -66,7 +66,6 @@ from .signals import (
     ClampedRandomWalk,
     Constant,
     PiecewiseLinear,
-    SignalBank,
     SignalSpec,
     Sinusoid,
     certify_slope,
@@ -187,8 +186,9 @@ class Scenario:
 
     A consensus run's ``inputs`` is its ``(horizon + 1, slots)`` float64 signal
     table: cell ``[k, s]`` is the reference value at tick ``k`` of agent
-    ``reference.ids[s]``, active or not.  ``initial_states``, when given, is
-    the read-only ``(slots,)`` float64 array of the agents' states at tick 0.
+    ``reference.ids[s]``, active or not; it is the run's only copy of them.
+    ``initial_states``, when given, is the read-only ``(slots,)`` float64
+    array of the agents' states at tick 0.
     """
 
     name: str
@@ -210,13 +210,11 @@ class Scenario:
 class ErrorTrace:
     """Tick-indexed record of a consensus run.
 
-    ``outputs`` and ``inputs`` are float64 arrays of shape ``(horizon + 1,
-    slots)``: cell ``[k, s]`` holds the exposed state and the reference value
-    at tick ``k`` of agent ``scenario.reference.ids[s]``, and NaN
-    while that agent is inactive: ``inputs`` is the scenario's signal table
-    masked to each window's active agents.  ``targets[k]`` is the input
-    extremum over the active set and ``errors[k]`` the worst absolute
-    deviation from it.
+    ``outputs`` is a float64 array of shape ``(horizon + 1, slots)``: cell
+    ``[k, s]`` holds the exposed state at tick ``k`` of agent
+    ``scenario.reference.ids[s]``, NaN while it is inactive.  ``targets[k]``
+    is the input extremum over the active set and ``errors[k]`` the worst
+    absolute deviation from it; the inputs are ``scenario.inputs``.
     """
 
     ticks: np.ndarray
@@ -224,7 +222,6 @@ class ErrorTrace:
     targets: np.ndarray
     n_active: np.ndarray
     outputs: np.ndarray
-    inputs: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,9 +285,9 @@ def make_scenario(
     seed: int,
     changes: Sequence[tuple[int, np.ndarray]] = (),
     dwell: int | None = None,
-    bank: SignalBank | None = None,
+    signals: Sequence[SignalSpec] | None = None,
     dse: DseConfig | None = None,
-    initial_states: Mapping[int, float] | None = None,
+    initial_states: Sequence[float] | None = None,
     trace: TraceOptions = TraceOptions(),
     declared_slope: float | None = None,
 ) -> Scenario:
@@ -299,9 +296,10 @@ def make_scenario(
     ``changes`` lists ``(tick, keep)`` pairs, ``keep`` a boolean mask over
     ``reference.ids`` of the agents active from ``tick`` on; each window's
     graph is the reference topology induced on its mask, so reactivated nodes
-    get back their reference edges to active neighbors.  All
-    dwell-spacing, connectivity, coverage, and tuning checks happen here, so
-    config loading and programmatic construction share one gatekeeper.
+    get back their reference edges to active neighbors.  ``signals`` and
+    ``initial_states`` give one entry per slot, in ``reference.ids`` order.
+    All dwell-spacing, connectivity, coverage, and tuning checks happen here,
+    so config loading and programmatic construction share one gatekeeper.
     """
     if kind not in ("consensus", "size_estimation"):
         raise ScenarioError(f"kind must be 'consensus' or 'size_estimation', got {kind!r}")
@@ -360,16 +358,15 @@ def make_scenario(
         windows.append(Window(start, end, keep, slots, layout, reference))
 
     if kind == "consensus":
-        if bank is None:
-            raise ScenarioError("a consensus scenario needs a signal bank")
+        if signals is None:
+            raise ScenarioError("a consensus scenario needs its signals")
         if dse is not None:
             raise ScenarioError("size-estimation settings do not apply to a consensus run")
-        missing = [i for i in nodes if i not in bank.specs]
-        if missing:
-            raise ScenarioError(f"agents {missing} have no reference signal")
+        if len(signals) != reference.n:
+            raise ScenarioError(f"{len(signals)} signals for {reference.n} agents; give one a slot")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            inputs = signal_table(bank, nodes, horizon, rng)
+            inputs = signal_table(signals, horizon, rng)
         bad = ~np.isfinite(inputs)
         if bad.any():
             k, s = np.argwhere(bad)[0]
@@ -377,7 +374,9 @@ def make_scenario(
                 f"signals: agent {nodes[s]} has input {inputs[k, s]} at tick {k}; "
                 "inputs must stay finite"
             )
-        slope_bound = bank.slope_bound if declared_slope is None else float(declared_slope)
+        if declared_slope is None:
+            declared_slope = max(spec.slope_bound for spec in signals)
+        slope_bound = float(declared_slope)
         if not math.isfinite(slope_bound):
             raise ScenarioError(f"signals: the input slope bound {slope_bound} is not finite")
         certify_slope(inputs, nodes, slope_bound)
@@ -385,7 +384,7 @@ def make_scenario(
         inputs = None
         if dse is None:
             raise ScenarioError("a size-estimation scenario needs its settings (p, trials)")
-        if bank is not None:
+        if signals is not None:
             raise ScenarioError("size estimation generates its own inputs; drop the signals")
         if initial_states is not None:
             raise ScenarioError("size estimation draws its own initial states")
@@ -406,12 +405,9 @@ def make_scenario(
 
     states: np.ndarray | None = None
     if initial_states is not None:
-        given = {int(i): float(v) for i, v in initial_states.items()}
-        if sorted(given) != nodes:
-            raise ScenarioError("initial states must cover exactly the starting agents")
-        states = np.array([given[i] for i in nodes])
-        if not np.isfinite(states).all():
-            raise ScenarioError("initial states must be finite")
+        states = np.array(initial_states, dtype=float)
+        if states.shape != (reference.n,) or not np.isfinite(states).all():
+            raise ScenarioError(f"initial states must be {reference.n} finite numbers, one a slot")
         states.flags.writeable = False
 
     return Scenario(
@@ -490,15 +486,23 @@ class _Keys:
             raise ScenarioError(f"{self.at(key)} must be a list, got {value!r}")
         return [(f"{self.at(key)}.{i}", v) for i, v in enumerate(value)]
 
-    def by_agent(self, read) -> dict[int, object]:
-        """``read(key)`` for every key, keyed by the agent id it names, each once."""
-        out = {}
+    def by_slot(self, read, nodes: Sequence[int], lack: str, default: object = None) -> list:
+        """``read(key)`` for every key, in the slot order of the ``nodes`` the
+        keys name, each once.  A node no key names takes ``default``; without
+        one, the error says its agents ``lack``."""
+        given = {}
         for key in list(self.data):
             i = _agent_id(key, self.path)
-            if i in out:
+            if i in given:
                 raise ScenarioError(f"{self.at(key)}: agent {i} is given twice")
-            out[i] = read(key)
-        return out
+            given[i] = read(key)
+        unknown = sorted(given.keys() - set(nodes))
+        if unknown:
+            raise ScenarioError(f"{self.path} names agents {unknown} that are not in the topology")
+        missing = [i for i in nodes if i not in given]
+        if missing and default is None:
+            raise ScenarioError(f"{self.path}: agents {missing} {lack}")
+        return [given.get(i, default) for i in nodes]
 
     def make(self, build, *args):
         """``build(*args)``, with a ``ValueError`` it raises put at this path."""
@@ -580,21 +584,16 @@ def _read_signal(spec: _Keys) -> SignalSpec:
     return signal
 
 
-def _build_bank(sig: _Keys, nodes: Sequence[int]) -> tuple[SignalBank, float | None]:
-    """The signal of every node, and the declared slope bound if there is one."""
+def _read_signals(sig: _Keys, nodes: Sequence[int]) -> tuple[tuple[SignalSpec, ...], float | None]:
+    """The signal of every node in slot order, and the declared slope bound if there is one."""
     declared = sig.real("slope_bound", None, least=0.0)
     default = sig.mapping("default", None)
     default = None if default is None else _read_signal(default)
     agents = sig.mapping("agents", {})
     sig.done()
-    specs = agents.by_agent(lambda key: _read_signal(agents.mapping(key)))
-    unknown = sorted(specs.keys() - set(nodes))
-    if unknown:
-        raise ScenarioError(f"{agents.path} names agents {unknown} that are not in the topology")
-    missing = [i for i in nodes if i not in specs]
-    if missing and default is None:
-        raise ScenarioError(f"{sig.at('default')} is missing and agents {missing} have no signal")
-    return SignalBank({i: specs.get(i, default) for i in nodes}), declared
+    lack = f"have no signal and {sig.at('default')} is missing"
+    specs = agents.by_slot(lambda key: _read_signal(agents.mapping(key)), nodes, lack, default)
+    return tuple(specs), declared
 
 
 def _realize_pool_churn(
@@ -720,22 +719,21 @@ def scenario_from_mapping(
         else:
             raise ScenarioError(f"churn.kind: unknown churn kind {churn_kind!r}")
 
-    bank: SignalBank | None = None
-    declared_slope: float | None = None
+    signals = declared_slope = None
     nodes = reference.ids.tolist()
     if kind == "consensus":
-        bank, declared_slope = _build_bank(keys.mapping("signals"), nodes)
+        signals, declared_slope = _read_signals(keys.mapping("signals"), nodes)
 
-    initial_states: dict[int, float] | None = None
+    initial_states: list[float] | None = None
     if isinstance(keys.data.get("initial_states"), (list, tuple)):
         values = keys.items("initial_states")
         if len(values) != len(nodes):
             raise ScenarioError(
                 f"initial_states lists {len(values)} values for {len(nodes)} starting agents"
             )
-        initial_states = {i: _as_float(v, at) for i, (at, v) in zip(nodes, values)}
+        initial_states = [_as_float(v, at) for at, v in values]
     elif (states := keys.mapping("initial_states", None)) is not None:
-        initial_states = states.by_agent(states.real)
+        initial_states = states.by_slot(states.real, nodes, "have no initial state")
 
     shown = keys.mapping("trace", {})
     trace = TraceOptions(csv=shown.flag("csv", True), plotdata=shown.flag("plotdata", True))
@@ -751,7 +749,7 @@ def scenario_from_mapping(
         seed=root_seed,
         changes=changes,
         dwell=dwell,
-        bank=bank,
+        signals=signals,
         dse=dse,
         initial_states=initial_states,
         trace=trace,
@@ -1012,16 +1010,12 @@ def run(scenario: Scenario) -> RunResult:
         raise ScenarioError("run() expects a consensus scenario; use run_size_estimation()")
     observer = _ConsensusObserver(scenario)
     errors, counts, windows = _simulate(scenario, observer)
-    inputs = np.full_like(scenario.inputs, np.nan)
-    for w in scenario.windows:
-        inputs[w.start : w.end + 1, w.slots] = scenario.inputs[w.start : w.end + 1, w.slots]
     trace = ErrorTrace(
         ticks=np.arange(scenario.horizon + 1),
         errors=errors,
         targets=observer.targets,
         n_active=counts,
         outputs=observer.outputs,
-        inputs=inputs,
     )
     rows = [
         {
@@ -1144,7 +1138,7 @@ def _write_tables(
     nodes = scenario.reference.ids.tolist()
     ticks = range(len(trace.ticks))
     if scenario.kind == "consensus":
-        columns = (trace.outputs, trace.inputs)
+        columns = (trace.outputs, scenario.inputs)
         trace_head = ["tick", "agent", "x", "u", "e", "n_active"]
         plot_head = ["tick", "target", *(f"x_{i}" for i in nodes)]
         errors, counts = trace.errors.tolist(), trace.n_active.tolist()

@@ -18,7 +18,7 @@ from util import (
     as_masks,
     induced_subgraph,
     is_connected_reference,
-    negated_bank,
+    negated_signals,
     node_set,
     random_connected_graph,
     trace_row,
@@ -26,7 +26,7 @@ from util import (
 
 from openmax.graph import NetworkSnapshot, barabasi_albert, diameter, line_graph
 from openmax.protocols import ProtocolParams, edmc_kernel
-from openmax.signals import Constant, PiecewiseLinear, SignalBank, Sinusoid
+from openmax.signals import Constant, PiecewiseLinear, SignalSpec, Sinusoid
 from openmax.simulator import load_preset, make_scenario, run, run_size_estimation
 from openmax.size_estimation import (
     dse_worst_case_monte_carlo,
@@ -56,30 +56,34 @@ def line_edmc():
 # ----------------------------------------------------------------- helpers
 
 
-def _random_bank(rng: np.random.Generator, nodes, max_slope: float) -> SignalBank:
-    """Signals whose per-tick change never exceeds ``max_slope``."""
-    specs = {}
-    for i in nodes:
+def _random_signals(rng: np.random.Generator, n: int, max_slope: float) -> tuple[SignalSpec, ...]:
+    """``n`` signals, one a slot, whose per-tick change never exceeds ``max_slope``."""
+    specs = []
+    for _ in range(n):
         kind = int(rng.integers(0, 3))
         if kind == 0:
-            specs[i] = Constant(float(rng.uniform(-1.0, 1.0)))
+            specs.append(Constant(float(rng.uniform(-1.0, 1.0))))
         elif kind == 1:
             period = float(rng.uniform(45.0, 150.0))
             amp = float(rng.uniform(0.05, max_slope * period / (2.0 * math.pi)))
-            specs[i] = Sinusoid(
+            specs.append(Sinusoid(
                 amp,
                 period,
                 phase=float(rng.uniform(0.0, period)),
                 offset=float(rng.uniform(-0.5, 0.5)),
-            )
+            ))
         else:
             ticks = sorted({0, int(rng.integers(15, 40)), int(rng.integers(45, 75)), 90})
             vals = [float(rng.uniform(-0.5, 0.5))]
             for a, b in zip(ticks, ticks[1:]):
                 drift = float(rng.uniform(-1.0, 1.0)) * max_slope * (b - a) * 0.9
                 vals.append(float(np.clip(vals[-1] + drift, -1.0, 1.0)))
-            specs[i] = PiecewiseLinear(tuple(zip(ticks, vals)))
-    return SignalBank(specs)
+            specs.append(PiecewiseLinear(tuple(zip(ticks, vals))))
+    return tuple(specs)
+
+
+def _slope_bound(specs: tuple[SignalSpec, ...]) -> float:
+    return max(spec.slope_bound for spec in specs)
 
 
 def _connected_subset(rng: np.random.Generator, g: NetworkSnapshot) -> frozenset[int]:
@@ -161,11 +165,11 @@ def test_03_min_max_duality():
     for _ in range(200):
         n = int(rng.integers(3, 13))
         g = random_connected_graph(rng, n)
-        bank = _random_bank(rng, g.ids.tolist(), 0.05)
+        signals = _random_signals(rng, g.n, 0.05)
         changes = _churn_changes(rng, g, (8, 16))
         for variant in ("approximate", "exact"):
             if variant == "approximate":
-                alpha = bank.slope_bound + float(rng.uniform(0.05, 0.25))
+                alpha = _slope_bound(signals) + float(rng.uniform(0.05, 0.25))
                 p_min = ProtocolParams(mode="min", variant=variant, alpha=alpha)
                 p_max = ProtocolParams(mode="max", variant=variant, alpha=alpha)
             else:
@@ -175,8 +179,9 @@ def test_03_min_max_duality():
             kw = dict(
                 kind="consensus", reference=g, horizon=24, seed=0, changes=changes, dwell=8
             )
-            low = run(make_scenario(name="low", params=p_min, bank=bank, **kw))
-            high = run(make_scenario(name="high", params=p_max, bank=negated_bank(bank), **kw))
+            low = run(make_scenario(name="low", params=p_min, signals=signals, **kw))
+            mirror = negated_signals(signals)
+            high = run(make_scenario(name="high", params=p_max, signals=mirror, **kw))
             worst = max(worst, float(np.max(np.abs(low.trace.errors - high.trace.errors))))
             for k in range(25):
                 mirror = trace_row(high, high.trace.outputs, k)
@@ -193,8 +198,8 @@ def test_04_churn_window_audit():
     for s in range(100):
         n = int(rng.integers(4, 11))
         g = random_connected_graph(rng, n)
-        bank = _random_bank(rng, g.ids.tolist(), 0.05)
-        alpha = bank.slope_bound + float(rng.uniform(0.15, 0.3))
+        signals = _random_signals(rng, g.n, 0.05)
+        alpha = _slope_bound(signals) + float(rng.uniform(0.15, 0.3))
         sc = make_scenario(
             name=f"audit{s}",
             kind="consensus",
@@ -206,7 +211,7 @@ def test_04_churn_window_audit():
             seed=0,
             changes=_churn_changes(rng, g, (30, 60)),
             dwell=30,
-            bank=bank,
+            signals=signals,
         )
         for w in run(sc).summary["windows"]:
             windows += 1

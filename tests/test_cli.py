@@ -383,6 +383,16 @@ def test_missing_scenario_exits_1(capsys):
          "signals.agents.3: agent 3 is given twice"),
         ("validate", "topology:", "initial_states: {1: 0.1, '1': 0.9, 2: 0.2, 3: 0.3}\ntopology:",
          "initial_states.1: agent 1 is given twice"),
+        ("validate", "topology:", "initial_states: {1: 0.0, 2: 0.1}\ntopology:",
+         "initial_states: agents [3] have no initial state"),
+        ("validate", "topology:", "initial_states: {1: 0.0, 2: 0.1, 3: 0.2, 9: 0.3}\ntopology:",
+         "initial_states names agents [9] that are not in the topology"),
+        ("validate", "{kind: constant, value: 0.1}",
+         "{kind: random_walk_clamped, step_bound: 0.01, lo: 1.0, hi: -1.0}",
+         "signals.default: lower clamp 1.0 is above the upper clamp -1.0"),
+        ("validate", "3: {kind: constant, value: 0.8}",
+         "3: {kind: random_walk_clamped, step_bound: 0.01, lo: 1.0, hi: -1.0}",
+         "signals.agents.3: lower clamp 1.0 is above the upper clamp -1.0"),
         ("sweep --grid alpha=0.1,0.2", "kind: consensus", "kind: [", "could not parse"),
         ("sweep --grid alpha=0.1,0.2", MINI_CONSENSUS, "- kind: consensus\n", "must be a mapping"),
     ],
@@ -399,7 +409,9 @@ def test_missing_scenario_exits_1(capsys):
          "unknown-topology-key", "event-tick-float", "event-node-unknown", "event-empties-network",
          "event-changes-nothing", "signal-value-string", "amplitude-bool",
          "period-string", "slope-bound-negative", "signal-agent-unknown", "signal-agent-twice",
-         "initial-state-twice", "sweep-unparseable", "sweep-list"],
+         "initial-state-twice", "initial-state-missing", "initial-state-unknown",
+         "walk-clamps-crossed-default", "walk-clamps-crossed-agent", "sweep-unparseable",
+         "sweep-list"],
 )
 def test_malformed_config_exits_1_without_traceback(command, old, new, section, tmp_path, capsys):
     base = MINI_DSE if section in ("mc_trials", "dse.p") else MINI_CONSENSUS

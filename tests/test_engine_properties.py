@@ -7,12 +7,15 @@ mix constants, steps that hold and then move at a change tick or elsewhere,
 and both zeros; a size-estimation scenario draws its seed and ``p``.  Every
 output of ``run`` or ``run_size_estimation`` must match the per-agent
 reference kernels bit for bit, and every exact kernel call must fold exactly
-the cascade levels its definition leaves unsettled.
+the cascade levels its definition leaves unsettled.  Runs on inputs of bounded
+slope must meet the paper's bounds: no window whose assumptions hold may break
+its decrease or containment audit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from openmax.graph import NetworkSnapshot
 from openmax.protocols import ProtocolParams
-from openmax.signals import Constant, PiecewiseLinear, SignalBank
+from openmax.bounds import BAND_TOL
+from openmax.signals import ClampedRandomWalk, Constant, PiecewiseLinear, Sinusoid
 from openmax.simulator import DseConfig, make_scenario, run, run_size_estimation
 from openmax.size_estimation import mle_estimate
 
@@ -33,7 +37,7 @@ from util import (
     node_set,
     record_exact_kernel_calls,
     reference_outputs,
-    value_reference,
+    signal_inputs,
 )
 
 GRID = (-0.5, -0.25, -0.0, 0.0, 0.25, 0.5)
@@ -80,7 +84,7 @@ def churn(draw, g: NetworkSnapshot, horizon: int, shortest: int, longest: int = 
 
 @st.composite
 def scenarios(draw):
-    """A consensus scenario and its signal bank."""
+    """A consensus scenario and its signals, one a slot."""
     g = draw(graphs())
     mode = draw(st.sampled_from(["max", "min"]))
     exact = draw(st.booleans())
@@ -103,32 +107,29 @@ def scenarios(draw):
             end, length = draw(st.integers(1, horizon)), draw(st.integers(shortest, shortest + 4))
         return PiecewiseLinear(((end - length, a), (end, b)))
 
-    bank = SignalBank({i: signal() for i in g.ids.tolist()})
+    signals = tuple(signal() for _ in range(g.n))
     params = ProtocolParams(
         mode, "exact" if exact else "approximate", alpha=alpha, delta=delta,
         read_departing=draw(st.booleans()),
     )
     sc = make_scenario(
         name="drawn", kind="consensus", params=params, reference=g, horizon=horizon,
-        seed=0, changes=changes, bank=bank,
+        seed=0, changes=changes, signals=signals,
     )
-    return sc, bank
+    return sc, signals
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(scenarios())
 def test_consensus_engine_matches_the_per_agent_oracle(drawn):
-    sc, bank = drawn
+    sc, signals = drawn
     sign = 1.0 if sc.params.mode == "max" else -1.0
     with pytest.MonkeyPatch.context() as mp:
         calls = record_exact_kernel_calls(mp)
         res = run(sc)
     want = np.full_like(res.trace.outputs, np.nan)
     slot = {v: s for s, v in enumerate(sc.reference.ids.tolist())}
-    ref = reference_outputs(
-        sc, lambda k, g: {i: sign * value_reference(bank.specs[i], k) for i in g.ids.tolist()}
-    )
-    for k, row in enumerate(ref):
+    for k, row in enumerate(reference_outputs(sc, signal_inputs(sc, signals, sign))):
         for i, v in row.items():
             want[k, slot[i]] = sign * v
     assert np.array_equal(res.trace.outputs.view(np.int64), want.view(np.int64))
@@ -184,15 +185,14 @@ def constant_exact_scenarios(draw):
     delta = int(dist.max()) + draw(st.integers(-1, 2))
     horizon = draw(st.integers(2 * delta + 4, 60))
     mode = draw(st.sampled_from(["max", "min"]))
-    ids = g.ids.tolist()
-    inputs = {i: draw(st.sampled_from(GRID)) for i in ids}
-    inputs[ids[int(dist.max(axis=1).argmax())]] = 1.0 if mode == "max" else -1.0
+    inputs = [draw(st.sampled_from(GRID)) for _ in range(g.n)]
+    inputs[int(dist.max(axis=1).argmax())] = 1.0 if mode == "max" else -1.0
     params = ProtocolParams(mode, "exact", delta=delta, read_departing=draw(st.booleans()))
     return make_scenario(
         name="drawn", kind="consensus", params=params, reference=g, horizon=horizon, seed=0,
         changes=draw(churn(g, horizon, delta + 2, delta + 12)),
-        bank=SignalBank({i: Constant(v) for i, v in inputs.items()}),
-        initial_states={i: draw(st.floats(-2, 2)) for i in ids},
+        signals=tuple(map(Constant, inputs)),
+        initial_states=[draw(st.floats(-2, 2)) for _ in range(g.n)],
     )
 
 
@@ -206,3 +206,81 @@ def test_exact_windows_are_exact_once_the_cascade_spans_the_diameter(sc):
         assert row["bounds"]["assumptions_ok"] == (sc.params.delta >= row["diameter"])
         if row["bounds"]["assumptions_ok"]:
             assert not res.trace.errors[row["start"] + sc.params.delta + 1 : row["end"] + 1].any()
+
+
+@st.composite
+def bounded_slope_scenarios(draw):
+    """A consensus scenario whose inputs move by at most a drawn ``pi`` a
+    tick, one signal a slot: piecewise linear, sinusoid, clamped walk, or a
+    constant from the grid with both zeros.  At ``pi = 0`` every signal holds
+    still.  An approximate run decays by more than ``pi``.  Agents start
+    from their inputs: states drawn below them break the bounds, as
+    :func:`test_states_that_start_below_the_inputs_meet_the_bounds` shows."""
+    g = draw(graphs((1, 16)))
+    mode = draw(st.sampled_from(["max", "min"]))
+    exact = draw(st.booleans())
+    delta = draw(st.integers(0, 5)) if exact else None
+    horizon = draw(st.integers(8, 60))
+    pi = draw(st.sampled_from([0.0, 0.01, 0.05]))
+
+    def signal():
+        kind = draw(st.sampled_from(["constant", "linear", "sinusoid", "walk"]))
+        a = draw(st.sampled_from(GRID))
+        rate = pi * draw(st.sampled_from([0.5, 1.0]))
+        if kind == "constant":
+            return Constant(a)
+        if kind == "linear":
+            first, length = draw(st.integers(0, horizon)), draw(st.integers(1, 20))
+            rise = draw(st.sampled_from([-1.0, 1.0])) * rate * length
+            return PiecewiseLinear(((first, a), (first + length, a + rise)))
+        if kind == "sinusoid":
+            period = draw(st.sampled_from([4.0, 9.5, 30.0]))
+            return Sinusoid(rate * period / (2 * math.pi), period, draw(st.integers(0, 9)), a)
+        lo = draw(st.sampled_from([None, -0.5, -0.0, 0.0]))
+        return ClampedRandomWalk(rate, a, lo, draw(st.sampled_from([None, 0.0, 0.25, 0.5])))
+
+    params = ProtocolParams(
+        mode, "exact" if exact else "approximate", delta=delta,
+        alpha=None if exact else pi + draw(st.sampled_from([0.01, 0.1, 0.5])),
+        read_departing=draw(st.booleans()),
+    )
+    return make_scenario(
+        name="drawn", kind="consensus", params=params, reference=g, horizon=horizon,
+        seed=draw(st.integers(0, 2**16)), changes=draw(churn(g, horizon, max(delta or 0, 1), 20)),
+        signals=tuple(signal() for _ in range(g.n)),
+    )
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(bounded_slope_scenarios())
+def test_windows_meet_the_bounds_on_inputs_of_bounded_slope(sc):
+    """Every window whose assumptions hold decreases until its convergence
+    time and stays inside its tracking band after it.  An approximate window
+    whose inputs hold still and that reaches its convergence time ends
+    within its steady band, ``alpha`` times the diameter."""
+    res = run(sc)
+    bits = sc.inputs.view(np.int64)
+    for w, row in zip(sc.windows, res.summary["windows"]):
+        bounds, audit = row["bounds"], row["empirical"]
+        if bounds["assumptions_ok"]:
+            assert audit["decrease_violations"] == audit["containment_violations"] == 0
+        held = bits[w.start : w.end + 1, w.slots]
+        if sc.params.variant == "approximate" and (held == held[0]).all():
+            if audit["containment_audited"]:
+                assert audit["final_error"] <= bounds["steady_bound"] + BAND_TOL
+
+
+@pytest.mark.xfail(strict=True, reason="the approximate convergence time counts only the "
+                   "overshoot of the initial states, not their undershoot")
+def test_states_that_start_below_the_inputs_meet_the_bounds():
+    """A line of 3 whose agents all start at -1 below inputs (1, 0, 0): the
+    far end first hears of the maximum at tick 3, one past the reported
+    convergence time ``d = 2``, so the error 1.0 at tick 2 leaves the band 0.2."""
+    sc = make_scenario(
+        name="undershoot", kind="consensus", params=ProtocolParams("max", "approximate", alpha=0.1),
+        reference=NetworkSnapshot.from_edges([1, 2, 3], [(1, 2), (2, 3)]), horizon=10, seed=0,
+        signals=(Constant(1.0), Constant(0.0), Constant(0.0)), initial_states=[-1.0] * 3,
+    )
+    (row,) = run(sc).summary["windows"]
+    assert row["bounds"]["assumptions_ok"]
+    assert row["empirical"]["containment_violations"] == 0

@@ -9,7 +9,7 @@ import pytest
 from openmax.graph import NetworkSnapshot, diameter, line_graph
 import openmax.simulator as simulator
 from openmax.protocols import ProtocolParams, admc_kernel, edmc_kernel, edmc_window
-from openmax.signals import Constant, PiecewiseLinear, SignalBank
+from openmax.signals import Constant, PiecewiseLinear
 from openmax.simulator import make_scenario, run
 
 from util import (
@@ -21,13 +21,13 @@ from util import (
     exact_kernel_calls,
     hub_graph,
     line4_churn_scenario,
-    negated_bank,
+    negated_signals,
     random_connected_graph,
     record_exact_kernel_calls,
     reference_outputs,
     same_bits,
+    signal_inputs,
     trace_row,
-    value_reference,
 )
 
 MAX_APPROX = ProtocolParams("max", "approximate", alpha=0.1)
@@ -59,7 +59,8 @@ def closed_slots(g: NetworkSnapshot, k: int) -> list[int]:
 
 def run_constant(params, reference, levels, horizon, initial=None, changes=()):
     """A run with constant inputs ``levels``, from ``initial`` states if given,
-    through ``changes`` given as ``(tick, active node ids)`` pairs."""
+    through ``changes`` given as ``(tick, active node ids)`` pairs; ``levels``
+    and ``initial`` map agent ids to values, passed on in slot order."""
     return run(make_scenario(
         name="hand",
         kind="consensus",
@@ -68,8 +69,8 @@ def run_constant(params, reference, levels, horizon, initial=None, changes=()):
         horizon=horizon,
         seed=0,
         changes=as_masks(reference, changes),
-        bank=SignalBank({i: Constant(v) for i, v in levels.items()}),
-        initial_states=initial,
+        signals=tuple(Constant(levels[i]) for i in reference.ids.tolist()),
+        initial_states=None if initial is None else [initial[i] for i in reference.ids.tolist()],
     ))
 
 
@@ -384,12 +385,12 @@ def test_edmc_window_equals_that_many_kernel_steps_bit_for_bit():
 
 
 # every agent moves every tick, across zero and through both signs of it
-LINE4_MOVERS = {
-    1: PiecewiseLinear(((0, -0.3), (30, 0.3))),
-    2: PiecewiseLinear(((0, 0.6), (30, -0.6))),
-    3: PiecewiseLinear(((0, -0.0), (12, 0.24), (30, 0.0))),
-    4: PiecewiseLinear(((0, 0.9), (30, -0.9))),
-}
+LINE4_MOVERS = (
+    PiecewiseLinear(((0, -0.3), (30, 0.3))),
+    PiecewiseLinear(((0, 0.6), (30, -0.6))),
+    PiecewiseLinear(((0, -0.0), (12, 0.24), (30, 0.0))),
+    PiecewiseLinear(((0, 0.9), (30, -0.9))),
+)
 
 
 @pytest.mark.parametrize("cells", [1, 8, 13])
@@ -402,19 +403,17 @@ def test_moving_exact_windows_split_into_blocks_match_the_oracle(
     line-4 churn scenario folds in several blocks, and the outputs still
     match the per-agent oracle bit for bit."""
     monkeypatch.setattr(simulator, "BLOCK_CELLS", cells)
-    bank = SignalBank(LINE4_MOVERS)
+    signals = LINE4_MOVERS
     if mode == "min":
-        bank = negated_bank(bank)
+        signals = negated_signals(signals)
     params = ProtocolParams(mode, "exact", delta=3, read_departing=read_departing)
-    sc = line4_churn_scenario(params=params, bank=bank)
+    sc = line4_churn_scenario(params=params, signals=signals)
     assert all(max(1, cells // len(w.slots)) < w.end - w.start for w in sc.windows)
     calls = record_exact_kernel_calls(monkeypatch)
     res = run(sc)
     assert calls == exact_kernel_calls(sc)
     sign = 1.0 if mode == "max" else -1.0
-    want = reference_outputs(
-        sc, lambda k, g: {i: sign * value_reference(bank.specs[i], k) for i in g.ids.tolist()}
-    )
+    want = reference_outputs(sc, signal_inputs(sc, signals, sign))
     for k in range(len(want)):
         got = trace_row(res, res.trace.outputs, k)
         assert same_bits(got, {i: sign * v for i, v in want[k].items()}), k

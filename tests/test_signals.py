@@ -1,4 +1,4 @@
-"""Signal tables, slope certification, and the negated-bank mirror."""
+"""Signal tables, slope certification, and the negated-signal mirror."""
 
 from __future__ import annotations
 
@@ -12,15 +12,17 @@ from openmax.signals import (
     ClampedRandomWalk,
     Constant,
     PiecewiseLinear,
-    SignalBank,
+    SignalSpec,
     Sinusoid,
     SlopeCertificationError,
     certify_slope,
     signal_table,
 )
+from openmax.graph import line_graph
+from openmax.protocols import ProtocolParams
 from openmax.simulator import ScenarioError, load_scenario, make_scenario
 
-from util import certify_slope_reference, negated_bank, table_reference
+from util import certify_slope_reference, negated_signals, table_reference
 
 # Reference profile used by the line-topology presets: ramps with |step| 0.02,
 # held flat after the last breakpoint.
@@ -35,25 +37,29 @@ def ramp_profile() -> PiecewiseLinear:
     return PiecewiseLinear(RAMP_POINTS)
 
 
-def line6_bank() -> SignalBank:
-    specs = {i: Constant(0.2) for i in range(1, 6)}
-    specs[6] = ramp_profile()
-    return SignalBank(specs)
+def line6_signals() -> tuple[SignalSpec, ...]:
+    return (*[Constant(0.2)] * 5, ramp_profile())
 
 
-def table(bank: SignalBank, horizon: int, seed: int = 0) -> np.ndarray:
-    return signal_table(bank, sorted(bank.specs), horizon, np.random.default_rng(seed))
+def slope_bound(specs: tuple[SignalSpec, ...]) -> float:
+    return max(spec.slope_bound for spec in specs)
 
 
-def certify(bank: SignalBank, horizon: int, bound: float | None = None) -> float:
-    bound = bank.slope_bound if bound is None else bound
-    return certify_slope(table(bank, horizon), sorted(bank.specs), bound)
+def table(specs: tuple[SignalSpec, ...], horizon: int, seed: int = 0) -> np.ndarray:
+    return signal_table(specs, horizon, np.random.default_rng(seed))
 
 
-def certify_reference(bank: SignalBank, horizon: int, bound: float | None = None) -> float:
-    agents = sorted(bank.specs)
-    want = table_reference(bank, agents, horizon, np.random.default_rng(0))
-    bound = bank.slope_bound if bound is None else bound
+def certify(specs, horizon: int, bound: float | None = None, agents=None) -> float:
+    """Certify ``specs``'s table, column ``s`` named ``agents[s]`` (by default ``s + 1``)."""
+    agents = range(1, len(specs) + 1) if agents is None else agents
+    bound = slope_bound(specs) if bound is None else bound
+    return certify_slope(table(specs, horizon), list(agents), bound)
+
+
+def certify_reference(specs, horizon: int, bound: float | None = None, agents=None) -> float:
+    agents = range(1, len(specs) + 1) if agents is None else agents
+    want = table_reference(specs, horizon, np.random.default_rng(0))
+    bound = slope_bound(specs) if bound is None else bound
     return certify_slope_reference(dict(zip(agents, want.T.tolist())), bound)
 
 
@@ -106,12 +112,18 @@ def test_sinusoid_bound_holds():
 
 
 def test_random_walk_is_pure_and_bounded():
-    bank = SignalBank({1: ClampedRandomWalk(step_bound=0.05, start=0.3, lo=0.0, hi=1.0)})
-    w = table(bank, 100, seed=42)[:, 0]
+    specs = (ClampedRandomWalk(step_bound=0.05, start=0.3, lo=0.0, hi=1.0),)
+    w = table(specs, 100, seed=42)[:, 0]
     assert w.shape == (101,)
     assert np.all(np.abs(np.diff(w)) <= 0.05 + 1e-15)
     assert np.all((0.0 <= w) & (w <= 1.0))
-    assert np.array_equal(table(bank, 100, seed=42)[:, 0], w)
+    assert np.array_equal(table(specs, 100, seed=42)[:, 0], w)
+
+
+def test_random_walk_rejects_crossed_clamps():
+    with pytest.raises(ValueError, match="lower clamp 1.0 is above the upper clamp -1.0"):
+        ClampedRandomWalk(0.01, lo=1.0, hi=-1.0)
+    assert ClampedRandomWalk(0.01, lo=0.5, hi=0.5).lo == 0.5  # a pinned walk is allowed
 
 
 def _scalar_draw_walk(rng, horizon, step_bound, start, lo=None, hi=None):
@@ -130,8 +142,7 @@ def _scalar_draw_walk(rng, horizon, step_bound, start, lo=None, hi=None):
 @pytest.mark.parametrize("lo, hi", [(None, None), (-0.1, 0.1), (0.0, None), (None, 0.0)])
 def test_random_walk_equals_scalar_draws(lo, hi):
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
-    bank = SignalBank({1: ClampedRandomWalk(0.05, 0.02, lo, hi)})
-    got = signal_table(bank, [1], 1000, got_rng)[:, 0]
+    got = signal_table((ClampedRandomWalk(0.05, 0.02, lo, hi),), 1000, got_rng)[:, 0]
     want = np.array(_scalar_draw_walk(want_rng, 1000, 0.05, 0.02, lo, hi))
     assert got.tobytes() == want.tobytes()
     assert all(bound in got for bound in (lo, hi) if bound is not None)  # clamps hit
@@ -139,7 +150,7 @@ def test_random_walk_equals_scalar_draws(lo, hi):
     assert got_rng.uniform() == want_rng.uniform()
 
 
-def _banks_of_every_kind() -> dict[str, SignalBank]:
+def _signals_of_every_kind() -> dict[str, tuple[SignalSpec, ...]]:
     walk_settings = [
         dict(step_bound=0.02, start=0.4, lo=-1.0, hi=1.0),
         dict(step_bound=0.05, start=-0.3, lo=-0.35),
@@ -148,28 +159,24 @@ def _banks_of_every_kind() -> dict[str, SignalBank]:
         dict(step_bound=0.04, start=-0.0, lo=0.0),  # Python's max keeps -0.0 here
         dict(step_bound=0.0, start=-0.0, lo=0.0, hi=0.0),
     ]
-    walks = {i: ClampedRandomWalk(**kw) for i, kw in enumerate(walk_settings, start=1)}
+    walks = tuple(ClampedRandomWalk(**kw) for kw in walk_settings)
     return {
-        "constant": SignalBank({i: Constant(0.1 * i) for i in range(1, 4)}),
-        "piecewise_linear": SignalBank(
-            {1: ramp_profile(), 2: PiecewiseLinear(STEP_POINTS), 3: PiecewiseLinear(((5, 1.0),))}
+        "constant": tuple(Constant(0.1 * i) for i in range(1, 4)),
+        "piecewise_linear": (
+            ramp_profile(), PiecewiseLinear(STEP_POINTS), PiecewiseLinear(((5, 1.0),))
         ),
-        "sinusoid": SignalBank(
-            {1: Sinusoid(0.3, 37.0), 2: Sinusoid(-1.2, 250.0, phase=0.4, offset=2.0)}
-        ),
-        "random_walk": SignalBank(walks),
-        # walks between other kinds, agents inserted out of order
-        "mixed": SignalBank(
-            {
-                9: ClampedRandomWalk(0.02, start=0.5, lo=0.0, hi=1.0),
-                2: Sinusoid(0.3, 37.0),
-                4: walks[5],
-                1: Constant(-0.0),
-                5: ramp_profile(),
-                7: walks[2],
-                8: PiecewiseLinear(STEP_POINTS),
-                3: walks[4],
-            }
+        "sinusoid": (Sinusoid(0.3, 37.0), Sinusoid(-1.2, 250.0, phase=0.4, offset=2.0)),
+        "random_walk": walks,
+        # walks between other kinds
+        "mixed": (
+            Constant(-0.0),
+            Sinusoid(0.3, 37.0),
+            walks[3],
+            walks[4],
+            ramp_profile(),
+            walks[1],
+            PiecewiseLinear(STEP_POINTS),
+            ClampedRandomWalk(0.02, start=0.5, lo=0.0, hi=1.0),
         ),
     }
 
@@ -180,18 +187,17 @@ KINDS = ["constant", "piecewise_linear", "sinusoid", "random_walk", "mixed"]
 @pytest.mark.parametrize("horizon", [1, 300])
 @pytest.mark.parametrize("kind", KINDS)
 def test_table_equals_scalar_reference(kind, horizon):
-    bank = _banks_of_every_kind()[kind]
-    agents = sorted(bank.specs)
+    specs = _signals_of_every_kind()[kind]
     got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
-    got = signal_table(bank, agents, horizon, got_rng)
-    want = table_reference(bank, agents, horizon, want_rng)
-    assert got.shape == want.shape == (horizon + 1, len(agents))
+    got = signal_table(specs, horizon, got_rng)
+    want = table_reference(specs, horizon, want_rng)
+    assert got.shape == want.shape == (horizon + 1, len(specs))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert got_rng.uniform() == want_rng.uniform()
 
 
 def test_table_keeps_the_clamp_tie_rule():
-    got = table(_banks_of_every_kind()["random_walk"], 300)
+    got = table(_signals_of_every_kind()["random_walk"], 300)
     assert got[0, 4] == got[0, 5] == 0.0
     assert np.signbit(got[0, [4, 5]]).all()  # np.maximum(-0.0, 0.0) would give 0.0
 
@@ -206,7 +212,7 @@ def test_sinusoid_table_equals_math_sin(horizon):
             phase=float(rng.uniform(-50.0, 50.0)),
             offset=float(rng.uniform(-1.0, 1.0)),
         )
-        want = table_reference(SignalBank({1: s}), [1], horizon, rng)[:, 0]
+        want = table_reference((s,), horizon, rng)[:, 0]
         assert s.values(horizon).tobytes() == want.tobytes()
 
 
@@ -216,53 +222,50 @@ def test_piecewise_linear_table_equals_scalar_interpolation():
         ticks = np.sort(rng.choice(np.arange(-40, 400), size=int(rng.integers(1, 8)), replace=False))
         points = tuple((int(k), float(v)) for k, v in zip(ticks, rng.uniform(-2.0, 2.0, ticks.size)))
         spec = PiecewiseLinear(points)
-        want = table_reference(SignalBank({1: spec}), [1], 300, rng)[:, 0]
+        want = table_reference((spec,), 300, rng)[:, 0]
         assert spec.values(300).tobytes() == want.tobytes()
 
 
 def test_bank_slope_bound_is_max_over_agents():
-    bank = line6_bank()
-    assert bank.slope_bound == pytest.approx(0.02, rel=1e-12)
+    """A scenario's slope bound is the largest of its signals' bounds."""
+    sc = make_scenario(
+        name="line6", kind="consensus", params=ProtocolParams("max", "exact", delta=6),
+        reference=line_graph(6), horizon=300, seed=0, signals=line6_signals(),
+    )
+    assert sc.slope_bound == pytest.approx(0.02, rel=1e-12)
 
 
 def test_certify_slope_accepts_conforming_bank():
-    observed = certify(line6_bank(), 300)
+    observed = certify(line6_signals(), 300)
     assert observed <= 0.02 * (1 + 1e-9)
     assert observed == pytest.approx(0.02, rel=1e-9)
 
 
 def test_certify_slope_rejects_step_reading_at_ramp_bound():
-    specs = {i: Constant(0.2) for i in range(1, 6)}
-    specs[6] = PiecewiseLinear(STEP_POINTS)
-    bank = SignalBank(specs)
-    # against its own (computed) bound the step bank certifies fine
-    assert certify(bank, 300) == pytest.approx(0.04, rel=1e-12)
+    specs = (*[Constant(0.2)] * 5, PiecewiseLinear(STEP_POINTS))
+    # against their own (computed) bound the step signals certify fine
+    assert certify(specs, 300) == pytest.approx(0.04, rel=1e-12)
     with pytest.raises(SlopeCertificationError):
-        certify(bank, 300, bound=0.02)
+        certify(specs, 300, bound=0.02)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_certify_slope_equals_scalar_reference(kind):
-    bank = _banks_of_every_kind()[kind]
+    specs = _signals_of_every_kind()[kind]
     for horizon in (0, 1, 300):
-        got = certify(bank, horizon)
-        assert got.hex() == certify_reference(bank, horizon).hex()
+        got = certify(specs, horizon)
+        assert got.hex() == certify_reference(specs, horizon).hex()
     assert kind == "constant" or got > 0.0
 
 
 def test_certify_slope_names_first_failing_agent_like_reference():
-    # inserted out of order: agents 4 and 7 both fail, 4 first in sorted order
-    bank = SignalBank(
-        {
-            7: PiecewiseLinear(STEP_POINTS),
-            4: ClampedRandomWalk(0.02, start=0.4, lo=-1.0, hi=1.0),
-            1: Constant(0.0),
-        }
-    )
+    # agents 4 and 7 both fail, 4 first in slot order
+    specs = (Constant(0.0), ClampedRandomWalk(0.02, start=0.4, lo=-1.0, hi=1.0),
+             PiecewiseLinear(STEP_POINTS))
     messages = []
     for check in (certify, certify_reference):
         with pytest.raises(SlopeCertificationError) as info:
-            check(bank, 300, bound=0.015)
+            check(specs, 300, bound=0.015, agents=(1, 4, 7))
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("agent 4 moves by")
@@ -275,13 +278,13 @@ def test_certify_slope_rejects_nan():
 
 
 def test_negated_bank_duality():
-    banks = _banks_of_every_kind()
+    every = _signals_of_every_kind()
     for kind in ("constant", "piecewise_linear", "sinusoid"):
-        bank = banks[kind]
-        assert np.array_equal(table(negated_bank(bank), 300), -table(bank, 300))
-        assert negated_bank(bank).slope_bound == bank.slope_bound
+        specs = every[kind]
+        assert np.array_equal(table(negated_signals(specs), 300), -table(specs, 300))
+        assert slope_bound(negated_signals(specs)) == slope_bound(specs)
     with pytest.raises(TypeError):
-        negated_bank(banks["random_walk"])
+        negated_signals(every["random_walk"])
 
 
 SIGNAL_CONFIG = """
@@ -300,11 +303,11 @@ signals:
 
 def test_signal_configs_load_into_their_specs():
     loaded = load_scenario(SIGNAL_CONFIG)
-    specs = {
-        1: PiecewiseLinear(((0, 0.2), (60, 0.2), (80, -0.2))),
-        2: ClampedRandomWalk(step_bound=0.01, start=0.5, lo=0.0, hi=1.0),
-        3: ClampedRandomWalk(0.1),  # the defaults: start at 0, no clamps
-    }
+    specs = (
+        PiecewiseLinear(((0, 0.2), (60, 0.2), (80, -0.2))),
+        ClampedRandomWalk(step_bound=0.01, start=0.5, lo=0.0, hi=1.0),
+        ClampedRandomWalk(0.1),  # the defaults: start at 0, no clamps
+    )
     built = make_scenario(
         name="built",
         kind="consensus",
@@ -312,7 +315,7 @@ def test_signal_configs_load_into_their_specs():
         reference=loaded.reference,
         horizon=90,
         seed=6,
-        bank=SignalBank(specs),
+        signals=specs,
     )
     assert np.array_equal(loaded.inputs.view(np.int64), built.inputs.view(np.int64))
     assert loaded.slope_bound == built.slope_bound == 0.1
@@ -320,6 +323,9 @@ def test_signal_configs_load_into_their_specs():
         ("kind: random_walk_clamped, step_bound: 0.1", "kind: white_noise", "signals.default.kind"),
         ("start: 0.5,", "start: 0.5, bogus: 2,", "signals.agents.2.bogus"),
         ("step_bound: 0.01,", "", "signals.agents.2.step_bound"),
+        ("lo: 0.0, hi: 1.0", "lo: 1.0, hi: 0.0", "signals.agents.2: lower clamp 1.0 is above"),
+        ("step_bound: 0.1}", "step_bound: 0.1, lo: 1.0, hi: -1.0}",
+         "signals.default: lower clamp 1.0 is above"),
     ]:
         with pytest.raises(ScenarioError, match=re.escape(path)):
             load_scenario(SIGNAL_CONFIG.replace(old, new))

@@ -18,7 +18,6 @@ from openmax.protocols import ProtocolParams, admc_kernel
 from openmax.signals import (
     Constant,
     PiecewiseLinear,
-    SignalBank,
     Sinusoid,
     SlopeCertificationError,
 )
@@ -56,11 +55,11 @@ from util import (
     random_connected_graph,
     record_exact_kernel_calls,
     reference_outputs,
-    negated_bank,
+    negated_signals,
     same_bits,
     same_graph,
+    signal_inputs,
     trace_row,
-    value_reference,
 )
 
 
@@ -162,20 +161,14 @@ def test_explicit_churn_windows_and_arrival_reset():
     assert res.trace.targets[5] == 0.9
     assert res.trace.targets[15] == 0.3
     # the returning agent restarts from its own current input
-    assert trace_row(res, res.trace.outputs, 20)[4] == trace_row(res, res.trace.inputs, 20)[4] == 0.9
+    assert trace_row(res, res.trace.outputs, 20)[4] == sc.inputs[20, 3] == 0.9  # agent 4, slot 3
     # and its edge to agent 3 is restored, so agent 1 re-converges
     tail = res.trace.errors[res.summary["windows"][2]["bounds"]["convergence_time"] + 20 :]
     assert np.all(tail <= res.summary["windows"][2]["bounds"]["tracking_bound"] + 1e-9)
 
 
 def test_min_mode_mirrors_negated_max():
-    bank = SignalBank(
-        {
-            1: PiecewiseLinear(((0, 0.5), (10, -0.3), (20, 0.1))),
-            2: Constant(-0.2),
-            3: Constant(0.4),
-        }
-    )
+    signals = (PiecewiseLinear(((0, 0.5), (10, -0.3), (20, 0.1))), Constant(-0.2), Constant(0.4))
     common = dict(
         kind="consensus",
         reference=line_graph(3),
@@ -188,7 +181,7 @@ def test_min_mode_mirrors_negated_max():
         make_scenario(
             name="low",
             params=ProtocolParams(mode="min", variant="approximate", alpha=0.2),
-            bank=bank,
+            signals=signals,
             **common,
         )
     )
@@ -196,7 +189,7 @@ def test_min_mode_mirrors_negated_max():
         make_scenario(
             name="high",
             params=ProtocolParams(mode="max", variant="approximate", alpha=0.2),
-            bank=negated_bank(bank),
+            signals=negated_signals(signals),
             **common,
         )
     )
@@ -271,22 +264,25 @@ def test_make_scenario_rejects_bad_shapes():
     with pytest.raises(ScenarioError):
         line4_churn_scenario(changes=[(40, {1, 2, 3})])  # beyond the horizon
     with pytest.raises(ScenarioError):
-        line4_churn_scenario(bank=None)
-    with pytest.raises(ScenarioError, match=r"agents \[4\] have no reference signal"):
-        line4_churn_scenario(bank=SignalBank({i: Constant(0.1) for i in (1, 2, 3)}))
+        line4_churn_scenario(signals=None)
+    for count in (3, 5):  # one signal a slot, no more and no fewer
+        with pytest.raises(ScenarioError, match=f"{count} signals for 4 agents"):
+            line4_churn_scenario(signals=(Constant(0.1),) * count)
     with pytest.raises(ScenarioError):
         line4_churn_scenario(dse=DseConfig(p=4))
     with pytest.raises(ScenarioError):
-        line4_churn_scenario(initial_states={1: 0.0})  # incomplete cover
+        line4_churn_scenario(initial_states=[0.0])  # incomplete cover
     with pytest.raises(ScenarioError):
-        line4_churn_scenario(initial_states={1: 0.0, 2: 0.1, 3: 0.2, 4: math.inf})
+        line4_churn_scenario(initial_states=[[0.0, 0.1, 0.2, 0.3]])  # not one number a slot
+    with pytest.raises(ScenarioError):
+        line4_churn_scenario(initial_states=[0.0, 0.1, 0.2, math.inf])
 
 
 def test_make_scenario_takes_changes_as_boolean_masks():
     parts = dict(
         name="masks", kind="consensus", params=ProtocolParams("max", "approximate", alpha=0.1),
         reference=line_graph(3), horizon=20, seed=0, dwell=10,
-        bank=SignalBank({i: Constant(0.1 * i) for i in (1, 2, 3)}),
+        signals=tuple(Constant(0.1 * i) for i in (1, 2, 3)),
     )
     for bad in (np.array([1, 1, 0]), np.array([True, True]), np.ones((3, 1), dtype=bool)):
         with pytest.raises(ScenarioError, match="at tick 10 is not a boolean mask"):
@@ -305,7 +301,7 @@ def test_make_scenario_enforces_assumptions():
     with pytest.raises(AssumptionViolation):
         line4_churn_scenario(
             params=ProtocolParams(mode="max", variant="approximate", alpha=0.01),
-            bank=SignalBank({i: PiecewiseLinear(((0, 0.0), (10, 0.5))) for i in range(1, 5)}),
+            signals=(PiecewiseLinear(((0, 0.0), (10, 0.5))),) * 4,
         )
     with pytest.raises(AssumptionViolation):
         line4_churn_scenario(
@@ -349,6 +345,13 @@ signals:
         load_scenario("just: [unbalanced")
     with pytest.raises(ScenarioError, match="initial_states"):
         load_scenario(good + "\ninitial_states: [1.0, 2.0]\n")
+    # a mapping is put in slot order, so it names each agent of the topology once
+    with pytest.raises(ScenarioError, match=r"initial_states: agents \[3\] have no initial state"):
+        load_scenario(good + "\ninitial_states: {2: 1.0, 1: 2.0}\n")
+    with pytest.raises(ScenarioError, match=r"initial_states names agents \[0\] that are not"):
+        load_scenario(good + "\ninitial_states: {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}\n")
+    mapped = load_scenario(good + "\ninitial_states: {3: 1.0, 1: 2.0, 2: 3.0}\n")
+    assert mapped.initial_states.tolist() == [2.0, 3.0, 1.0]
     with pytest.raises(ScenarioError, match="dse"):
         load_scenario(good + "\ndse: {p: 4}\n")
 
@@ -486,12 +489,11 @@ def test_non_finite_states_abort_with_tick_context():
         horizon=5,
         seed=0,
     )
-    nan_bank = SignalBank({1: Constant(float("nan")), 2: Constant(0.2)})
     # a NaN input is rejected when the scenario is built...
     with pytest.raises(ScenarioError, match="agent 1 has input nan at tick 0"):
-        make_scenario(**parts, bank=nan_bank)
+        make_scenario(**parts, signals=(Constant(float("nan")), Constant(0.2)))
     # ...and the run-time finite check still stops a table that got past it
-    sc = make_scenario(**parts, bank=SignalBank({1: Constant(0.1), 2: Constant(0.2)}))
+    sc = make_scenario(**parts, signals=(Constant(0.1), Constant(0.2)))
     nan_table = sc.inputs.copy()
     nan_table[:, 0] = np.nan
     with pytest.raises(RunExecutionError, match="tick 0"):
@@ -509,19 +511,19 @@ def test_make_scenario_rejects_signals_past_the_float_range():
     )
 
     def everyone(spec):
-        return SignalBank({i: spec for i in (1, 2, 3)})
+        return (spec,) * 3
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow warning on the way
         with pytest.raises(ScenarioError, match="slope bound inf is not finite"):
-            make_scenario(**parts, bank=everyone(Sinusoid(1.0e308, 0.5)))
+            make_scenario(**parts, signals=everyone(Sinusoid(1.0e308, 0.5)))
         # 1e308 + 1e308 * sin(pi / 2) at tick 1
         with pytest.raises(ScenarioError, match="agent 1 has input inf at tick 1"):
-            make_scenario(**parts, bank=everyone(Sinusoid(1.0e308, 4.0, offset=1.0e308)))
+            make_scenario(**parts, signals=everyone(Sinusoid(1.0e308, 4.0, offset=1.0e308)))
         # finite values whose change is past the float range break any finite bound
         jump = everyone(PiecewiseLinear(((0, -1.0e308), (1, 1.0e308))))
         with pytest.raises(SlopeCertificationError, match="agent 1 moves by inf"):
-            make_scenario(**parts, bank=jump, declared_slope=1.0)
+            make_scenario(**parts, signals=jump, declared_slope=1.0)
 
 
 def test_write_outputs_layout_and_formats(tmp_path):
@@ -569,8 +571,9 @@ def test_repeated_ticks_reuse_strings_only_for_equal_bits(tmp_path):
         table = rows[rng.integers(0, 3, size=len(res.trace.ticks))]
         table[np.isnan(res.trace.outputs)] = np.nan
         tables.append(table)
-    trace = replace(res.trace, outputs=tables[0], inputs=tables[1])
-    paths = write_outputs(RunResult(res.scenario, trace, res.summary), tmp_path)
+    trace = replace(res.trace, outputs=tables[0])
+    scenario = replace(res.scenario, inputs=tables[1])
+    paths = write_outputs(RunResult(scenario, trace, res.summary), tmp_path)
     lines = paths["trace"].read_text().splitlines()[1:]
     want = []
     for k in trace.ticks.tolist():
@@ -616,9 +619,12 @@ def test_dse_outputs_layout(tmp_path):
 
 
 def _churned_scenario(rng, variant, mode, read_departing, **kw):
-    """Random connected reference graph whose agents leave and rejoin at
-    ticks 8, 16 and 24; every window stays connected."""
+    """Random connected reference graph on 6 to 11 nodes whose agents leave
+    and rejoin at ticks 8, 16 and 24; every window stays connected.  Given
+    ``signals`` for 11 slots, the graph's slots take the first of them."""
     ref = random_connected_graph(rng, int(rng.integers(6, 12)), extra_edge_prob=0.25)
+    if "signals" in kw:
+        kw["signals"] = kw["signals"][: ref.n]
     changes, active = [], node_set(ref)
     for tick in (8, 16, 24):
         while True:
@@ -656,11 +662,9 @@ def test_consensus_engine_matches_per_agent_oracle(mode, variant, read_departing
             a, b = (float(v) for v in rng.choice(grid, size=2))
             return Constant(a) if rng.random() < 0.5 else PiecewiseLinear(((4, a), (12, b)))
 
-        bank = SignalBank({i: signal() for i in range(1, 12)})
-        sc = _churned_scenario(rng, variant, mode, read_departing, kind="consensus", bank=bank)
-        want = reference_outputs(
-            sc, lambda k, g: {i: sign * value_reference(bank.specs[i], k) for i in g.ids.tolist()}
-        )
+        signals = tuple(signal() for _ in range(11))
+        sc = _churned_scenario(rng, variant, mode, read_departing, kind="consensus", signals=signals)
+        want = reference_outputs(sc, signal_inputs(sc, signals, sign))
         res = run(sc)
         assert len(res.trace.outputs) == len(want)
         for k in range(len(want)):
@@ -777,8 +781,9 @@ def test_held_exact_windows_stop_stepping_after_delta_plus_one(make, monkeypatch
     assert len(calls) < sc.horizon
 
 
-LINE4_LEVELS = {1: Constant(0.1), 2: Constant(0.3), 3: Constant(0.2), 4: Constant(0.9)}
-JUMP_AT_CHANGE = {1: PiecewiseLinear(((9, 0.1), (10, 0.5)))}  # to the new extremum, then held
+LINE4_LEVELS = (Constant(0.1), Constant(0.3), Constant(0.2), Constant(0.9))  # agents 1..4
+# agent 1 jumps to the new extremum, then holds
+JUMP_AT_CHANGE = (PiecewiseLinear(((9, 0.1), (10, 0.5))), *LINE4_LEVELS[1:])
 
 
 @pytest.mark.parametrize(
@@ -788,7 +793,7 @@ JUMP_AT_CHANGE = {1: PiecewiseLinear(((9, 0.1), (10, 0.5)))}  # to the new extre
         (
             lambda: line4_churn_scenario(
                 params=ProtocolParams("max", "exact", delta=3),
-                bank=SignalBank(LINE4_LEVELS | JUMP_AT_CHANGE),
+                signals=JUMP_AT_CHANGE,
             ),
             # window [10, 19]'s stayers carry tick 9's inputs on level 0
             [[0, 1, 2, 0], [0, 0, 1, 2, 0], [0, 1, 2]],
@@ -868,13 +873,13 @@ def test_moving_inputs_step_every_tick(name, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "movers, moved",
+    "signals, moved",
     [
         (JUMP_AT_CHANGE, None),
-        ({4: PiecewiseLinear(((24, 0.9), (26, 1.1)))}, (24, 30)),
+        ((*LINE4_LEVELS[:3], PiecewiseLinear(((24, 0.9), (26, 1.1)))), (24, 30)),
         (
-            {1: Constant(-0.1), 2: Constant(-0.3), 3: Constant(-0.2),
-             4: PiecewiseLinear(((24, -0.0), (26, 0.0)))},
+            (Constant(-0.1), Constant(-0.3), Constant(-0.2),
+             PiecewiseLinear(((24, -0.0), (26, 0.0)))),
             (24, 30),
         ),
     ],
@@ -882,7 +887,7 @@ def test_moving_inputs_step_every_tick(name, monkeypatch):
 )
 @pytest.mark.parametrize("variant", ["approximate", "exact"])
 @pytest.mark.parametrize("mode", ["max", "min"])
-def test_inputs_that_move_around_settled_windows_match_the_oracle(mode, variant, movers, moved):
+def test_inputs_that_move_around_settled_windows_match_the_oracle(mode, variant, signals, moved):
     """Bit for bit with the per-agent oracle on the line-4 churn scenario when
     inputs move next to a window that settles.
 
@@ -893,16 +898,13 @@ def test_inputs_that_move_around_settled_windows_match_the_oracle(mode, variant,
     for the window [20, 30] to settle and then moves, so that window is not
     held and must keep stepping; the zero-sign input only changes the sign
     of a zero, which compares equal as a float but not as bits."""
-    bank = SignalBank(LINE4_LEVELS | movers)
     if mode == "min":
-        bank = negated_bank(bank)  # so the movers hold the extremum on both sides
+        signals = negated_signals(signals)  # so the movers hold the extremum on both sides
     exact = variant == "exact"
     params = ProtocolParams(mode, variant, alpha=None if exact else 0.5, delta=3 if exact else None)
-    sc = line4_churn_scenario(params=params, bank=bank)
+    sc = line4_churn_scenario(params=params, signals=signals)
     sign = 1.0 if mode == "max" else -1.0
-    want = reference_outputs(
-        sc, lambda k, g: {i: sign * value_reference(bank.specs[i], k) for i in g.ids.tolist()}
-    )
+    want = reference_outputs(sc, signal_inputs(sc, signals, sign))
     res = run(sc)
     for k in range(len(want)):
         got = trace_row(res, res.trace.outputs, k)

@@ -19,7 +19,6 @@ from openmax.signals import (
     ClampedRandomWalk,
     Constant,
     PiecewiseLinear,
-    SignalBank,
     SignalSpec,
     Sinusoid,
     SlopeCertificationError,
@@ -65,7 +64,7 @@ def line4_churn_scenario(**overrides) -> Scenario:
         seed=5,
         changes=[(10, {1, 2, 3}), (20, {1, 2, 3, 4})],
         dwell=10,
-        bank=SignalBank({1: Constant(0.1), 2: Constant(0.3), 3: Constant(0.2), 4: Constant(0.9)}),
+        signals=(Constant(0.1), Constant(0.3), Constant(0.2), Constant(0.9)),
     )
     base.update(overrides)
     return make_scenario(**{**base, "changes": as_masks(base["reference"], base["changes"])})
@@ -428,6 +427,15 @@ def value_reference(spec: SignalSpec, k: int) -> float:
     raise TypeError(f"no scalar value for {spec!r}")
 
 
+def signal_inputs(
+    scenario: Scenario, specs: Sequence[SignalSpec], sign: float = 1.0
+) -> Callable[[int, NetworkSnapshot], dict[int, float]]:
+    """Inputs for :func:`reference_outputs`: agent ``reference.ids[s]`` reads
+    ``specs[s]`` at tick ``k`` through :func:`value_reference`, times ``sign``."""
+    slot = {i: s for s, i in enumerate(scenario.reference.ids.tolist())}
+    return lambda k, g: {i: sign * value_reference(specs[slot[i]], k) for i in g.ids.tolist()}
+
+
 def walk_reference(walk: ClampedRandomWalk, rng: np.random.Generator, horizon: int) -> list[float]:
     """A clamped random walk over ``[0, horizon]``, clamped one value at a time
     with Python's ``max`` and ``min``; its steps are one draw of ``horizon`` uniforms."""
@@ -449,12 +457,11 @@ def walk_reference(walk: ClampedRandomWalk, rng: np.random.Generator, horizon: i
 
 
 def table_reference(
-    bank: SignalBank, agents: Sequence[int], horizon: int, rng: np.random.Generator
+    specs: Sequence[SignalSpec], horizon: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """The signal table built one agent at a time: walks draw from ``rng`` in ``agents`` order."""
+    """The signal table built one column at a time: walks draw from ``rng`` in column order."""
     columns = []
-    for i in agents:
-        spec = bank.specs[i]
+    for spec in specs:
         if isinstance(spec, ClampedRandomWalk):
             columns.append(walk_reference(spec, rng, horizon))
         else:
@@ -462,8 +469,8 @@ def table_reference(
     return np.array(columns).T
 
 
-def negated_bank(bank: SignalBank) -> SignalBank:
-    """The mirror of a bank without random walks: every signal negated."""
+def negated_signals(specs: Sequence[SignalSpec]) -> tuple[SignalSpec, ...]:
+    """The mirror of signals without random walks: every signal negated."""
 
     def negated(spec: SignalSpec) -> SignalSpec:
         if isinstance(spec, Constant):
@@ -474,7 +481,7 @@ def negated_bank(bank: SignalBank) -> SignalBank:
             return Sinusoid(-spec.amplitude, spec.period, spec.phase, -spec.offset)
         raise TypeError(f"no negation for {spec!r}")
 
-    return SignalBank({i: negated(spec) for i, spec in bank.specs.items()})
+    return tuple(map(negated, specs))
 
 
 def certify_slope_reference(columns: Mapping[int, Sequence[float]], bound: float) -> float:
