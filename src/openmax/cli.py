@@ -6,12 +6,13 @@ run        simulate a consensus scenario and write trace/summary/plot data
 size-est   simulate a size-estimation scenario and write its artifacts
 bounds     print the worst-case times and error bands for a parameter set
 sweep      run a scenario once per grid value and tabulate the trade-off
-validate   load and check a scenario config without running it
+validate   load a scenario config and check its windows without running it
 
 Scenarios are named by path or by preset name.  Exit codes: 0 on success,
 2 when a tracking assumption is violated (decay too small, dwell too short,
-slope bound broken, connectivity lost, a window diameter above delta, which
-``run`` and ``size-est`` report after writing), 1 on I/O or config errors.
+slope bound broken, connectivity lost, a window diameter above delta or the
+dwell, which ``run`` and ``size-est`` report after writing and ``validate``
+prints the same way), 1 on I/O or config errors.
 All randomness comes from the scenario seed; ``--seed auto`` draws a fresh
 root seed once, prints it, and records it in the summary for replay.  The
 ``OPENMAX_OUT`` environment variable sets the default output directory.
@@ -28,6 +29,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .simulator import (
     ConnectivityLost,
     DseConfig,
     RunExecutionError,
-    RunResult,
+    Scenario,
     ScenarioError,
     load_scenario,
     parse_config,
@@ -45,6 +47,7 @@ from .simulator import (
     run,
     run_size_estimation,
     scenario_from_mapping,
+    window_bounds,
     write_outputs,
 )
 
@@ -92,12 +95,12 @@ def _out_dir(args: argparse.Namespace, name: str) -> Path:
     return Path(base) / name
 
 
-def _violations(result: RunResult) -> int:
-    """Print each window's broken realized assumption on stderr; 2 if any, else 0."""
-    reasons = [(r, w) for w in result.summary["windows"] for r in w["bounds"]["reasons"]]
-    for r, w in reasons:
-        print(f"violated: {r} (ticks {w['start']}-{w['end']})", file=sys.stderr)
-    return 2 if reasons else 0
+def _violations(scenario: Scenario, reasons: Iterable[Sequence[str]]) -> int:
+    """Print each window's broken assumptions on stderr; 2 if any, else 0."""
+    broken = [(r, w) for w, rs in zip(scenario.windows, reasons) for r in rs]
+    for r, w in broken:
+        print(f"violated: {r} (ticks {w.start}-{w.end})", file=sys.stderr)
+    return 2 if broken else 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -116,7 +119,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"worst_window: ticks {worst['start']}-{worst['end']}")
     print(f"tracking_bound: {worst['bounds']['tracking_bound']}")
     print(f"steady_bound: {worst['bounds']['steady_bound']}")
-    return _violations(result)
+    return _violations(scenario, (w["bounds"]["reasons"] for w in result.summary["windows"]))
 
 
 def _cmd_size_est(args: argparse.Namespace) -> int:
@@ -134,7 +137,7 @@ def _cmd_size_est(args: argparse.Namespace) -> int:
     print(f"expected_closed_form: {result.summary['expected_closed_form']}")
     print(f"monte_carlo_mean: {result.summary['monte_carlo_mean']}")
     print(f"ci99: {result.summary['ci99']}")
-    return _violations(result)
+    return _violations(scenario, (w["bounds"]["reasons"] for w in result.summary["windows"]))
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -171,7 +174,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         f"agents={scenario.reference.n}, windows={len(scenario.windows)}, "
         f"horizon={scenario.horizon}, dwell={scenario.dwell}"
     )
-    return 0
+    zero_gap = (window_bounds(scenario, w, (0.0,), 0.0)[1].reasons for w in scenario.windows)
+    return _violations(scenario, zero_gap)
 
 
 def _parse_grid(arg: str) -> tuple[str, list[float]]:

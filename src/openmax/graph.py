@@ -7,9 +7,9 @@ the network after it is the reference topology induced on a boolean mask of
 active positions, so a returning node gets back exactly its reference edges
 to active endpoints.  That subgraph's :meth:`~NetworkSnapshot.layout` is the
 adjacency's one array form.  Over it, :func:`closed_reduce` folds the
-kernels' neighbourhood max, and one bit-parallel BFS from a set of source
-rows, which ORs the layout's levels of fewer than 64 rows in one padded
-gather, is behind :func:`is_connected` (one source) and :func:`diameter`.
+kernels' neighbourhood max, and one bit-parallel BFS over the same slot
+positions from a set of source rows, which ORs the layout's levels of fewer
+than 64 rows in one padded gather, is behind :func:`is_connected` (one source) and :func:`diameter`.
 The diameter is the fringe bound of Crescenzi, Grossi, Habib, Lanzi and
 Marino ("On computing the diameter of real-world undirected graphs", 2013):
 a search from the highest-degree row, then one from each of its outer
@@ -149,49 +149,44 @@ def closed_reduce(ufunc: np.ufunc, A: np.ndarray, rows: np.ndarray, levels: Iter
 
 
 def _search(layout: Layout, sources: np.ndarray) -> tuple[np.ndarray, int]:
-    """Breadth-first searches from the layout ranks ``sources`` at once: bit
-    ``j`` of row ``v`` (ranks in row order) says the search from
-    ``sources[j]`` has reached ``v``.  Returns the first search's distance to
-    every row (-1 where unreached) and the search depth, the largest
-    eccentricity among the sources.
+    """Breadth-first searches from the slots ``sources`` of layout rows at
+    once: bit ``j`` of slot ``v`` says the search from ``sources[j]`` has
+    reached ``v``.  Returns the first search's distance to every row (-1 where
+    unreached), in row order, and the search depth, the largest eccentricity
+    among the sources.
 
-    Each level ORs a row's neighbours into its frontier: one call per layout
-    level that has 64 rows or more, then one padded gather for the shorter
-    tail, whose row ``j`` is padded with ``j`` itself.  A bitwise OR is exact
-    in any order.
+    Each level ORs a row's neighbours into its frontier: a
+    :func:`closed_reduce` over the layout levels that have 64 rows or more,
+    then one padded gather for the shorter tail, whose row ``j`` is padded
+    with ``rows[j]`` itself.  A bitwise OR is exact in any order.
     """
     rows, levels = layout
-    m = len(rows)
-    rank = np.empty(rows.max() + 1, dtype=np.intp)
-    rank[rows] = np.arange(m)
     wide = sum(len(nbr) >= 64 for nbr in levels)
-    head = [rank[nbr] for nbr in levels[:wide]]
     tail = np.empty((0, 0), dtype=np.intp)
     if wide < len(levels):
         lengths = np.array([len(nbr) for nbr in levels[wide:]])
-        tail = np.repeat(np.arange(lengths[0]), len(lengths)).reshape(-1, len(lengths))
-        tail.T[np.arange(lengths[0]) < lengths[:, None]] = rank[np.concatenate(levels[wide:])]
+        tail = np.repeat(rows[: lengths[0]], len(lengths)).reshape(-1, len(lengths))
+        tail.T[np.arange(lengths[0]) < lengths[:, None]] = np.concatenate(levels[wide:])
     k = np.arange(len(sources))
-    frontier = np.zeros((m, -(-len(sources) // 64)), dtype=np.uint64)
+    frontier = np.zeros((rows.max() + 1, -(-len(sources) // 64)), dtype=np.uint64)
     frontier[sources, k // 64] = np.uint64(1) << (k % 64).astype(np.uint64)
-    seen, dist, depth = frontier.copy(), np.full(m, -1), 0
-    dist[sources[0]] = 0
+    seen, dist, depth = frontier[rows], np.full(len(rows), -1), 0  # in row order
+    dist[rows == sources[0]] = 0
     while True:
-        reached = frontier.copy()
-        for nbr in head:
-            reached[: len(nbr)] |= frontier[nbr]
+        reached = closed_reduce(np.bitwise_or, frontier, rows, levels[:wide])
         reached[: len(tail)] |= np.bitwise_or.reduce(frontier[tail], axis=1)
-        frontier = reached & ~seen
-        if not frontier.any():
+        reached &= ~seen
+        if not reached.any():
             return dist, depth
-        seen |= frontier
+        seen |= reached
+        frontier[rows] = reached
         depth += 1
-        dist[(frontier[:, 0] & np.uint64(1)) != 0] = depth
+        dist[(reached[:, 0] & np.uint64(1)) != 0] = depth
 
 
 def is_connected(layout: Layout) -> bool:
     """Whether a :meth:`~NetworkSnapshot.layout` is one nonempty component."""
-    return len(layout[0]) > 0 and bool((_search(layout, np.array([0]))[0] >= 0).all())
+    return len(layout[0]) > 0 and bool((_search(layout, layout[0][:1])[0] >= 0).all())
 
 
 def diameter(layout: Layout) -> float:
@@ -205,14 +200,15 @@ def diameter(layout: Layout) -> float:
     rows farther than ``i`` from it, reaches ``2 i``, it is the diameter.
     Each step searches from the whole fringe at distance ``i`` at once.
     """
-    if not len(layout[0]):
+    rows = layout[0]
+    if not len(rows):
         raise ValueError("diameter of an empty snapshot is undefined")
-    dist, bound = _search(layout, np.array([0]))
+    dist, bound = _search(layout, rows[:1])
     if (dist < 0).any():
         return math.inf
     i = bound
     while bound < 2 * i:
-        bound = max(bound, _search(layout, np.flatnonzero(dist == i))[1])
+        bound = max(bound, _search(layout, rows[dist == i])[1])
         i -= 1
     return bound
 

@@ -114,18 +114,16 @@ def edmc_window(X: np.ndarray, U: np.ndarray, layout: Layout) -> np.ndarray:
     """``len(U)`` exact max steps of ``layout``'s rows, in place, step ``t``
     loading ``U[t]``: each level's series over the block is one fold of the
     series below it, its column 0 the level's starting state.  Returns the
-    top level's series, row ``t`` holding ``X[rows, -1]`` after ``t`` steps."""
+    top level's series by slot, ``[t, s]`` holding ``X[s, -1]`` after ``t``
+    steps; entries at slots outside the layout are unspecified."""
     rows, levels = layout
-    rank = np.empty(len(X), dtype=np.intp)  # series row of each layout row's slot
-    rank[rows] = np.arange(len(rows))
-    hood = rank[rows], tuple(rank[nbr] for nbr in levels)
-    series = np.empty((len(rows), len(U) + 1, *X.shape[2:]))
-    series[:, 0] = X[rows, 0]
-    series[:, 1:] = U[:, rows].swapaxes(0, 1)
-    X[rows, 0] = series[:, -1]
+    series = np.empty((len(X), len(U) + 1, *X.shape[2:]))
+    series[rows, 0] = X[rows, 0]
+    series[rows, 1:] = U[:, rows].swapaxes(0, 1)
+    X[rows, 0] = series[rows, -1]
     for level in range(1, X.shape[1]):
         below, series = series[:, :-1], np.empty_like(series)
-        series[:, 0] = X[rows, level]
-        series[:, 1:] = closed_reduce(np.maximum, below, *hood)
-        X[rows, level] = series[:, -1]
+        series[rows, 0] = X[rows, level]
+        series[rows, 1:] = closed_reduce(np.maximum, below, rows, levels)
+        X[rows, level] = series[rows, -1]
     return series.swapaxes(0, 1)

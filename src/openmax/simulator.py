@@ -99,6 +99,7 @@ __all__ = [
     "load_preset",
     "run",
     "run_size_estimation",
+    "window_bounds",
     "write_outputs",
 ]
 
@@ -108,8 +109,8 @@ __all__ = [
 MAX_CELLS = 2**27
 
 # The most cells of one cascade level's series that a moving exact window
-# folds at once, as rows x steps: a block of 2**17 // rows steps, so a long
-# window's series stay a few MiB next to its tables.
+# folds at once, as rows x steps: a block of 2**17 // rows steps, whose
+# inputs and series arrays span every slot.
 BLOCK_CELLS = 2**17
 
 
@@ -933,8 +934,7 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
         for k in range(w.start, w.end + 1):
             if moving and k < w.end and (k - w.start) % span == 0:
                 first = k
-                series = edmc_window(X, observer.block(k, min(k + span, w.end)), w.layout)
-                series = series[:, np.argsort(w.layout[0])]  # to ascending slots
+                series = edmc_window(X, observer.block(k, min(k + span, w.end)), w.layout)[:, act]
             if k > still:
                 observer.repeat(k, act)
                 errors.append(errors[-1])
@@ -945,7 +945,7 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
                         f"non-finite state encountered at tick {k}; aborting the run"
                     )
                 if k == w.start:
-                    bounds.append(_window_bounds(scenario, w, outs, target))
+                    bounds.append(window_bounds(scenario, w, outs, target))
                 observer.observe(k, act, outs, target)
                 errors.append(float(np.abs(outs - target).max()))
             if k < still:
@@ -971,13 +971,14 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
     return errors, counts, windows
 
 
-def _window_bounds(
+def window_bounds(
     scenario: Scenario, w: Window, outs: np.ndarray, target: object
 ) -> tuple[int, BoundsReport]:
     """Diameter and bounds of window ``w``.
 
     The outputs and target are max-side values, so min-mode windows are
-    bounded through the mirror.
+    bounded through the mirror.  Outputs ``(0.0,)`` and target ``0.0``, a
+    zero gap, give the reasons a run will report before it runs.
     """
     params = scenario.params
     d = diameter(w.layout)  # finite: make_scenario checked the same layout connected

@@ -229,20 +229,31 @@ def test_size_est_rejects_consensus_scenario(consensus_file, tmp_path, capsys):
     assert "'run'" in capsys.readouterr().err
 
 
+SHALLOW_CONSENSUS = MINI_CONSENSUS.replace("variant: approximate, alpha: 0.2", "variant: exact, delta: 1")
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
-        ("run", MINI_CONSENSUS.replace("variant: approximate, alpha: 0.2", "variant: exact, delta: 1")),
+        ("run", SHALLOW_CONSENSUS),
         ("size-est", MINI_DSE.replace("delta: 3", "delta: 1")),
+        ("validate", SHALLOW_CONSENSUS),
     ],
-    ids=["run", "size-est"],
+    ids=["run", "size-est", "validate"],
 )
 def test_realized_assumption_violation_exits_2_after_writing(command, config, tmp_path, capsys):
     """A cascade shallower than the realized diameter is reported on stderr,
-    after the artifacts are written."""
+    after the artifacts are written; ``validate`` prints the same line and
+    exit code as ``run`` without running."""
     path = tmp_path / "shallow.yaml"
     path.write_text(config)
     out = tmp_path / "out"
+    validated = None
+    if command == "validate":
+        assert main(["validate", "--scenario", str(path)]) == 2
+        validated = capsys.readouterr().err
+        assert not out.exists()
+        command = "run"
     assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert f"wrote {out / 'summary.json'}" in captured.out
@@ -253,6 +264,7 @@ def test_realized_assumption_violation_exits_2_after_writing(command, config, tm
     end = summary["horizon"]
     assert captured.err.splitlines() == [f"violated: {reason} (ticks 0-{end})"]
     assert reason.startswith("cascade depth (1) is below the diameter")
+    assert validated in (None, captured.err)
 
 
 def test_validate_preset_and_seed_auto(capsys):
@@ -650,7 +662,8 @@ def mutated_configs(draw):
 @given(case=mutated_configs())
 def test_mutated_configs_fail_at_load_with_the_leaf_path(case):
     """Every mutated config loads, or fails with an ``error:`` line and exit 1
-    or 2; a wrongly typed number names its leaf's dotted path and exits 1."""
+    or 2, or exits 2 with the ``violated:`` lines of its windows; a wrongly
+    typed number names its leaf's dotted path and exits 1."""
     config, path, old, new = case
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "fuzz.yaml"
@@ -661,11 +674,136 @@ def test_mutated_configs_fail_at_load_with_the_leaf_path(case):
     err = err.getvalue()
     assert code in (0, 1, 2)
     assert "Traceback" not in err
-    if code:
-        assert err.startswith("error:")
+    if code:  # a window that breaks an assumption the load cannot check exits 2 as run does
+        assert err.startswith("error:") or code == 2 and err.startswith("violated:")
     number = isinstance(old, (int, float)) and not isinstance(old, bool)
     if number and (isinstance(new, bool) or not isinstance(new, int)):
         assert code == 1 and path in err, err
+
+
+EDGE = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 0.25, -1.0])
+
+
+@st.composite
+def signal_configs(draw) -> dict:
+    """A signal of any kind, its numbers drawn from the edge values; walks,
+    the kind with clamps to check, come twice as often as each other kind."""
+    kinds = ["constant", "piecewise_linear", "sinusoid", *["random_walk_clamped"] * 2]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "constant":
+        return {"kind": kind, "value": draw(EDGE)}
+    if kind == "piecewise_linear":
+        ticks = sorted(draw(st.sets(st.integers(-3, 30), min_size=1, max_size=3)))
+        return {"kind": kind, "points": [[k, draw(EDGE)] for k in ticks]}
+    if kind == "sinusoid":
+        period = draw(st.sampled_from([1e-300, 4.0, 50.0, 50.0, 1e300]))
+        return {"kind": kind, "amplitude": draw(EDGE), "period": period,
+                "phase": draw(EDGE), "offset": draw(EDGE)}
+    step_bound = draw(st.sampled_from([0.0, 1e-300, 0.01, 0.01, 0.2, 1e300]))
+    walk = {"kind": kind, "step_bound": step_bound}
+    clamps = [draw(EDGE), draw(EDGE)]
+    if draw(st.sampled_from([True, True, True, False])):  # a quarter of the pairs may cross
+        clamps.sort()
+    keys = draw(st.sampled_from([("lo", "hi"), ("start", "lo", "hi"), ("start", "hi"), ("lo",), ()]))
+    values = zip(("lo", "hi", "start"), [*clamps, draw(EDGE)])
+    walk.update((key, value) for key, value in values if key in keys)
+    return walk
+
+
+@st.composite
+def whole_configs(draw) -> tuple[dict, list[int]]:
+    """A config over every topology, churn, signal and protocol kind, and its node ids."""
+    kind = draw(st.sampled_from(["consensus", "size_estimation"]))
+    horizon = draw(st.integers(1, 30))
+    variant = draw(st.sampled_from(["approximate", "exact"]))
+    mode = draw(st.sampled_from(["max", "min"])) if kind == "consensus" else "max"
+    protocol = {"mode": mode, "variant": variant, "read_departing": draw(st.booleans())}
+    if variant == "approximate":
+        protocol["alpha"] = draw(st.sampled_from([1e-300, 0.05, 0.3, 0.99]))
+    else:
+        protocol["delta"] = draw(st.integers(0, 6))
+    config = {"kind": kind, "seed": draw(st.integers(0, 99)), "horizon": horizon,
+              "protocol": protocol}
+    topology = draw(st.sampled_from(["line", "barabasi_albert", "explicit"]))
+    if topology == "line":
+        nodes = list(range(1, draw(st.integers(1, 8)) + 1))
+        config["topology"] = {"kind": "line", "n": len(nodes)}
+    elif topology == "barabasi_albert":
+        seed_line, grown = draw(st.integers(1, 4)), draw(st.integers(0, 12))
+        nodes = list(range(1, seed_line + grown + 1))
+        config["topology"] = {"kind": topology, "seed_line": seed_line, "target_n": len(nodes),
+                              "edges_per_new_node": draw(st.integers(1, 3))}
+    else:  # a random tree on gapped ids, with some of its edges cut
+        nodes = sorted(draw(st.sets(st.integers(-5, 40), min_size=1, max_size=8)))
+        edges = [(nodes[draw(st.integers(0, i - 1))], v) for i, v in enumerate(nodes) if i]
+        edges = [e for e in edges if draw(st.integers(0, 9))]
+        config["topology"] = {"kind": topology, "text": "".join(
+            [f"nodes: {' '.join(map(str, nodes))}\n", *(f"{u} {v}\n" for u, v in edges)])}
+    churn = draw(st.sampled_from([None, "pool_random", "explicit"]))
+    if churn == "pool_random":
+        pool_size = draw(st.integers(1, max(1, len(nodes) - 1)))
+        config["churn"] = {"kind": churn, "pool_size": pool_size,
+                           "every": draw(st.integers(1, horizon)),
+                           "activation_probability": draw(st.sampled_from([0.3, 0.5, 0.9]))}
+    elif churn == "explicit":
+        ticks = sorted(draw(st.sets(st.integers(1, horizon), min_size=1, max_size=2)))
+        events, active = [], set(nodes)
+        for tick in ticks:
+            flip = draw(st.sets(st.sampled_from(nodes), min_size=1, max_size=2))
+            event = {"tick": tick, "deactivate": sorted(flip & active),
+                     "activate": sorted(flip - active)}
+            events.append({k: v for k, v in event.items() if v != []})
+            active ^= flip
+        config["churn"] = {"kind": churn, "events": events}
+    if draw(st.integers(0, 3)) == 0:
+        config["dwell"] = draw(st.integers(1, horizon))
+    if kind == "consensus":
+        signals = {"default": draw(signal_configs())}
+        for v in draw(st.sets(st.sampled_from(nodes), max_size=2)):
+            signals.setdefault("agents", {})[v] = draw(signal_configs())
+        if draw(st.integers(0, 3)) == 0:
+            signals["slope_bound"] = draw(st.sampled_from([0.0, 0.04, 1e300]))
+        config["signals"] = signals
+        if draw(st.integers(0, 3)) == 0:
+            config["initial_states"] = [draw(EDGE) for _ in nodes]
+    else:
+        config["dse"] = {"p": draw(st.integers(2, 4)), "mc_trials": draw(st.integers(2, 40))}
+    return config, nodes
+
+
+@settings(max_examples=90, derandomize=True, deadline=None, database=None)
+@given(case=whole_configs())
+def test_validate_exits_as_the_run_does(case):
+    """``validate`` and then ``run`` or ``size-est`` on a whole config exit
+    with the same code, warning-free and without a traceback.  A run that
+    gets past its load writes ``summary.json``, on exit 2 as on exit 0, and
+    every clamped walk's inputs in ``trace.csv`` stay within its clamps."""
+    config, nodes = case
+    command = "run" if config["kind"] == "consensus" else "size-est"
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        path, out = Path(tmp) / "drawn.yaml", Path(tmp) / "out"
+        path.write_text(yaml.safe_dump(config))
+        codes, errs = [], []
+        for argv in (["validate"], [command, "--out", str(out)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                codes.append(main([*argv, "--scenario", str(path)]))
+            errs.append(err.getvalue())
+        assert codes[0] == codes[1], errs
+        assert not any("Traceback" in err for err in errs)
+        ran = codes[1] == 0 or errs[1].startswith("violated:")
+        assert (out / "summary.json").is_file() == ran, errs
+        if not ran or command != "run":
+            return
+        with (out / "trace.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+    signals = config["signals"]
+    for v in nodes:
+        spec = signals.get("agents", {}).get(v, signals["default"])
+        if spec["kind"] == "random_walk_clamped":
+            inputs = [float(r["u"]) for r in rows if r["agent"] == str(v)]
+            assert all(spec.get("lo", -math.inf) <= u <= spec.get("hi", math.inf) for u in inputs)
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openmax.graph import (
@@ -326,17 +326,24 @@ def wide_graphs(draw) -> tuple[NetworkSnapshot, np.ndarray]:
         n = draw(st.integers(150, 300))
         g = barabasi_albert(line_graph(draw(st.integers(1, 5))), n, draw(st.integers(1, 3)), rng)
         return g, rng.random(n) < draw(st.sampled_from([0.9, 0.97, 1.0]))
-    clique, path = draw(st.integers(65, 80)), draw(st.integers(1, 40))
+    g = lollipop(draw(st.integers(65, 80)), draw(st.integers(1, 40)))
+    return g, np.ones(g.n, dtype=bool)
+
+
+def lollipop(clique: int, path: int) -> NetworkSnapshot:
+    """A clique on nodes 1..clique with a path of ``path`` more nodes hanging off its last."""
     edges = [(u, v) for u in range(1, clique + 1) for v in range(u + 1, clique + 1)]
     edges += [(v, v + 1) for v in range(clique, clique + path)]
-    return NetworkSnapshot.from_edges(range(1, clique + path + 1), edges), np.ones(clique + path, dtype=bool)
+    return NetworkSnapshot.from_edges(range(1, clique + path + 1), edges)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(wide_graphs())
+@example((lollipop(70, 30), np.arange(100) < 88))  # the path's far end, the top slots, inactive
 def test_wide_layout_diameter_and_connectivity_match_the_oracles(case):
     """The searches over a layout whose short levels fold as one padded
-    gather agree with Floyd-Warshall and a depth-first walk."""
+    gather agree with Floyd-Warshall and a depth-first walk, also when the
+    mask drops the highest slots."""
     g, keep = case
     h = induced_subgraph(g, g.ids[keep].tolist())
     layout = g.layout(keep)

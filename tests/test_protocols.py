@@ -360,28 +360,35 @@ def test_edmc_kernel_from_a_start_level_folds_only_the_levels_above_it():
 
 
 def test_edmc_window_equals_that_many_kernel_steps_bit_for_bit():
-    """The top series and the final cascades of a block equal those of
-    ``len(U)`` :func:`edmc_kernel` steps, through int64 views; on random
-    graphs and a hub graph, scalar and p=3 cascades of depth 0-5 from random
-    starting levels, over a grid with both zeros, for every block length up
-    to 8 steps."""
+    """The top series at the layout's rows and the final cascades of a block
+    equal those of ``len(U)`` :func:`edmc_kernel` steps, through int64 views;
+    on random graphs and a hub graph, each whole, under a random mask and
+    under a random mask without its highest slot, scalar and p=3 cascades of
+    depth 0-5 from random starting levels, over a grid with both zeros, for
+    every block length up to 8 steps."""
     rng = np.random.default_rng(13)
     grid = np.array([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5])
     for trial in range(30):
         g = random_connected_graph(rng, int(rng.integers(1, 9))) if trial < 24 else hub_graph()
         shape = () if trial % 2 else (3,)
-        layout = g.layout()
-        X = rng.choice(grid, size=(g.n, int(rng.integers(1, 7)), *shape))
-        U = rng.choice(grid, size=(8, g.n, *shape))
-        for steps in range(1, len(U) + 1):
-            stepped, tops = X.copy(), [X[layout[0], -1]]
-            for u in U[:steps]:
-                edmc_kernel(stepped, u, layout)
-                tops.append(stepped[layout[0], -1])
-            folded = X.copy()
-            series = edmc_window(folded, U[:steps], layout)
-            assert np.array_equal(series.view(np.int64), np.array(tops).view(np.int64))
-            assert np.array_equal(folded.view(np.int64), stepped.view(np.int64))
+        masked = rng.random((2, g.n)) < 0.7
+        masked[1, -1] = False
+        for keep in (np.ones(g.n, dtype=bool), *masked):
+            layout = g.layout(keep)
+            rows = layout[0]
+            X = rng.choice(grid, size=(g.n, int(rng.integers(1, 7)), *shape))
+            U = rng.choice(grid, size=(8, g.n, *shape))
+            for steps in range(1, len(U) + 1):
+                stepped, tops = X.copy(), [X[:, -1]]  # by slot, as the series
+                for u in U[:steps]:
+                    edmc_kernel(stepped, u, layout)
+                    tops.append(stepped[:, -1].copy())
+                folded = X.copy()
+                series = edmc_window(folded, U[:steps], layout)
+                assert series.shape == (steps + 1, *X[:, -1].shape)
+                want = np.array(tops)[:, rows]
+                assert np.array_equal(series[:, rows].view(np.int64), want.view(np.int64))
+                assert np.array_equal(folded.view(np.int64), stepped.view(np.int64))
 
 
 # every agent moves every tick, across zero and through both signs of it
