@@ -1132,14 +1132,16 @@ def _write_tables(
 
     The trace has a line per active agent and tick; the plot CSV has a line
     per tick and a column per reference node, empty while it is inactive.
-    Each tick's values are formatted once for both files, and a tick whose
-    values keep the previous tick's bits reuses its strings; each file gets
-    one string per tick.  Floats print as ``repr``; no field is quoted.
+    Each tick's values are formatted once (the plotted column alone without
+    a trace).  A window's trace is one token list, ``width`` tokens an agent:
+    a tick whose values changed slice-assigns its new strings and joins it;
+    one whose values repeat rejoins the previous tick's lines, split once.
+    Floats print as ``repr``; no field is quoted.
     """
     nodes = scenario.reference.ids.tolist()
     ticks = range(len(trace.ticks))
     if scenario.kind == "consensus":
-        columns = (trace.outputs, scenario.inputs)
+        columns = (trace.outputs, scenario.inputs) if trace_path else (trace.outputs,)
         trace_head = ["tick", "agent", "x", "u", "e", "n_active"]
         plot_head = ["tick", "target", *(f"x_{i}" for i in nodes)]
         errors, counts = trace.errors.tolist(), trace.n_active.tolist()
@@ -1152,8 +1154,7 @@ def _write_tables(
         sizes, targets = trace.true_sizes.tolist(), trace.target_estimates.tolist()
         ends = ["\n"] * len(ticks)
         leads = [f"{k},{sizes[k]},{targets[k]!r}," for k in ticks]
-    # a trace line is "k," + the agent and its values + ends[k]
-    fields = ",".join(["{}"] * (1 + len(columns))).format
+    width = 2 * len(columns) + 2
 
     cells = np.empty(len(nodes), dtype=object)
     with ExitStack() as stack:
@@ -1165,16 +1166,25 @@ def _write_tables(
             pf = stack.enter_context(plot_path.open("w", newline=""))
             pf.write(",".join(plot_head) + "\n")
         for w in scenario.windows:
-            act, agents = w.slots, [str(nodes[s]) for s in w.slots.tolist()]
+            act, m = w.slots, len(w.slots)
             cells[:] = ""
             shown = [None] * len(columns)  # per column: the last tick's bits and strings
+            tokens = [","] * (width * m)
+            tokens[1::width] = [f"{nodes[s]}," for s in act.tolist()]
             for k in range(w.start, w.end + 1):
                 old = shown
                 shown = [_format_or_reuse(c[k, act], s) for c, s in zip(columns, old)]
                 if tf is not None:
-                    if any(s is not o for s, o in zip(shown, old)):
-                        body = list(map(fields, agents, *(s[1].tolist() for s in shown)))
-                    tf.write(f"{k}," + (ends[k] + f"{k},").join(body) + ends[k])
+                    if fresh := [j for j, (s, o) in enumerate(zip(shown, old)) if s is not o]:
+                        for j in fresh:
+                            tokens[2 * j + 2 :: width] = shown[j][1].tolist()
+                        tokens[::width], tokens[width - 1 :: width] = [f"{k},"] * m, [ends[k]] * m
+                        text, body = "".join(tokens), None
+                    else:  # "\n" occurs only at line ends, so the split is exact
+                        lead, end = f"{k - 1},", ends[k - 1]
+                        body = body or text[len(lead) : -len(end)].split(end + lead)
+                        text = f"{k}," + (ends[k] + f"{k},").join(body) + ends[k]
+                    tf.write(text)
                 if pf is not None:
                     if shown[0] is not old[0]:
                         cells[act] = shown[0][1]

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import openmax.signals as signals
 from openmax.signals import (
     ClampedRandomWalk,
     Constant,
@@ -269,6 +270,26 @@ def test_certify_slope_names_first_failing_agent_like_reference():
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("agent 4 moves by")
+
+
+@pytest.mark.parametrize("cells", [1, 3, 7, 64])
+def test_certify_slope_in_row_blocks_equals_one_block(cells, monkeypatch):
+    """Blocks of any height return the one-block bits, and a failure names the
+    first bad agent of the whole table, not of the first block that fails."""
+    specs = _signals_of_every_kind()["random_walk"] + (PiecewiseLinear(STEP_POINTS),)
+    whole = table(specs, 300)
+    want = certify_slope(whole, list(range(len(specs))), 0.05)
+    jumps = np.zeros((12, 3))
+    jumps[9, 0] = jumps[2, 2] = 1.0  # agent 1 jumps at tick 9, agent 3 at tick 2
+    with pytest.raises(SlopeCertificationError) as one_block:
+        certify_slope(jumps, [1, 2, 3], 0.5)
+    monkeypatch.setattr(signals, "_SLOPE_BLOCK_CELLS", cells)
+    got = certify_slope(whole, list(range(len(specs))), 0.05)
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+    with pytest.raises(SlopeCertificationError) as blocks:
+        certify_slope(jumps, [1, 2, 3], 0.5)
+    assert str(blocks.value) == str(one_block.value)
+    assert str(blocks.value).startswith("agent 1 moves by 1 from tick 8 to 9")
 
 
 def test_certify_slope_rejects_nan():

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import openmax.simulator as simulator
 from openmax.bounds import AssumptionViolation
@@ -60,6 +64,7 @@ from util import (
     same_graph,
     signal_inputs,
     trace_row,
+    write_tables_reference,
 )
 
 
@@ -606,6 +611,67 @@ def test_trace_and_plot_written_alone_match_a_full_write(kind, tmp_path):
     assert sorted(f.name for f in plot_only["plotdata"].iterdir()) == files
     for name in files:
         assert (plot_only["plotdata"] / name).read_bytes() == (full["plotdata"] / name).read_bytes()
+
+
+@functools.cache
+def _written_run(kind: str) -> RunResult:
+    """A churned run of each kind whose tables the writer property redraws."""
+    if kind == "consensus":
+        return run(line4_churn_scenario(params=ProtocolParams(mode="min", variant="exact", delta=3)))
+    return run_size_estimation(dse_line5_scenario("approximate"))
+
+
+# both zeros, so rows can differ from the tick before only in a zero's sign
+WRITTEN = st.sampled_from([0.0, -0.0, 0.1, -0.1, 1 / 3, 1e16, 5e-324, -2.5])
+
+
+@st.composite
+def written_runs(draw):
+    """A run whose every table is redrawn from few rows held for runs of ticks:
+    repeated rows, rows that differ only in a zero's sign, and (consensus)
+    ticks whose values repeat while their error moves.  Inactive cells hold NaN."""
+    res = _written_run(draw(st.sampled_from(["consensus", "size_estimation"])))
+    ticks, slots = len(res.trace.ticks), res.scenario.reference.n
+    active = np.zeros((ticks, slots), dtype=bool)
+    for w in res.scenario.windows:
+        active[w.start : w.end + 1, w.slots] = True
+
+    def table():
+        rows = draw(st.lists(st.lists(WRITTEN, min_size=slots, max_size=slots), min_size=1, max_size=3))
+        rows.append([-v if v == 0 else v for v in rows[0]])
+        held = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.integers(1, 8)), min_size=1))
+        order = [i for i, run_length in held for _ in range(run_length)]
+        out = np.array(rows)[(order * ticks)[:ticks]]
+        out[~active] = np.nan
+        return out
+
+    if res.scenario.kind == "consensus":
+        errors = np.array(draw(st.lists(WRITTEN, min_size=ticks, max_size=ticks)))
+        trace = replace(res.trace, outputs=table(), errors=errors)
+        scenario = replace(res.scenario, inputs=table())
+    else:
+        trace, scenario = replace(res.trace, estimates=table()), res.scenario
+    flags = dict(csv=draw(st.booleans()), plotdata=draw(st.booleans()))
+    return RunResult(replace(scenario, trace=TraceOptions(**flags)), trace, res.summary)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(written_runs())
+def test_writer_matches_the_per_line_oracle(res):
+    """``trace.csv`` and the plot CSV are the per-line oracle's bytes, for
+    every combination of the two trace options."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, want = Path(tmp, "out"), Path(tmp, "want")
+        want.mkdir()
+        write_tables_reference(res, want / "trace.csv", want / "plot.csv")
+        paths = write_outputs(res, out)
+        assert ("trace" in paths) == res.scenario.trace.csv
+        assert ("plotdata" in paths) == res.scenario.trace.plotdata
+        if res.scenario.trace.csv:
+            assert paths["trace"].read_bytes() == (want / "trace.csv").read_bytes()
+        if res.scenario.trace.plotdata:
+            name = "state_trajectories" if res.scenario.kind == "consensus" else "size_estimates"
+            assert (paths["plotdata"] / f"{name}.csv").read_bytes() == (want / "plot.csv").read_bytes()
 
 
 def test_dse_outputs_layout(tmp_path):

@@ -1,13 +1,15 @@
 """Shared helpers for the test suite: small random graphs, churn scripts, and
 the scalar reference implementations that the vectorized code is checked
 against (graphs as Python sets, per-agent kernels, signal values and random
-walks, slope certification, window audits, brute-force Monte Carlo)."""
+walks, slope certification, window audits, brute-force Monte Carlo, the
+artifact writer)."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import replace
+from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -502,6 +504,38 @@ def certify_slope_reference(columns: Mapping[int, Sequence[float]], bound: float
                 )
             prev = cur
     return worst
+
+
+def write_tables_reference(result: RunResult, trace_path: Path, plot_path: Path) -> None:
+    """``trace.csv`` and the plot CSV written one line at a time, each line
+    formatted on its own: the per-line oracle of ``simulator._write_tables``."""
+    sc, trace = result.scenario, result.trace
+    nodes = sc.reference.ids.tolist()
+    with trace_path.open("w", newline="") as tf, plot_path.open("w", newline="") as pf:
+        if sc.kind == "consensus":
+            tf.write("tick,agent,x,u,e,n_active\n")
+            pf.write(",".join(["tick", "target", *(f"x_{i}" for i in nodes)]) + "\n")
+        else:
+            tf.write("tick,agent,n_hat\n")
+            pf.write(",".join(["tick", "n_true", "target_estimate", *(f"nhat_{i}" for i in nodes)]) + "\n")
+        for w in sc.windows:
+            for k in range(w.start, w.end + 1):
+                cells = [""] * len(nodes)
+                for s in w.slots.tolist():
+                    agent = nodes[s]
+                    if sc.kind == "consensus":
+                        x, u = float(trace.outputs[k, s]), float(sc.inputs[k, s])
+                        e, n = float(trace.errors[k]), int(trace.n_active[k])
+                        tf.write(f"{k},{agent},{x!r},{u!r},{e!r},{n}\n")
+                    else:
+                        x = float(trace.estimates[k, s])
+                        tf.write(f"{k},{agent},{x!r}\n")
+                    cells[s] = repr(x)
+                if sc.kind == "consensus":
+                    lead = [str(k), repr(float(trace.targets[k]))]
+                else:
+                    lead = [str(k), str(int(trace.true_sizes[k])), repr(float(trace.target_estimates[k]))]
+                pf.write(",".join(lead + cells) + "\n")
 
 
 def audit_window_reference(errors: Sequence[float], report: BoundsReport) -> dict:
