@@ -15,7 +15,7 @@ stream                derivation
 ====================  =========================================
 topology growth       ``SeedSequence((seed, 0))``
 churn subsets         ``SeedSequence((seed, 1))``
-size-estimation draws ``SeedSequence((seed, 2))``
+size-estimation draws ``SeedSequence((seed, 2))``, one block a window's arrivals, in window order
 random-walk signals   ``SeedSequence((seed, 3))``
 worst-case trials     integer derived from ``SeedSequence((seed, 4))``
 ====================  =========================================
@@ -163,16 +163,19 @@ class Window:
     """Span of ticks with a fixed active set; ``end`` is inclusive.
 
     ``keep`` masks the active slots, the agents' positions in the
-    reference's ``ids``, and ``slots`` lists them in ascending order; both
-    are read-only.  ``layout`` is the reference's degree layout under
-    ``keep``.  :attr:`graph` builds the window's snapshot,
-    ``reference.subgraph(keep)``, only on request.
+    reference's ``ids``, and ``slots`` lists them in ascending order;
+    ``arrivals`` lists, in ascending order, the slots active here but not in
+    the window before (every slot of the first window), which the run loads
+    afresh at ``start``.  All three are read-only.  ``layout`` is the
+    reference's degree layout under ``keep``.  :attr:`graph` builds the
+    window's snapshot, ``reference.subgraph(keep)``, only on request.
     """
 
     start: int
     end: int
     keep: np.ndarray = field(repr=False)
     slots: np.ndarray = field(repr=False)
+    arrivals: np.ndarray = field(repr=False)
     layout: Layout = field(repr=False)
     reference: NetworkSnapshot = field(repr=False)
 
@@ -347,16 +350,16 @@ def make_scenario(
     starts = [0] + ticks
     ends = [t - 1 for t in starts[1:]] + [horizon]
     windows = []
-    for start, end, keep in zip(starts, ends, keeps):
-        slots = np.flatnonzero(keep)
-        keep.flags.writeable = slots.flags.writeable = False
+    for start, end, before, keep in zip(starts, ends, [~keeps[0]] + keeps, keeps):
+        slots, arrivals = np.flatnonzero(keep), np.flatnonzero(keep & ~before)
+        keep.flags.writeable = slots.flags.writeable = arrivals.flags.writeable = False
         layout = reference.layout(keep)
         if not is_connected(layout):
             raise ConnectivityLost(
                 f"the snapshot in effect from tick {start} is disconnected; "
                 "extrema cannot reach every agent"
             )
-        windows.append(Window(start, end, keep, slots, layout, reference))
+        windows.append(Window(start, end, keep, slots, arrivals, layout, reference))
 
     if kind == "consensus":
         if signals is None:
@@ -630,8 +633,10 @@ def _realize_pool_churn(
                 break
         else:
             raise ScenarioError(
-                f"could not draw a connected membership change at tick {tick} "
-                f"within {MAX_REDRAWS} attempts"
+                f"{churn.at('pool_size')}: no connected membership change at tick {tick} in "
+                f"{MAX_REDRAWS} draws of a pool of {pool_size}, each agent active with "
+                f"probability {prob}; a random membership of a pool that large is rarely "
+                "connected"
             )
         changes.append((tick, target))
         current = target
@@ -816,8 +821,8 @@ class _ConsensusObserver:
         self.targets = np.empty(scenario.horizon + 1)
         self.outputs = np.full((scenario.horizon + 1, scenario.reference.n), np.nan)
 
-    def inputs(self, k: int, act: np.ndarray) -> tuple[np.ndarray, float]:
-        self.U[act] = u = self.sign * self.table[k, act]
+    def inputs(self, k: int, w: Window) -> tuple[np.ndarray, float]:
+        self.U[w.slots] = u = self.sign * self.table[k, w.slots]
         return self.U, float(u[np.argmax(u)])  # the first maximum, as max() picks it
 
     def held(self, w: Window) -> bool:
@@ -843,27 +848,24 @@ class _SizeObserver:
 
     An agent's inputs are its ``p`` uniform draws, held while it stays and
     drawn afresh on every (re)arrival; the target is their coordinatewise max.
-    A tick's arrivals draw one block in ascending slot order, the stream of
-    one :func:`dse_generate` call per agent barring a redrawn exact zero.
+    Every window's draws come from one schedule, :func:`_draw_arrivals`, made
+    up front; a window's block is loaded into its ``arrivals`` at its first
+    tick and then let go.
     """
 
-    sign = 1.0  # size estimation runs max consensus only
-
     def __init__(self, scenario: Scenario) -> None:
-        self.p = scenario.dse.p
-        self.rng = np.random.default_rng(np.random.SeedSequence((scenario.seed, 2)))
-        self.act = np.empty(0, dtype=np.intp)
-        self.U = np.zeros((scenario.reference.n, self.p))
+        p = scenario.dse.p
+        rng = np.random.default_rng(np.random.SeedSequence((scenario.seed, 2)))
+        self.blocks = _draw_arrivals(scenario.windows, p, rng)
+        self.U = np.zeros((scenario.reference.n, p))
         self.target_estimates = np.empty(scenario.horizon + 1)
         self.estimates = np.full((scenario.horizon + 1, scenario.reference.n), np.nan)
 
-    def inputs(self, k: int, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if act is not self.act:  # each window has its own slots array
-            arriving = np.setdiff1d(act, self.act, assume_unique=True)
-            self.U[arriving] = _open_uniform(self.rng, (len(arriving), self.p))
-            self.maxima = self.U[act].max(axis=0)
+    def inputs(self, k: int, w: Window) -> tuple[np.ndarray, np.ndarray]:
+        if k == w.start:
+            self.U[w.arrivals] = self.blocks.pop(k)
+            self.maxima = self.U[w.slots].max(axis=0)
             self.target_estimate = mle_estimate(self.maxima)
-            self.act = act
         return self.U, self.maxima
 
     def held(self, w: Window) -> bool:
@@ -878,14 +880,26 @@ class _SizeObserver:
         self.estimates[k, act] = self.estimates[k - 1, act]
 
 
+def _draw_arrivals(
+    windows: Sequence[Window], p: int, rng: np.random.Generator
+) -> dict[int, np.ndarray]:
+    """The size-estimation draws of a run, keyed by window start: each window's
+    ``(len(w.arrivals), p)`` block of uniforms on (0, 1), drawn from ``rng`` in
+    window order.  Row ``i`` of a block is ``w.arrivals[i]``'s draws; an exact
+    zero is redrawn after its block."""
+    return {w.start: _open_uniform(rng, (len(w.arrivals), p)) for w in windows}
+
+
 def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     """The tick loop of both run kinds, on the max side of the mirror.
 
     Row ``s`` of the state and input arrays is slot ``s``, the ``s``-th
-    reference node.  ``observer.inputs(k, act)`` fills tick ``k``'s inputs
-    at the active slots ``act`` and returns them with their extremum, the
-    target; ``observer.observe(k, act, outs, target)`` records tick ``k``'s
-    outputs at those slots.  Returns the per-tick errors and active counts,
+    reference node.  ``observer.inputs(k, w)`` fills tick ``k``'s inputs
+    at window ``w``'s active slots ``act`` and returns them with their
+    extremum, the target; ``observer.observe(k, act, outs, target)`` records
+    tick ``k``'s outputs at those slots.  At its first tick a window loads
+    its arrivals' states: their inputs, or the initial states when the first
+    window has them.  Returns the per-tick errors and active counts,
     and each window with its diameter, bounds report, and audit dict.
 
     A window whose inputs are held (``observer.held(w)``) over its fixed
@@ -909,20 +923,19 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
     exact = params.variant == "exact"
     kernel = edmc_kernel if exact else (  # a decaying state has no levels to skip
         lambda X, U, layout, start=0: admc_kernel(X, U, layout, params.alpha))
-    windows = scenario.windows
-    a0 = windows[0].slots
-    U, target = observer.inputs(0, a0)
-    init = scenario.initial_states
-    prior = U[a0] if init is None else observer.sign * init
-    X = np.zeros((scenario.reference.n, *((params.delta + 1,) if exact else ()), *U.shape[1:]))
-    X[a0] = prior[:, None] if exact else prior  # a cascade holds the prior on every level
-    if exact:
-        X[a0, 0] = U[a0]  # but its input on level 0
+    windows, init = scenario.windows, scenario.initial_states
+    levels = (params.delta + 1,) if exact else ()
+    X = np.zeros((scenario.reference.n, *levels, *observer.U.shape[1:]))
 
     errors: list[float] = []
     bounds: list[tuple[int, BoundsReport]] = []
     for i, w in enumerate(windows):
-        act, last = w.slots, w.layout
+        act, new, last = w.slots, w.arrivals, w.layout
+        U, target = observer.inputs(w.start, w)
+        prior = U[new] if i or init is None else observer.sign * init[new]
+        X[new] = prior[:, None] if exact else prior  # a cascade holds the prior on every level
+        if exact:
+            X[new, 0] = U[new]  # but its input on level 0
         nxt = windows[i + 1] if i + 1 < len(windows) else None
         if nxt is not None and not params.read_departing:  # the stayers only
             last = scenario.reference.layout(w.keep & nxt.keep)
@@ -953,14 +966,11 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
                 if not moving:  # else its block has stepped already
                     kernel(X, U, w.layout, max(settled - 1, 0))
                 settled += held  # stays 0, a full fold, while the inputs move
-                U, target = observer.inputs(k + 1, act)
+                U, target = observer.inputs(k + 1, w)
                 if before is not None and np.array_equal(before.view(np.int64), X.view(np.int64)):
                     still = k
             elif k == w.end and nxt is not None:
                 kernel(X, U, last)
-                arriving = np.setdiff1d(nxt.slots, act, assume_unique=True)
-                U, target = observer.inputs(k + 1, nxt.slots)
-                X[arriving] = U[arriving, None] if exact else U[arriving]
 
     errors = np.asarray(errors)
     windows = [

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "dse_generate",
     "mle_estimate",
     "exp_scaled_expn",
     "upper_incomplete_gamma",
@@ -49,17 +48,6 @@ def _open_uniform(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.n
         if not zeros.any():
             return vals
         vals[zeros] = rng.random(int(zeros.sum()))
-
-
-def dse_generate(p: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw the ``p`` uniform coordinates one agent contributes.
-
-    Values are uniform on (0, 1): the generator draws from [0, 1) and exact
-    zeros are rejected and redrawn.  A fresh draw happens on every (re)arrival, never lazily.
-    """
-    if p < 2:
-        raise ValueError("at least two coordinates are needed, got p={p}".format(p=p))
-    return _open_uniform(rng, p)
 
 
 def mle_estimate(x: object) -> float | np.ndarray:

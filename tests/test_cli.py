@@ -48,6 +48,16 @@ dse: {p: 4, mc_trials: 120}
 
 
 POOL_CHURN = "churn: {kind: pool_random, every: 5, pool_size: 1, activation_probability: %s}"
+# only a prefix of the line stays connected, so the first change exhausts its redraws
+POOL_EXHAUSTED = """
+kind: size_estimation
+seed: 1
+horizon: 20
+protocol: {mode: max, variant: exact, delta: 30}
+topology: {kind: line, n: 30}
+dse: {p: 4}
+churn: {kind: pool_random, pool_size: 29, every: 10, activation_probability: 0.5}
+"""
 EXPLICIT_CHURN = "churn: {kind: explicit, events: [{tick: 5, deactivate: %s}]}"
 
 
@@ -407,6 +417,8 @@ def test_missing_scenario_exits_1(capsys):
          "signals.agents.3: lower clamp 1.0 is above the upper clamp -1.0"),
         ("sweep --grid alpha=0.1,0.2", "kind: consensus", "kind: [", "could not parse"),
         ("sweep --grid alpha=0.1,0.2", MINI_CONSENSUS, "- kind: consensus\n", "must be a mapping"),
+        ("validate", MINI_CONSENSUS, POOL_EXHAUSTED,
+         "churn.pool_size: no connected membership change at tick 10 in 100 draws of a pool of 29"),
     ],
     ids=["line-without-n", "constant-without-value", "points-not-pairs",
          "read-departing-string", "trace-flag-string", "alpha-string", "delta-bool",
@@ -423,7 +435,7 @@ def test_missing_scenario_exits_1(capsys):
          "period-string", "slope-bound-negative", "signal-agent-unknown", "signal-agent-twice",
          "initial-state-twice", "initial-state-missing", "initial-state-unknown",
          "walk-clamps-crossed-default", "walk-clamps-crossed-agent", "sweep-unparseable",
-         "sweep-list"],
+         "sweep-list", "pool-churn-exhausted"],
 )
 def test_malformed_config_exits_1_without_traceback(command, old, new, section, tmp_path, capsys):
     base = MINI_DSE if section in ("mc_trials", "dse.p") else MINI_CONSENSUS

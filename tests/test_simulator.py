@@ -25,7 +25,7 @@ from openmax.signals import (
     Sinusoid,
     SlopeCertificationError,
 )
-from openmax.size_estimation import _open_uniform, dse_generate, mle_estimate
+from openmax.size_estimation import _open_uniform, mle_estimate
 from openmax.simulator import (
     ConnectivityLost,
     DseConfig,
@@ -48,6 +48,7 @@ from openmax.simulator import (
 
 from util import (
     as_masks,
+    dse_generate,
     dse_inputs_reference,
     edge_set,
     exact_kernel_calls,
@@ -216,6 +217,22 @@ def test_ba_preset_churn_touches_only_the_pool():
         assert core <= node_set(w.graph)
     for before, after in zip(sc.windows, sc.windows[1:]):
         assert node_set(before.graph) ^ node_set(after.graph) <= set(ids[-25:])
+
+
+def test_window_arrivals_are_the_slots_the_window_before_lacks():
+    returning = load_scenario(
+        "kind: consensus\nseed: 2\nhorizon: 30\n"
+        "protocol: {mode: max, variant: approximate, alpha: 0.2}\n"
+        "topology: {kind: line, n: 4}\nsignals: {default: {kind: constant, value: 0.5}}\n"
+        "churn: {kind: explicit, events: [{tick: 10, deactivate: [4]}, {tick: 20, activate: [4]}]}\n"
+    )
+    assert [w.arrivals.tolist() for w in returning.windows] == [[0, 1, 2, 3], [], [3]]
+    for sc in (returning, load_preset("ba100_dse_edmc")):
+        first = sc.windows[0]
+        assert not any(w.arrivals.flags.writeable for w in sc.windows)
+        assert first.arrivals.tobytes() == first.slots.tobytes()
+        for before, w in zip(sc.windows, sc.windows[1:]):
+            assert w.arrivals.tobytes() == np.setdiff1d(w.slots, before.slots).tobytes()
 
 
 def test_windows_are_induced_subgraphs_of_the_reference():
@@ -775,40 +792,41 @@ class _ZeroInFirstBlock:
         return vals
 
 
-def _arrival_draws(seed: int, rng=None) -> tuple[np.ndarray, np.random.Generator]:
-    """The inputs a size observer gives the first two windows' arrivals on
-    ba100_dse_edmc, in ascending slot order, and its generator after them."""
-    sc = replace(load_preset("ba100_dse_edmc"), seed=seed)
-    obs = simulator._SizeObserver(sc)
-    if rng is not None:
-        obs.rng = rng
-    first, second = sc.windows[0].slots, sc.windows[1].slots
-    obs.inputs(0, first)
-    obs.inputs(sc.windows[1].start, second)
-    arrivals = np.concatenate((first, np.setdiff1d(second, first)))
-    return obs.U[arrivals], obs.rng
+def _scheduled_draws(sc: Scenario, rng) -> np.ndarray:
+    """The draw schedule's arrival blocks for ``sc``'s windows from ``rng``,
+    checked to be one block a window, stacked in window order."""
+    blocks = simulator._draw_arrivals(sc.windows, sc.dse.p, rng)
+    assert list(blocks) == [w.start for w in sc.windows]
+    assert [b.shape for b in blocks.values()] == [(len(w.arrivals), sc.dse.p) for w in sc.windows]
+    return np.concatenate(list(blocks.values()))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
 def test_arrivals_draw_the_per_agent_stream_in_one_block(seed):
-    """One block per tick's arrivals reads what one ``dse_generate`` call per
-    arrival reads, and leaves the generator where those calls would."""
-    got, rng = _arrival_draws(seed)
+    """The schedule's blocks, in window order and ascending slot order, read
+    what one ``dse_generate`` call per arrival reads, and leave the generator
+    where those calls would; a size observer holds the blocks its seed's
+    stream gives."""
+    sc = replace(load_preset("ba100_dse_edmc"), seed=seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
+    got = _scheduled_draws(sc, rng)
     want = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     per_agent = np.array([dse_generate(got.shape[1], want) for _ in range(len(got))])
     assert got.tobytes() == per_agent.tobytes()
     assert rng.random() == want.random()
+    held = simulator._SizeObserver(sc).blocks.values()
+    assert np.concatenate(list(held)).tobytes() == got.tobytes()
 
 
 def test_an_exact_zero_in_a_block_is_redrawn_after_the_block():
     """An arrival block holding an exact zero keeps its other draws; the zero
     is redrawn after the block, so no arrival's input is 0.0."""
-    got, rng = _arrival_draws(0, _ZeroInFirstBlock(5))
+    sc = load_preset("ba100_dse_edmc")
+    rng = _ZeroInFirstBlock(5)
+    got = _scheduled_draws(sc, rng)
     want = _ZeroInFirstBlock(5)
-    first = len(load_preset("ba100_dse_edmc").windows[0].slots)
-    p = got.shape[1]
-    blocks = [_open_uniform(want, (first, p)), _open_uniform(want, (len(got) - first, p))]
-    assert rng.blocks == 2 and (got != 0.0).all()
+    blocks = [_open_uniform(want, (len(w.arrivals), sc.dse.p)) for w in sc.windows]
+    assert rng.blocks == len(sc.windows) and (got != 0.0).all()
     assert got.tobytes() == np.concatenate(blocks).tobytes()
     assert rng.random() == want.random()
 

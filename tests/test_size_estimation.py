@@ -9,7 +9,6 @@ import pytest
 from scipy import integrate, special, stats
 
 from openmax.size_estimation import (
-    dse_generate,
     dse_worst_case_monte_carlo,
     exp_scaled_expn,
     expected_estimate_admc,
@@ -18,7 +17,7 @@ from openmax.size_estimation import (
     upper_incomplete_gamma,
 )
 
-from util import worst_case_estimates_reference
+from util import dse_generate, worst_case_estimates_reference
 
 
 def test_dse_generate_shape_and_range():

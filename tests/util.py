@@ -27,7 +27,7 @@ from openmax.signals import (
 )
 import openmax.simulator as simulator
 from openmax.simulator import RunResult, Scenario, make_scenario
-from openmax.size_estimation import dse_generate
+from openmax.size_estimation import _open_uniform
 
 # One agent's state: a float or a coordinate vector, or a (delta + 1, ...) cascade.
 State = Union[float, np.ndarray]
@@ -309,6 +309,18 @@ def reference_outputs(
             states = open_step_reference(params, g, graphs[k + 1], states, u, u_next)
             u = u_next
     return outs
+
+
+def dse_generate(p: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw the ``p`` uniform coordinates one agent contributes: the
+    per-agent reference for a run's arrival blocks.
+
+    Values are uniform on (0, 1): the generator draws from [0, 1) and exact
+    zeros are rejected and redrawn.
+    """
+    if p < 2:
+        raise ValueError(f"at least two coordinates are needed, got p={p}")
+    return _open_uniform(rng, p)
 
 
 def dse_inputs_reference(scenario: Scenario) -> Callable[[int, NetworkSnapshot], dict]:
