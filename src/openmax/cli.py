@@ -174,7 +174,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         f"agents={scenario.reference.n}, windows={len(scenario.windows)}, "
         f"horizon={scenario.horizon}, dwell={scenario.dwell}"
     )
-    zero_gap = (window_bounds(scenario, w, (0.0,), 0.0)[1].reasons for w in scenario.windows)
+    zero_gap = (window_bounds(scenario, w, (0.0,), 0.0).reasons for w in scenario.windows)
     return _violations(scenario, zero_gap)
 
 

@@ -167,12 +167,15 @@ class Window:
     ``arrivals`` lists, in ascending order, the slots active here but not in
     the window before (every slot of the first window), which the run loads
     afresh at ``start``.  All three are read-only.  ``layout`` is the
-    reference's degree layout under ``keep``.  :attr:`graph` builds the
-    window's snapshot, ``reference.subgraph(keep)``, only on request.
+    reference's degree layout under ``keep``, and ``diameter`` its diameter,
+    from load's one search of it; the window's bounds read it.
+    :attr:`graph` builds the window's snapshot, ``reference.subgraph(keep)``,
+    only on request.
     """
 
     start: int
     end: int
+    diameter: int
     keep: np.ndarray = field(repr=False)
     slots: np.ndarray = field(repr=False)
     arrivals: np.ndarray = field(repr=False)
@@ -300,8 +303,9 @@ def make_scenario(
     ``changes`` lists ``(tick, keep)`` pairs, ``keep`` a boolean mask over
     ``reference.ids`` of the agents active from ``tick`` on; each window's
     graph is the reference topology induced on its mask, so reactivated nodes
-    get back their reference edges to active neighbors.  ``signals`` and
-    ``initial_states`` give one entry per slot, in ``reference.ids`` order.
+    get back their reference edges to active neighbors, and one search of its
+    layout gives its diameter, infinite when it is disconnected.  ``signals``
+    and ``initial_states`` give one entry per slot, in ``reference.ids`` order.
     All dwell-spacing, connectivity, coverage, and tuning checks happen here,
     so config loading and programmatic construction share one gatekeeper.
     """
@@ -354,12 +358,13 @@ def make_scenario(
         slots, arrivals = np.flatnonzero(keep), np.flatnonzero(keep & ~before)
         keep.flags.writeable = slots.flags.writeable = arrivals.flags.writeable = False
         layout = reference.layout(keep)
-        if not is_connected(layout):
+        d = diameter(layout)
+        if d == math.inf:
             raise ConnectivityLost(
                 f"the snapshot in effect from tick {start} is disconnected; "
                 "extrema cannot reach every agent"
             )
-        windows.append(Window(start, end, keep, slots, arrivals, layout, reference))
+        windows.append(Window(start, end, int(d), keep, slots, arrivals, layout, reference))
 
     if kind == "consensus":
         if signals is None:
@@ -644,7 +649,7 @@ def _realize_pool_churn(
 
 
 def _realize_explicit_churn(
-    churn: _Keys, reference: NetworkSnapshot
+    churn: _Keys, reference: NetworkSnapshot, horizon: int
 ) -> list[tuple[int, np.ndarray]]:
     events = churn.items("events")
     churn.done()
@@ -654,6 +659,12 @@ def _realize_explicit_churn(
     for at, raw in events:
         event = _Keys(raw, at)
         tick = event.integer("tick")
+        first = changes[-1][0] + 1 if changes else 1
+        if not first <= tick <= horizon:
+            raise ScenarioError(
+                f"{event.at('tick')} must lie in [{first}, horizon = {horizon}], got {tick}; "
+                "event ticks start at 1 and strictly increase"
+            )
         keep = current.copy()
         # each node is checked against the network before the event, so a
         # node in both lists fails one of the two checks
@@ -721,7 +732,7 @@ def scenario_from_mapping(
         if churn_kind == "pool_random":
             changes = _realize_pool_churn(churn, reference, root_seed, horizon)
         elif churn_kind == "explicit":
-            changes = _realize_explicit_churn(churn, reference)
+            changes = _realize_explicit_churn(churn, reference, horizon)
         else:
             raise ScenarioError(f"churn.kind: unknown churn kind {churn_kind!r}")
 
@@ -838,19 +849,16 @@ class _ConsensusObserver:
         self.targets[k] = self.sign * target
         self.outputs[k, act] = self.sign * outs
 
-    def repeat(self, k: int, act: np.ndarray) -> None:
-        self.targets[k] = self.targets[k - 1]
-        self.outputs[k, act] = self.outputs[k - 1, act]
-
 
 class _SizeObserver:
     """Per-tick record of a size-estimation run.
 
     An agent's inputs are its ``p`` uniform draws, held while it stays and
     drawn afresh on every (re)arrival; the target is their coordinatewise max.
-    Every window's draws come from one schedule, :func:`_draw_arrivals`, made
-    up front; a window's block is loaded into its ``arrivals`` at its first
-    tick and then let go.
+    ``targets[k]`` is the estimate those maxima give and ``outputs[k]`` each
+    agent's own.  Every window's draws come from one schedule,
+    :func:`_draw_arrivals`, made up front; a window's block is loaded into
+    its ``arrivals`` at its first tick and then let go.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -858,8 +866,8 @@ class _SizeObserver:
         rng = np.random.default_rng(np.random.SeedSequence((scenario.seed, 2)))
         self.blocks = _draw_arrivals(scenario.windows, p, rng)
         self.U = np.zeros((scenario.reference.n, p))
-        self.target_estimates = np.empty(scenario.horizon + 1)
-        self.estimates = np.full((scenario.horizon + 1, scenario.reference.n), np.nan)
+        self.targets = np.empty(scenario.horizon + 1)
+        self.outputs = np.full((scenario.horizon + 1, scenario.reference.n), np.nan)
 
     def inputs(self, k: int, w: Window) -> tuple[np.ndarray, np.ndarray]:
         if k == w.start:
@@ -872,12 +880,8 @@ class _SizeObserver:
         return True  # draws change only on arrival, at a window's first tick
 
     def observe(self, k: int, act: np.ndarray, outs: np.ndarray, target: np.ndarray) -> None:
-        self.target_estimates[k] = self.target_estimate
-        self.estimates[k, act] = mle_estimate(outs)
-
-    def repeat(self, k: int, act: np.ndarray) -> None:
-        self.target_estimates[k] = self.target_estimates[k - 1]
-        self.estimates[k, act] = self.estimates[k - 1, act]
+        self.targets[k] = self.target_estimate
+        self.outputs[k, act] = mle_estimate(outs)
 
 
 def _draw_arrivals(
@@ -897,21 +901,22 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
     reference node.  ``observer.inputs(k, w)`` fills tick ``k``'s inputs
     at window ``w``'s active slots ``act`` and returns them with their
     extremum, the target; ``observer.observe(k, act, outs, target)`` records
-    tick ``k``'s outputs at those slots.  At its first tick a window loads
-    its arrivals' states: their inputs, or the initial states when the first
-    window has them.  Returns the per-tick errors and active counts,
-    and each window with its diameter, bounds report, and audit dict.
+    tick ``k``'s outputs at those slots in its ``targets`` and ``outputs``
+    tables.  At its first tick a window loads its arrivals' states: their
+    inputs, or the initial states when the first window has them.  Returns
+    the per-tick errors and active counts, and each window with its bounds
+    report and audit dict.
 
     A window whose inputs are held (``observer.held(w)``) over its fixed
     graph reaches a fixed point.  Cascade level ``l`` holds its ``l``-fold
     neighbourhood max one step after level ``l - 1`` does: the ``settled``
     bottom levels (1 if level 0 has the held inputs' bits, else 0) grow by
     one a step, which folds only from level ``settled - 1`` up, until all
-    ``delta + 1`` have settled.  An approximate state is fixed at the first
-    step that changes no bit.  From that tick ``still`` on the kernel is
-    skipped and each later tick repeats the observation before it
-    (``observer.repeat(k, act)``); the step out of the window at ``w.end``
-    always runs, with the full fold.
+    ``delta + 1`` have settled at tick ``still``.  An approximate state is
+    fixed once a step changes no bit.  The window's loop stops at that tick
+    and fills the window's remaining ticks from it in one copy of its row of
+    the errors and of the observer's tables; the step out of the window then
+    runs, with the full fold.
 
     An exact window whose inputs move steps through :func:`edmc_window`
     instead, a block of at most ``BLOCK_CELLS // len(w.slots)`` steps at a
@@ -927,8 +932,8 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
     levels = (params.delta + 1,) if exact else ()
     X = np.zeros((scenario.reference.n, *levels, *observer.U.shape[1:]))
 
-    errors: list[float] = []
-    bounds: list[tuple[int, BoundsReport]] = []
+    errors = np.empty(scenario.horizon + 1)
+    audited: list[tuple] = []
     for i, w in enumerate(windows):
         act, new, last = w.slots, w.arrivals, w.layout
         U, target = observer.inputs(w.start, w)
@@ -948,53 +953,45 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
             if moving and k < w.end and (k - w.start) % span == 0:
                 first = k
                 series = edmc_window(X, observer.block(k, min(k + span, w.end)), w.layout)[:, act]
-            if k > still:
-                observer.repeat(k, act)
-                errors.append(errors[-1])
-            else:
-                outs = series[k - first] if moving else X[act, -1] if exact else X[act]
-                if not np.isfinite(outs).all():
-                    raise RunExecutionError(
-                        f"non-finite state encountered at tick {k}; aborting the run"
-                    )
-                if k == w.start:
-                    bounds.append(window_bounds(scenario, w, outs, target))
-                observer.observe(k, act, outs, target)
-                errors.append(float(np.abs(outs - target).max()))
-            if k < still:
-                before = X.copy() if held and not exact else None
-                if not moving:  # else its block has stepped already
-                    kernel(X, U, w.layout, max(settled - 1, 0))
-                settled += held  # stays 0, a full fold, while the inputs move
-                U, target = observer.inputs(k + 1, w)
-                if before is not None and np.array_equal(before.view(np.int64), X.view(np.int64)):
-                    still = k
-            elif k == w.end and nxt is not None:
-                kernel(X, U, last)
+            outs = series[k - first] if moving else X[act, -1] if exact else X[act]
+            if not np.isfinite(outs).all():
+                raise RunExecutionError(
+                    f"non-finite state encountered at tick {k}; aborting the run"
+                )
+            if k == w.start:
+                report = window_bounds(scenario, w, outs, target)
+            observer.observe(k, act, outs, target)
+            errors[k] = np.abs(outs - target).max()
+            if k == still:
+                break
+            before = X.copy() if held and not exact else None
+            if not moving:  # else its block has stepped already
+                kernel(X, U, w.layout, max(settled - 1, 0))
+            settled += held  # stays 0, a full fold, while the inputs move
+            U, target = observer.inputs(k + 1, w)
+            if before is not None and np.array_equal(before.view(np.int64), X.view(np.int64)):
+                break
+        for table in (errors, observer.targets, observer.outputs):
+            table[k + 1 : w.end + 1] = table[k]
+        audited.append((w, report, audit_window(errors[w.start : w.end + 1], report)))
+        if nxt is not None:
+            kernel(X, U, last)
 
-    errors = np.asarray(errors)
-    windows = [
-        (w, d, report, audit_window(errors[w.start : w.end + 1], report))
-        for w, (d, report) in zip(scenario.windows, bounds)
-    ]
-    counts = np.asarray([len(w.slots) for w in scenario.windows for _ in range(w.start, w.end + 1)])
-    return errors, counts, windows
+    counts = np.repeat([len(w.slots) for w in windows], [w.end - w.start + 1 for w in windows])
+    return errors, counts, audited
 
 
-def window_bounds(
-    scenario: Scenario, w: Window, outs: np.ndarray, target: object
-) -> tuple[int, BoundsReport]:
-    """Diameter and bounds of window ``w``.
+def window_bounds(scenario: Scenario, w: Window, outs: np.ndarray, target: object) -> BoundsReport:
+    """Bounds of window ``w``, at its load-time diameter.
 
     The outputs and target are max-side values, so min-mode windows are
     bounded through the mirror.  Outputs ``(0.0,)`` and target ``0.0``, a
     zero gap, give the reasons a run will report before it runs.
     """
-    params = scenario.params
-    d = diameter(w.layout)  # finite: make_scenario checked the same layout connected
+    params, d = scenario.params, w.diameter
     if params.variant == "exact":
-        return d, edmc_bounds(params.delta, scenario.slope_bound, diameter=d, dwell=scenario.dwell)
-    return d, admc_bounds(d, params.alpha, scenario.slope_bound, outs, target, dwell=scenario.dwell)
+        return edmc_bounds(params.delta, scenario.slope_bound, diameter=d, dwell=scenario.dwell)
+    return admc_bounds(d, params.alpha, scenario.slope_bound, outs, target, dwell=scenario.dwell)
 
 
 def _summary_head(scenario: Scenario) -> dict:
@@ -1033,11 +1030,11 @@ def run(scenario: Scenario) -> RunResult:
             "start": w.start,
             "end": w.end,
             "n_active": len(w.slots),
-            "diameter": d,
+            "diameter": w.diameter,
             "bounds": report.to_dict(),
             "empirical": empirical,
         }
-        for w, d, report, empirical in windows
+        for w, report, empirical in windows
     ]
     summary = {
         **_summary_head(scenario),
@@ -1058,14 +1055,14 @@ def run_size_estimation(scenario: Scenario) -> RunResult:
         ticks=np.arange(scenario.horizon + 1),
         errors=errors,
         true_sizes=counts,
-        target_estimates=observer.target_estimates,
-        estimates=observer.estimates,
+        target_estimates=observer.targets,
+        estimates=observer.outputs,
     )
     params = scenario.params
     p = scenario.dse.p
     rows = []
-    for w, d, report, empirical in windows:
-        eps = params.alpha * d if params.variant == "approximate" else 0.0
+    for w, report, empirical in windows:
+        eps = params.alpha * w.diameter if params.variant == "approximate" else 0.0
         n_true = len(w.slots)
         expected = expected_estimate_admc(n_true, p, eps)
         values = trace.estimates[w.end, w.slots].tolist()
@@ -1075,7 +1072,7 @@ def run_size_estimation(scenario: Scenario) -> RunResult:
                 "start": w.start,
                 "end": w.end,
                 "n_true": n_true,
-                "diameter": d,
+                "diameter": w.diameter,
                 "epsilon": eps,
                 "expected_closed_form": expected,
                 "bounds": report.to_dict(),

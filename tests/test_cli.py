@@ -385,6 +385,16 @@ def test_missing_scenario_exits_1(capsys):
          "churn.events.0 would empty the network"),
         ("validate", "topology:", "churn: {kind: explicit, events: [{tick: 5}]}\ntopology:",
          "churn.events.0 does not modify the network"),
+        ("validate", "topology:",
+         "churn: {kind: explicit, events: [{tick: 0, deactivate: [3]}]}\ntopology:",
+         "churn.events.0.tick must lie in [1, horizon = 20], got 0;"),
+        ("validate", "topology:",
+         "churn: {kind: explicit, events: [{tick: 21, deactivate: [3]}]}\ntopology:",
+         "churn.events.0.tick must lie in [1, horizon = 20], got 21;"),
+        ("validate", "topology:",
+         "churn: {kind: explicit, events: [{tick: 12, deactivate: [3]}, {tick: 6, activate: [3]}]}"
+         "\ntopology:",
+         "churn.events.1.tick must lie in [13, horizon = 20], got 6;"),
         ("validate", "value: 0.1}", 'value: "0.1"}', "signals.default.value"),
         (
             "validate",
@@ -431,7 +441,8 @@ def test_missing_scenario_exits_1(capsys):
          "breakpoint-tick-bool", "seed-negative", "line-n-zero", "seed-line-zero",
          "target-n-zero", "edges-per-new-node-zero", "line-n-string", "dse-p-string",
          "unknown-topology-key", "event-tick-float", "event-node-unknown", "event-empties-network",
-         "event-changes-nothing", "signal-value-string", "amplitude-bool",
+         "event-changes-nothing", "event-tick-zero", "event-tick-past-horizon",
+         "event-ticks-out-of-order", "signal-value-string", "amplitude-bool",
          "period-string", "slope-bound-negative", "signal-agent-unknown", "signal-agent-twice",
          "initial-state-twice", "initial-state-missing", "initial-state-unknown",
          "walk-clamps-crossed-default", "walk-clamps-crossed-agent", "sweep-unparseable",

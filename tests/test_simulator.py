@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import openmax.simulator as simulator
 from openmax.bounds import AssumptionViolation
+from openmax.cli import main
 from openmax.graph import NetworkSnapshot, line_graph, snapshot_from_text
 from openmax.protocols import ProtocolParams, admc_kernel
 from openmax.signals import (
@@ -52,6 +53,7 @@ from util import (
     dse_inputs_reference,
     edge_set,
     exact_kernel_calls,
+    floyd_warshall_diameter,
     induced_subgraph,
     is_connected_reference,
     layout_reference,
@@ -171,6 +173,50 @@ def test_explicit_churn_windows_and_arrival_reset():
     # and its edge to agent 3 is restored, so agent 1 re-converges
     tail = res.trace.errors[res.summary["windows"][2]["bounds"]["convergence_time"] + 20 :]
     assert np.all(tail <= res.summary["windows"][2]["bounds"]["tracking_bound"] + 1e-9)
+
+
+CHURNED_LINE4 = """
+kind: consensus
+seed: 1
+horizon: 30
+protocol: {mode: max, variant: approximate, alpha: 0.2}
+topology: {kind: line, n: 4}
+signals: {default: {kind: constant, value: 0.5}}
+churn: {kind: explicit, events: [{tick: 10, deactivate: [4]}, {tick: 20, activate: [4]}]}
+"""
+
+
+def test_load_searches_each_window_once_and_nothing_else_searches(monkeypatch, tmp_path):
+    """Load finds every window's diameter by one search of its layout, which
+    also checks it connected; the runs and ``validate`` search nothing."""
+    calls = {"diameter": 0, "is_connected": 0}
+    for name in calls:
+        def counted(layout, _name=name, _search=getattr(simulator, name)):
+            calls[_name] += 1
+            return _search(layout)
+        monkeypatch.setattr(simulator, name, counted)
+
+    sc = load_scenario(CHURNED_LINE4)
+    assert len(sc.windows) == 3 and calls == {"diameter": 3, "is_connected": 0}
+    run(sc)
+    assert calls == {"diameter": 3, "is_connected": 0}
+    config = tmp_path / "churned.yaml"
+    config.write_text(CHURNED_LINE4)
+    assert main(["validate", "--scenario", str(config)]) == 0
+    assert calls == {"diameter": 6, "is_connected": 0}  # validate's own load, and no more
+
+    dse = load_preset("ba100_dse_edmc")  # pool churn tests each draw's connectivity
+    assert calls["diameter"] == 6 + len(dse.windows)
+    calls.update(diameter=0, is_connected=0)
+    res = run_size_estimation(dse)
+    assert calls == {"diameter": 0, "is_connected": 0}
+
+    line4 = line4_churn_scenario()
+    for sc, summary in ((dse, res.summary), (line4, run(line4).summary)):
+        assert [w.diameter for w in sc.windows] == [
+            floyd_warshall_diameter(w.graph) for w in sc.windows
+        ] == [row["diameter"] for row in summary["windows"]]
+    assert [w.diameter for w in sc.windows] == [3, 2, 3]
 
 
 def test_min_mode_mirrors_negated_max():
