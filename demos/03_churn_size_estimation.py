@@ -35,12 +35,11 @@ def main() -> None:
         print()
 
     result = run_size_estimation(load_preset("ba100_dse_edmc"))
-    true_sizes = result.trace.true_sizes
-    estimates = result.trace.target_estimates
+    sizes, targets = result.trace.n_active, result.trace.targets
     print("true size vs estimate-from-true-maxima over time:")
-    for k in range(0, len(true_sizes), 60):
-        bar = "#" * int(true_sizes[k] / 2)
-        print(f"  k={k:3d} n={true_sizes[k]:3d} n_hat*={estimates[k]:7.2f} {bar}")
+    for k in range(0, len(sizes), 60):
+        bar = "#" * int(sizes[k] / 2)
+        print(f"  k={k:3d} n={sizes[k]:3d} n_hat*={targets[k]:7.2f} {bar}")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ Scenarios are named by path or by preset name.  Exit codes: 0 on success,
 2 when a tracking assumption is violated (decay too small, dwell too short,
 slope bound broken, connectivity lost, a window diameter above delta or the
 dwell, which ``run`` and ``size-est`` report after writing and ``validate``
-prints the same way), 1 on I/O or config errors.
+prints the same way), 1 on usage, I/O or config errors.
 All randomness comes from the scenario seed; ``--seed auto`` draws a fresh
 root seed once, prints it, and records it in the summary for replay.  The
 ``OPENMAX_OUT`` environment variable sets the default output directory.
@@ -155,7 +155,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             args.delta, args.slope, diameter=args.diameter, dwell=args.dwell
         )
         conditions = "dwell >= cascade depth >= diameter"
-    print(f"protocol: {args.variant} {args.mode}")
+    print(f"protocol: {args.variant}")
     for key, value in report.to_dict().items():
         if key == "reasons":
             continue
@@ -243,6 +243,8 @@ def _sweep_point(job: tuple) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ScenarioError(f"--workers must be at least 1, got {args.workers}")
     text, name = _scenario_text(args.scenario)
     config = parse_config(text)
     seed = _parse_seed(args.seed)
@@ -254,8 +256,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"scenario {name!r} is a consensus scenario; --trials applies to size estimation"
             )
     jobs = [(config, name, param, value, seed, args.trials) for value in values]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(jobs))  # a pool forks all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(job) for job in jobs]
@@ -297,7 +300,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p_b = sub.add_parser("bounds", help="print worst-case times and error bands")
     p_b.add_argument("--variant", choices=["approximate", "exact"], required=True)
-    p_b.add_argument("--mode", choices=["max", "min"], default="max")
     p_b.add_argument("--diameter", type=int, default=None)
     p_b.add_argument("--delta", type=int, default=None, help="cascade depth")
     p_b.add_argument("--alpha", type=float, default=None, help="decay per tick")
@@ -311,7 +313,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--out", default=None, help="output directory")
     p_sw.add_argument("--grid", required=True, help="name=v1,v2,... over alpha, delta, or p")
     p_sw.add_argument("--trials", type=int, default=None, help="worst-case trial count")
-    p_sw.add_argument("--workers", type=int, default=1, help="parallel runs")
+    p_sw.add_argument("--workers", type=int, default=1, help="parallel runs, at most one a point")
     p_sw.set_defaults(handler=_cmd_sweep)
 
     p_v = sub.add_parser("validate", help="check a scenario config without running it")
@@ -321,7 +323,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors exit 2, which means a violation here
+        if exc.code != 2:
+            raise
+        return 1
     try:
         return args.handler(args)
     except (AssumptionViolation, SlopeCertificationError, ConnectivityLost) as exc:

@@ -86,8 +86,7 @@ __all__ = [
     "TraceOptions",
     "Window",
     "Scenario",
-    "ErrorTrace",
-    "DseTrace",
+    "Trace",
     "RunResult",
     "make_scenario",
     "scenario_from_mapping",
@@ -214,17 +213,19 @@ class Scenario:
 
 
 @dataclass(frozen=True, eq=False)
-class ErrorTrace:
-    """Tick-indexed record of a consensus run.
+class Trace:
+    """Tick-indexed record of a run of either kind.
 
     ``outputs`` is a float64 array of shape ``(horizon + 1, slots)``: cell
-    ``[k, s]`` holds the exposed state at tick ``k`` of agent
-    ``scenario.reference.ids[s]``, NaN while it is inactive.  ``targets[k]``
-    is the input extremum over the active set and ``errors[k]`` the worst
-    absolute deviation from it; the inputs are ``scenario.inputs``.
+    ``[k, s]`` holds what agent ``scenario.reference.ids[s]`` exposes at tick
+    ``k``, NaN while it is inactive: its state for consensus, its size
+    estimate for size estimation.  ``targets[k]`` is the input extremum over
+    the active set, or the estimate an agent holding the exact per-coordinate
+    maxima would produce.  ``errors[k]`` is the worst max-side deviation of a
+    state from the input extremum, over agents and, for size estimation,
+    coordinates; ``n_active[k]`` is the active count.
     """
 
-    ticks: np.ndarray
     errors: np.ndarray
     targets: np.ndarray
     n_active: np.ndarray
@@ -232,28 +233,9 @@ class ErrorTrace:
 
 
 @dataclass(frozen=True, eq=False)
-class DseTrace:
-    """Tick-indexed record of a size-estimation run.
-
-    ``estimates`` is a float64 array of shape ``(horizon + 1, slots)``: cell
-    ``[k, s]`` holds the size estimate at tick ``k`` of agent
-    ``scenario.reference.ids[s]``, and NaN while that agent is
-    inactive.  ``target_estimates[k]`` is the estimate an agent holding the
-    exact per-coordinate maxima would produce, and ``errors[k]`` the worst
-    per-coordinate consensus deviation from those maxima.
-    """
-
-    ticks: np.ndarray
-    errors: np.ndarray
-    true_sizes: np.ndarray
-    target_estimates: np.ndarray
-    estimates: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class RunResult:
     scenario: Scenario
-    trace: ErrorTrace | DseTrace
+    trace: Trace
     summary: dict
 
 
@@ -397,6 +379,8 @@ def make_scenario(
             raise ScenarioError("size estimation generates its own inputs; drop the signals")
         if initial_states is not None:
             raise ScenarioError("size estimation draws its own initial states")
+        if declared_slope is not None:
+            raise ScenarioError("size estimation has no input slope to declare")
         if params.mode != "max":
             raise ScenarioError("size estimation needs max consensus; use mode 'max'")
         slope_bound = 0.0  # inputs are piecewise constant between changes
@@ -819,18 +803,16 @@ def load_preset(name: str, *, seed: int | None = None) -> Scenario:
 
 
 class _ConsensusObserver:
-    """Per-tick record of a consensus run.
+    """Inputs and read-out of a consensus run.
 
-    In min mode the kernel sees negated inputs; outputs and targets are
-    negated back.
+    In min mode the kernel sees negated inputs; :meth:`read` negates
+    outputs and targets back.
     """
 
     def __init__(self, scenario: Scenario) -> None:
         self.table = scenario.inputs
         self.sign = 1.0 if scenario.params.mode == "max" else -1.0
         self.U = np.zeros(scenario.reference.n)
-        self.targets = np.empty(scenario.horizon + 1)
-        self.outputs = np.full((scenario.horizon + 1, scenario.reference.n), np.nan)
 
     def inputs(self, k: int, w: Window) -> tuple[np.ndarray, float]:
         self.U[w.slots] = u = self.sign * self.table[k, w.slots]
@@ -845,20 +827,19 @@ class _ConsensusObserver:
         """The inputs of ticks ``first..stop - 1``, one slot array a tick."""
         return self.sign * self.table[first:stop]
 
-    def observe(self, k: int, act: np.ndarray, outs: np.ndarray, target: float) -> None:
-        self.targets[k] = self.sign * target
-        self.outputs[k, act] = self.sign * outs
+    def read(self, values: np.ndarray | float) -> np.ndarray | float:
+        return self.sign * values
 
 
 class _SizeObserver:
-    """Per-tick record of a size-estimation run.
+    """Inputs and read-out of a size-estimation run.
 
     An agent's inputs are its ``p`` uniform draws, held while it stays and
     drawn afresh on every (re)arrival; the target is their coordinatewise max.
-    ``targets[k]`` is the estimate those maxima give and ``outputs[k]`` each
-    agent's own.  Every window's draws come from one schedule,
-    :func:`_draw_arrivals`, made up front; a window's block is loaded into
-    its ``arrivals`` at its first tick and then let go.
+    :meth:`read` turns a vector, or a stack of them, into size estimates.
+    Every window's draws come from one schedule, :func:`_draw_arrivals`,
+    made up front; a window's block is loaded into its ``arrivals`` at its
+    first tick and then let go.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -866,22 +847,18 @@ class _SizeObserver:
         rng = np.random.default_rng(np.random.SeedSequence((scenario.seed, 2)))
         self.blocks = _draw_arrivals(scenario.windows, p, rng)
         self.U = np.zeros((scenario.reference.n, p))
-        self.targets = np.empty(scenario.horizon + 1)
-        self.outputs = np.full((scenario.horizon + 1, scenario.reference.n), np.nan)
 
     def inputs(self, k: int, w: Window) -> tuple[np.ndarray, np.ndarray]:
         if k == w.start:
             self.U[w.arrivals] = self.blocks.pop(k)
             self.maxima = self.U[w.slots].max(axis=0)
-            self.target_estimate = mle_estimate(self.maxima)
         return self.U, self.maxima
 
     def held(self, w: Window) -> bool:
         return True  # draws change only on arrival, at a window's first tick
 
-    def observe(self, k: int, act: np.ndarray, outs: np.ndarray, target: np.ndarray) -> None:
-        self.targets[k] = self.target_estimate
-        self.outputs[k, act] = mle_estimate(outs)
+    def read(self, values: np.ndarray) -> np.ndarray | float:
+        return mle_estimate(values)
 
 
 def _draw_arrivals(
@@ -894,17 +871,17 @@ def _draw_arrivals(
     return {w.start: _open_uniform(rng, (len(w.arrivals), p)) for w in windows}
 
 
-def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+def _simulate(scenario: Scenario, observer) -> tuple[Trace, list[tuple]]:
     """The tick loop of both run kinds, on the max side of the mirror.
 
     Row ``s`` of the state and input arrays is slot ``s``, the ``s``-th
     reference node.  ``observer.inputs(k, w)`` fills tick ``k``'s inputs
     at window ``w``'s active slots ``act`` and returns them with their
-    extremum, the target; ``observer.observe(k, act, outs, target)`` records
-    tick ``k``'s outputs at those slots in its ``targets`` and ``outputs``
-    tables.  At its first tick a window loads its arrivals' states: their
-    inputs, or the initial states when the first window has them.  Returns
-    the per-tick errors and active counts, and each window with its bounds
+    extremum, the target; ``observer.read`` turns the target and tick
+    ``k``'s outputs at those slots into the trace's ``targets[k]`` and
+    ``outputs[k, act]``.  At its first tick a window loads its arrivals'
+    states: their inputs, or the initial states when the first window has
+    them.  Returns the run's :class:`Trace`, and each window with its bounds
     report and audit dict.
 
     A window whose inputs are held (``observer.held(w)``) over its fixed
@@ -915,8 +892,8 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
     ``delta + 1`` have settled at tick ``still``.  An approximate state is
     fixed once a step changes no bit.  The window's loop stops at that tick
     and fills the window's remaining ticks from it in one copy of its row of
-    the errors and of the observer's tables; the step out of the window then
-    runs, with the full fold.
+    each trace table; the step out of the window then runs, with the full
+    fold.
 
     An exact window whose inputs move steps through :func:`edmc_window`
     instead, a block of at most ``BLOCK_CELLS // len(w.slots)`` steps at a
@@ -932,7 +909,8 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
     levels = (params.delta + 1,) if exact else ()
     X = np.zeros((scenario.reference.n, *levels, *observer.U.shape[1:]))
 
-    errors = np.empty(scenario.horizon + 1)
+    errors, targets = np.empty(scenario.horizon + 1), np.empty(scenario.horizon + 1)
+    outputs = np.full((scenario.horizon + 1, scenario.reference.n), np.nan)
     audited: list[tuple] = []
     for i, w in enumerate(windows):
         act, new, last = w.slots, w.arrivals, w.layout
@@ -960,7 +938,7 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
                 )
             if k == w.start:
                 report = window_bounds(scenario, w, outs, target)
-            observer.observe(k, act, outs, target)
+            targets[k], outputs[k, act] = observer.read(target), observer.read(outs)
             errors[k] = np.abs(outs - target).max()
             if k == still:
                 break
@@ -971,14 +949,14 @@ def _simulate(scenario: Scenario, observer) -> tuple[np.ndarray, np.ndarray, lis
             U, target = observer.inputs(k + 1, w)
             if before is not None and np.array_equal(before.view(np.int64), X.view(np.int64)):
                 break
-        for table in (errors, observer.targets, observer.outputs):
+        for table in (errors, targets, outputs):
             table[k + 1 : w.end + 1] = table[k]
         audited.append((w, report, audit_window(errors[w.start : w.end + 1], report)))
         if nxt is not None:
             kernel(X, U, last)
 
     counts = np.repeat([len(w.slots) for w in windows], [w.end - w.start + 1 for w in windows])
-    return errors, counts, audited
+    return Trace(errors, targets, counts, outputs), audited
 
 
 def window_bounds(scenario: Scenario, w: Window, outs: np.ndarray, target: object) -> BoundsReport:
@@ -1016,15 +994,7 @@ def run(scenario: Scenario) -> RunResult:
     """Execute a consensus scenario tick by tick and summarize each window."""
     if scenario.kind != "consensus":
         raise ScenarioError("run() expects a consensus scenario; use run_size_estimation()")
-    observer = _ConsensusObserver(scenario)
-    errors, counts, windows = _simulate(scenario, observer)
-    trace = ErrorTrace(
-        ticks=np.arange(scenario.horizon + 1),
-        errors=errors,
-        targets=observer.targets,
-        n_active=counts,
-        outputs=observer.outputs,
-    )
+    trace, windows = _simulate(scenario, _ConsensusObserver(scenario))
     rows = [
         {
             "start": w.start,
@@ -1039,7 +1009,7 @@ def run(scenario: Scenario) -> RunResult:
     summary = {
         **_summary_head(scenario),
         "slope_bound": scenario.slope_bound,
-        "max_error": float(np.max(errors)),
+        "max_error": float(np.max(trace.errors)),
         "windows": rows,
     }
     return RunResult(scenario, trace, summary)
@@ -1049,15 +1019,7 @@ def run_size_estimation(scenario: Scenario) -> RunResult:
     """Execute a size-estimation scenario: consensus over per-agent maxima vectors."""
     if scenario.kind != "size_estimation":
         raise ScenarioError("run_size_estimation() expects a size-estimation scenario")
-    observer = _SizeObserver(scenario)
-    errors, counts, windows = _simulate(scenario, observer)
-    trace = DseTrace(
-        ticks=np.arange(scenario.horizon + 1),
-        errors=errors,
-        true_sizes=counts,
-        target_estimates=observer.targets,
-        estimates=observer.outputs,
-    )
+    trace, windows = _simulate(scenario, _SizeObserver(scenario))
     params = scenario.params
     p = scenario.dse.p
     rows = []
@@ -1065,7 +1027,7 @@ def run_size_estimation(scenario: Scenario) -> RunResult:
         eps = params.alpha * w.diameter if params.variant == "approximate" else 0.0
         n_true = len(w.slots)
         expected = expected_estimate_admc(n_true, p, eps)
-        values = trace.estimates[w.end, w.slots].tolist()
+        values = trace.outputs[w.end, w.slots].tolist()
         spread = float(max(values) - min(values))
         rows.append(
             {
@@ -1082,7 +1044,7 @@ def run_size_estimation(scenario: Scenario) -> RunResult:
                     "min_estimate": float(min(values)),
                     "max_estimate": float(max(values)),
                     "spread": spread,
-                    "target_estimate": float(trace.target_estimates[w.end]),
+                    "target_estimate": float(trace.targets[w.end]),
                     "agree_exactly": spread <= 1e-12,
                 },
             }
@@ -1130,10 +1092,7 @@ def _format_or_reuse(values: np.ndarray, last: tuple | None) -> tuple:
 
 
 def _write_tables(
-    scenario: Scenario,
-    trace: ErrorTrace | DseTrace,
-    trace_path: Path | None,
-    plot_path: Path | None,
+    scenario: Scenario, trace: Trace, trace_path: Path | None, plot_path: Path | None
 ) -> None:
     """Write ``trace.csv`` and the plot CSV in one pass over windows and ticks.
 
@@ -1146,21 +1105,21 @@ def _write_tables(
     Floats print as ``repr``; no field is quoted.
     """
     nodes = scenario.reference.ids.tolist()
-    ticks = range(len(trace.ticks))
+    ticks = range(scenario.horizon + 1)
+    counts, targets = trace.n_active.tolist(), trace.targets.tolist()
+    columns = (trace.outputs,)
     if scenario.kind == "consensus":
-        columns = (trace.outputs, scenario.inputs) if trace_path else (trace.outputs,)
+        columns += (scenario.inputs,) if trace_path else ()
         trace_head = ["tick", "agent", "x", "u", "e", "n_active"]
         plot_head = ["tick", "target", *(f"x_{i}" for i in nodes)]
-        errors, counts = trace.errors.tolist(), trace.n_active.tolist()
+        errors = trace.errors.tolist()
         ends = [f",{errors[k]!r},{counts[k]}\n" for k in ticks]
-        leads = [f"{k},{t!r}," for k, t in zip(ticks, trace.targets.tolist())]
+        leads = [f"{k},{targets[k]!r}," for k in ticks]
     else:
-        columns = (trace.estimates,)
         trace_head = ["tick", "agent", "n_hat"]
         plot_head = ["tick", "n_true", "target_estimate", *(f"nhat_{i}" for i in nodes)]
-        sizes, targets = trace.true_sizes.tolist(), trace.target_estimates.tolist()
         ends = ["\n"] * len(ticks)
-        leads = [f"{k},{sizes[k]},{targets[k]!r}," for k in ticks]
+        leads = [f"{k},{counts[k]},{targets[k]!r}," for k in ticks]
     width = 2 * len(columns) + 2
 
     cells = np.empty(len(nodes), dtype=object)

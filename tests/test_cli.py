@@ -158,6 +158,39 @@ def test_bounds_missing_flags_exit_1(capsys):
     assert "--alpha" in err and "--delta" in err
 
 
+def test_bounds_prints_the_variant_and_rejects_a_mode(capsys):
+    assert main("bounds --variant exact --delta 5 --slope 0.02".split()) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "protocol: exact"
+    assert main("bounds --variant exact --delta 5 --slope 0.02 --mode min".split()) == 1
+    assert "--mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "run",
+        "validate --scenario line6_edmc --bogus",
+        "sweep --scenario line6_admc --grid alpha=0.1 --workers two",
+        "frobnicate",
+        "",
+    ],
+    ids=["missing-scenario", "unknown-flag", "non-integer-workers", "unknown-command", "no-command"],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    """A usage error is a config error, so it never exits 2, the code of a
+    broken tracking assumption."""
+    assert main(argv.split()) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["run", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "--scenario" in capsys.readouterr().out
+
+
 def test_run_writes_artifacts(consensus_file, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", "--scenario", str(consensus_file), "--out", str(out)])
@@ -627,6 +660,39 @@ def test_sweep_workers_match_serial(tmp_path, capsys):
     serial = (tmp_path / "serial" / "sweep.csv").read_text()
     parallel = (tmp_path / "par" / "sweep.csv").read_text()
     assert serial == parallel
+
+
+def test_sweep_pool_has_no_more_workers_than_grid_points(tmp_path, monkeypatch, capsys):
+    """A fork pool starts all its workers at once, so ``--workers`` is capped
+    at the grid's size; a fake pool records the size without starting one."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("openmax.cli.ProcessPoolExecutor", Pool)
+    args = ["sweep", "--scenario", "line6_admc", "--workers", "64", "--out", str(tmp_path)]
+    assert main(args + ["--grid", "alpha=0.03,0.12"]) == 0
+    assert main(args + ["--grid", "alpha=0.03"]) == 0  # one point runs in this process
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_worker(workers, tmp_path, capsys):
+    args = ["sweep", "--scenario", "line6_admc", "--grid", "alpha=0.03", "--out", str(tmp_path)]
+    assert main(args + ["--workers", workers]) == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_bad_grid_exits_1(capsys):

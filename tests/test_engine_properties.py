@@ -38,6 +38,7 @@ from util import (
     record_exact_kernel_calls,
     reference_outputs,
     signal_inputs,
+    value_reference,
 )
 
 GRID = (-0.5, -0.25, -0.0, 0.0, 0.25, 0.5)
@@ -128,11 +129,17 @@ def test_consensus_engine_matches_the_per_agent_oracle(drawn):
         calls = record_exact_kernel_calls(mp)
         res = run(sc)
     want = np.full_like(res.trace.outputs, np.nan)
+    targets, errors = np.empty_like(res.trace.targets), np.empty_like(res.trace.errors)
     slot = {v: s for s, v in enumerate(sc.reference.ids.tolist())}
+    extremum = max if sc.params.mode == "max" else min  # each picks the first of equals
     for k, row in enumerate(reference_outputs(sc, signal_inputs(sc, signals, sign))):
         for i, v in row.items():
             want[k, slot[i]] = sign * v
+        targets[k] = extremum(value_reference(signals[slot[i]], k) for i in sorted(row, key=slot.get))
+        errors[k] = max(abs(v - sign * targets[k]) for v in row.values())
     assert np.array_equal(res.trace.outputs.view(np.int64), want.view(np.int64))
+    assert np.array_equal(res.trace.targets.view(np.int64), targets.view(np.int64))
+    assert np.array_equal(res.trace.errors.view(np.int64), errors.view(np.int64))
     if sc.params.variant == "exact":
         assert calls == exact_kernel_calls(sc)
 
@@ -162,12 +169,20 @@ def test_size_engine_matches_the_per_agent_oracle(sc):
     with pytest.MonkeyPatch.context() as mp:
         calls = record_exact_kernel_calls(mp)
         res = run_size_estimation(sc)
-    want = np.full_like(res.trace.estimates, np.nan)
+    want = np.full_like(res.trace.outputs, np.nan)
+    targets, errors = np.empty_like(res.trace.targets), np.empty_like(res.trace.errors)
     slot = {v: s for s, v in enumerate(sc.reference.ids.tolist())}
+    draws = dse_inputs_reference(sc)
+    graphs = [w.graph for w in sc.windows for _ in range(w.start, w.end + 1)]
     for k, row in enumerate(reference_outputs(sc, dse_inputs_reference(sc))):
         for i, v in row.items():
             want[k, slot[i]] = mle_estimate(v)
-    assert np.array_equal(res.trace.estimates.view(np.int64), want.view(np.int64))
+        maxima = np.max(list(draws(k, graphs[k]).values()), axis=0)
+        targets[k] = mle_estimate(maxima)
+        errors[k] = max(np.abs(v - maxima).max() for v in row.values())
+    assert np.array_equal(res.trace.outputs.view(np.int64), want.view(np.int64))
+    assert np.array_equal(res.trace.targets.view(np.int64), targets.view(np.int64))
+    assert np.array_equal(res.trace.errors.view(np.int64), errors.view(np.int64))
     if sc.params.variant == "exact":
         assert calls == exact_kernel_calls(sc)
 

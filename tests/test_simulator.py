@@ -505,6 +505,18 @@ def dse_line5_scenario(variant: str) -> Scenario:
     )
 
 
+@pytest.mark.parametrize("slope", [0.0, 0.1])
+def test_size_estimation_rejects_a_declared_slope(slope):
+    """Size-estimation inputs hold still between changes, so a declared slope
+    bound has nothing to bound: it fails rather than being dropped."""
+    with pytest.raises(ScenarioError, match="no input slope"):
+        make_scenario(
+            name="dse", kind="size_estimation", params=ProtocolParams("max", "exact", delta=4),
+            reference=line_graph(5), horizon=24, seed=31, dse=DseConfig(p=6),
+            declared_slope=slope,
+        )
+
+
 def test_dse_exact_agreement_and_regeneration():
     res = run_size_estimation(dse_line5_scenario("exact"))
     for w in res.summary["windows"]:
@@ -515,8 +527,8 @@ def test_dse_exact_agreement_and_regeneration():
         assert w["expected_closed_form"] == pytest.approx(5 * 6 / 5 * w["n_true"] / 5, rel=0.5)
     # the returning agent drew a fresh vector, so its first estimate after
     # the rejoin differs from its original one
-    rejoined = trace_row(res, res.trace.estimates, 16)[5]
-    assert rejoined != trace_row(res, res.trace.estimates, 0)[5]
+    rejoined = trace_row(res, res.trace.outputs, 16)[5]
+    assert rejoined != trace_row(res, res.trace.outputs, 0)[5]
     assert rejoined == pytest.approx(res.summary["windows"][2]["steady"]["target_estimate"], rel=10)
     # summary carries the comparison keys
     for key in ("expected_closed_form", "monte_carlo_mean", "ci99"):
@@ -527,7 +539,7 @@ def test_dse_approximate_underestimates_at_steady():
     res = run_size_estimation(dse_line5_scenario("approximate"))
     for w in res.summary["windows"]:
         assert w["empirical"]["converged"]
-        ests = trace_row(res, res.trace.estimates, w["end"])
+        ests = trace_row(res, res.trace.outputs, w["end"])
         assert max(ests.values()) <= w["steady"]["target_estimate"] + 1e-12
         assert w["epsilon"] == pytest.approx(0.05 * w["diameter"])
 
@@ -535,9 +547,9 @@ def test_dse_approximate_underestimates_at_steady():
 def test_dse_run_is_deterministic():
     a = run_size_estimation(dse_line5_scenario("exact"))
     b = run_size_estimation(dse_line5_scenario("exact"))
-    assert np.array_equal(a.trace.target_estimates, b.trace.target_estimates)
-    for k in a.trace.ticks:
-        assert trace_row(a, a.trace.estimates, k) == trace_row(b, b.trace.estimates, k)
+    assert np.array_equal(a.trace.targets, b.trace.targets)
+    for k in range(a.scenario.horizon + 1):
+        assert trace_row(a, a.trace.outputs, k) == trace_row(b, b.trace.outputs, k)
     assert json.dumps(a.summary) == json.dumps(b.summary)
 
 
@@ -636,7 +648,7 @@ def test_repeated_ticks_reuse_strings_only_for_equal_bits(tmp_path):
     rows = np.array([[0.0, 0.1, -0.0, 0.2], [-0.0, 0.1, 0.0, 0.2], [0.3, 0.1, 0.0, 1 / 3]])
     tables = []
     for _ in range(2):
-        table = rows[rng.integers(0, 3, size=len(res.trace.ticks))]
+        table = rows[rng.integers(0, 3, size=res.scenario.horizon + 1)]
         table[np.isnan(res.trace.outputs)] = np.nan
         tables.append(table)
     trace = replace(res.trace, outputs=tables[0])
@@ -644,7 +656,7 @@ def test_repeated_ticks_reuse_strings_only_for_equal_bits(tmp_path):
     paths = write_outputs(RunResult(scenario, trace, res.summary), tmp_path)
     lines = paths["trace"].read_text().splitlines()[1:]
     want = []
-    for k in trace.ticks.tolist():
+    for k in range(res.scenario.horizon + 1):
         xs, us = (trace_row(res, table, k) for table in tables)
         want += [f"{k},{i},{xs[i]!r},{us[i]!r}" for i in xs]
     assert [line.rsplit(",", 2)[0] for line in lines] == want
@@ -694,7 +706,7 @@ def written_runs(draw):
     repeated rows, rows that differ only in a zero's sign, and (consensus)
     ticks whose values repeat while their error moves.  Inactive cells hold NaN."""
     res = _written_run(draw(st.sampled_from(["consensus", "size_estimation"])))
-    ticks, slots = len(res.trace.ticks), res.scenario.reference.n
+    ticks, slots = res.scenario.horizon + 1, res.scenario.reference.n
     active = np.zeros((ticks, slots), dtype=bool)
     for w in res.scenario.windows:
         active[w.start : w.end + 1, w.slots] = True
@@ -713,7 +725,7 @@ def written_runs(draw):
         trace = replace(res.trace, outputs=table(), errors=errors)
         scenario = replace(res.scenario, inputs=table())
     else:
-        trace, scenario = replace(res.trace, estimates=table()), res.scenario
+        trace, scenario = replace(res.trace, outputs=table()), res.scenario
     flags = dict(csv=draw(st.booleans()), plotdata=draw(st.booleans()))
     return RunResult(replace(scenario, trace=TraceOptions(**flags)), trace, res.summary)
 
@@ -816,7 +828,7 @@ def test_size_engine_matches_per_agent_oracle(variant, read_departing):
         want = reference_outputs(sc, dse_inputs_reference(sc))
         res = run_size_estimation(sc)
         for k in range(len(want)):
-            got = trace_row(res, res.trace.estimates, k)
+            got = trace_row(res, res.trace.outputs, k)
             assert same_bits(got, {i: mle_estimate(v) for i, v in want[k].items()}), k
 
 

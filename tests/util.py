@@ -533,20 +533,16 @@ def write_tables_reference(result: RunResult, trace_path: Path, plot_path: Path)
         for w in sc.windows:
             for k in range(w.start, w.end + 1):
                 cells = [""] * len(nodes)
+                n, target = int(trace.n_active[k]), repr(float(trace.targets[k]))
                 for s in w.slots.tolist():
-                    agent = nodes[s]
+                    x = float(trace.outputs[k, s])
                     if sc.kind == "consensus":
-                        x, u = float(trace.outputs[k, s]), float(sc.inputs[k, s])
-                        e, n = float(trace.errors[k]), int(trace.n_active[k])
-                        tf.write(f"{k},{agent},{x!r},{u!r},{e!r},{n}\n")
+                        u, e = float(sc.inputs[k, s]), float(trace.errors[k])
+                        tf.write(f"{k},{nodes[s]},{x!r},{u!r},{e!r},{n}\n")
                     else:
-                        x = float(trace.estimates[k, s])
-                        tf.write(f"{k},{agent},{x!r}\n")
+                        tf.write(f"{k},{nodes[s]},{x!r}\n")
                     cells[s] = repr(x)
-                if sc.kind == "consensus":
-                    lead = [str(k), repr(float(trace.targets[k]))]
-                else:
-                    lead = [str(k), str(int(trace.true_sizes[k])), repr(float(trace.target_estimates[k]))]
+                lead = [str(k), target] if sc.kind == "consensus" else [str(k), str(n), target]
                 pf.write(",".join(lead + cells) + "\n")
 
 
