@@ -13,8 +13,11 @@ global input slope bound ``pi`` and diameter ``d``:
 For the exact variant with cascade depth ``delta >= d`` both times equal
 ``delta`` and the band is ``(delta + 1) * pi``, zero for constant inputs.
 
-Min-mode runs are bounded through the negation mirror: the simulator passes
-the negated states and input minimum, so only the max formulas exist here.
+Min-mode runs are bounded through the negation mirror (the simulator passes
+the gap of the negated values), so only the max formulas exist here.
+
+:func:`window_bounds` is the one variant dispatch.  A broken tuning condition
+is a reason in the report, never an exception.
 
 :func:`audit_window` reads one window's realized errors against these
 formulas and returns one record: the measured times, the maxima, and the
@@ -27,15 +30,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .protocols import ProtocolParams
 
 __all__ = [
     "AssumptionViolation",
     "BoundsReport",
     "admc_bounds",
     "edmc_bounds",
+    "window_bounds",
     "audit_window",
 ]
 
@@ -46,7 +52,7 @@ DECREASE_TOL = 1e-12
 
 
 class AssumptionViolation(ValueError):
-    """A tuning or scheduling requirement of the tracking guarantees is broken."""
+    """Changes closer than the dwell time: the bounds' windows do not exist."""
 
 
 @dataclass(frozen=True)
@@ -84,16 +90,6 @@ def _ceil_ratio(gap: float, denom: float) -> int:
     return int(math.ceil(gap / denom - 1e-9))
 
 
-def _overshoot(x_at_change: Iterable[object], target: float | np.ndarray) -> float:
-    states = x_at_change if isinstance(x_at_change, np.ndarray) else list(x_at_change)
-    if not len(states):
-        raise ValueError("x_at_change must contain at least one agent state")
-    excess = np.asarray(states, dtype=float) - target
-    if not np.isfinite(excess).all():
-        raise ValueError("the initial gap must be finite: states and target must be finite numbers")
-    return float(excess.max())
-
-
 def _check_inputs(slope_bound: float, **spans: int | None) -> None:
     """Reject a slope bound that is not finite and nonnegative, or a negative span."""
     if not math.isfinite(slope_bound) or slope_bound < 0:
@@ -107,21 +103,21 @@ def admc_bounds(
     diameter: int,
     alpha: float,
     slope_bound: float,
-    x_at_change: Iterable[object],
-    u_max_at_change: float | np.ndarray,
+    gap: float,
     dwell: int | None = None,
 ) -> BoundsReport:
     """Bounds for the approximate max protocol on one change window.
 
-    ``x_at_change`` holds the states right at the change; together with the
-    running maximum of the inputs it sets the initial overshoot that the
-    decay has to burn off.  Pass ``slope_bound=0`` for constant inputs.
-    States and target may be per-coordinate arrays; the worst coordinate
-    counts.
+    ``gap`` is the initial overshoot that the decay has to burn off: the
+    largest state at the change minus the input maximum, over agents and
+    coordinates; a negative gap counts as zero.  Pass ``slope_bound=0`` for
+    constant inputs.
     """
     _check_inputs(slope_bound, diameter=diameter, dwell=dwell)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not math.isfinite(gap):
+        raise ValueError(f"the initial gap must be a finite number, got {gap}")
 
     reasons: list[str] = []
     if alpha <= slope_bound:
@@ -135,7 +131,6 @@ def admc_bounds(
             "information cannot cross the network between changes"
         )
 
-    gap = max(_overshoot(x_at_change, u_max_at_change), 0.0)
     convergence: int | None = None
     if alpha > slope_bound:
         convergence = max(diameter, _ceil_ratio(gap, alpha - slope_bound))
@@ -175,6 +170,17 @@ def edmc_bounds(
         assumptions_ok=not reasons,
         reasons=tuple(reasons),
     )
+
+
+def window_bounds(
+    params: ProtocolParams, slope_bound: float,
+    diameter: int | None, dwell: int | None, gap: float = 0.0,
+) -> BoundsReport:
+    """Bounds of one window under ``params``; only the approximate variant
+    reads ``gap``, the max-side initial overshoot, as :func:`admc_bounds`."""
+    if params.variant == "exact":
+        return edmc_bounds(params.delta, slope_bound, diameter=diameter, dwell=dwell)
+    return admc_bounds(diameter, params.alpha, slope_bound, gap, dwell=dwell)
 
 
 def audit_window(errors: Sequence[float], report: BoundsReport) -> dict:

@@ -9,10 +9,10 @@ sweep      run a scenario once per grid value and tabulate the trade-off
 validate   load a scenario config and check its windows without running it
 
 Scenarios are named by path or by preset name.  Exit codes: 0 on success,
-2 when a tracking assumption is violated (decay too small, dwell too short,
-slope bound broken, connectivity lost, a window diameter above delta or the
-dwell, which ``run`` and ``size-est`` report after writing and ``validate``
-prints the same way), 1 on usage, I/O or config errors.
+1 on usage, I/O or config errors, 2 when a tracking assumption is broken:
+at load (dwell spacing, connectivity, slope bound) or as a window's bounds
+reason (decay, dwell or cascade depth), printed after ``run`` or ``size-est``
+writes, and by ``validate`` alike.
 All randomness comes from the scenario seed; ``--seed auto`` draws a fresh
 root seed once, prints it, and records it in the summary for replay.  The
 ``OPENMAX_OUT`` environment variable sets the default output directory.
@@ -33,7 +33,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bounds import AssumptionViolation, admc_bounds, edmc_bounds
+from .bounds import AssumptionViolation, window_bounds
+from .protocols import ProtocolParams
 from .signals import SlopeCertificationError
 from .simulator import (
     ConnectivityLost,
@@ -47,7 +48,6 @@ from .simulator import (
     run,
     run_size_estimation,
     scenario_from_mapping,
-    window_bounds,
     write_outputs,
 )
 
@@ -141,26 +141,21 @@ def _cmd_size_est(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    if args.variant == "approximate":
-        if args.diameter is None or args.alpha is None:
-            raise ScenarioError("the approximate variant needs --diameter and --alpha")
-        report = admc_bounds(
-            args.diameter, args.alpha, args.slope, [args.gap], 0.0, dwell=args.dwell
-        )
-        conditions = "decay alpha > slope bound and dwell >= diameter"
-    else:
-        if args.delta is None:
-            raise ScenarioError("the exact variant needs --delta")
-        report = edmc_bounds(
-            args.delta, args.slope, diameter=args.diameter, dwell=args.dwell
-        )
-        conditions = "dwell >= cascade depth >= diameter"
-    print(f"protocol: {args.variant}")
-    for key, value in report.to_dict().items():
-        if key == "reasons":
-            continue
-        print(f"{key}: {value}")
-    print(f"conditions: {conditions}")
+    if args.variant == "approximate" and (args.diameter is None or args.alpha is None):
+        raise ScenarioError("the approximate variant needs --diameter and --alpha")
+    if args.variant == "exact" and args.delta is None:
+        raise ScenarioError("the exact variant needs --delta")
+    if args.variant == "exact" and args.gap is not None:
+        raise ScenarioError("--gap applies only to the approximate variant")
+    params = ProtocolParams("max", args.variant, args.alpha, args.delta)
+    report = window_bounds(params, args.slope, args.diameter, args.dwell, args.gap or 0.0)
+    shown = (f"{key}: {value}" for key, value in report.to_dict().items() if key != "reasons")
+    print(f"protocol: {args.variant}", *shown, sep="\n")
+    conditions = {
+        "approximate": "decay alpha > slope bound and dwell >= diameter",
+        "exact": "dwell >= cascade depth >= diameter",
+    }
+    print(f"conditions: {conditions[args.variant]}")
     for reason in report.reasons:
         print(f"violated: {reason}", file=sys.stderr)
     return 0 if report.assumptions_ok else 2
@@ -174,8 +169,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         f"agents={scenario.reference.n}, windows={len(scenario.windows)}, "
         f"horizon={scenario.horizon}, dwell={scenario.dwell}"
     )
-    zero_gap = (window_bounds(scenario, w, (0.0,), 0.0).reasons for w in scenario.windows)
-    return _violations(scenario, zero_gap)
+    reasons = (
+        window_bounds(scenario.params, scenario.slope_bound, w.diameter, scenario.dwell).reasons
+        for w in scenario.windows
+    )
+    return _violations(scenario, reasons)
 
 
 def _parse_grid(arg: str) -> tuple[str, list[float]]:
@@ -304,7 +302,7 @@ def _parser() -> argparse.ArgumentParser:
     p_b.add_argument("--delta", type=int, default=None, help="cascade depth")
     p_b.add_argument("--alpha", type=float, default=None, help="decay per tick")
     p_b.add_argument("--slope", type=float, required=True, help="input slope bound")
-    p_b.add_argument("--gap", type=float, default=0.0, help="initial overshoot above the target")
+    p_b.add_argument("--gap", type=float, default=None, help="initial overshoot above the target")
     p_b.add_argument("--dwell", type=int, default=None)
     p_b.set_defaults(handler=_cmd_bounds)
 

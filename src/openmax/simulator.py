@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from importlib import resources
@@ -44,13 +44,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import yaml
 
-from .bounds import (
-    AssumptionViolation,
-    BoundsReport,
-    admc_bounds,
-    audit_window,
-    edmc_bounds,
-)
+from .bounds import AssumptionViolation, audit_window, window_bounds
 from .graph import (
     Layout,
     NetworkSnapshot,
@@ -98,7 +92,6 @@ __all__ = [
     "load_preset",
     "run",
     "run_size_estimation",
-    "window_bounds",
     "write_outputs",
 ]
 
@@ -288,14 +281,17 @@ def make_scenario(
     get back their reference edges to active neighbors, and one search of its
     layout gives its diameter, infinite when it is disconnected.  ``signals``
     and ``initial_states`` give one entry per slot, in ``reference.ids`` order.
-    All dwell-spacing, connectivity, coverage, and tuning checks happen here,
-    so config loading and programmatic construction share one gatekeeper.
+    All dwell-spacing, connectivity, coverage, and budget checks happen here,
+    so config loading and programmatic construction share one gatekeeper;
+    broken tuning loads, as a reason of :func:`bounds.window_bounds`.
     """
     if kind not in ("consensus", "size_estimation"):
         raise ScenarioError(f"kind must be 'consensus' or 'size_estimation', got {kind!r}")
     horizon = _as_int(horizon, "horizon")
     if horizon < 1:
         raise ScenarioError(f"horizon must be at least 1 tick, got {horizon}")
+    if params.variant == "exact" and params.delta > horizon:  # bounds the cascade's cells
+        raise ScenarioError(f"cascade depth {params.delta} exceeds the horizon {horizon}")
     seed = _as_int(seed, "seed")
     if seed < 0:
         raise ScenarioError("seed must be a nonnegative integer")
@@ -384,17 +380,6 @@ def make_scenario(
         if params.mode != "max":
             raise ScenarioError("size estimation needs max consensus; use mode 'max'")
         slope_bound = 0.0  # inputs are piecewise constant between changes
-
-    if params.variant == "approximate" and kind == "consensus" and params.alpha <= slope_bound:
-        raise AssumptionViolation(
-            f"decay alpha ({params.alpha:.6g}) must exceed the input slope bound "
-            f"({slope_bound:.6g}) for the tracking error to shrink"
-        )
-    if params.variant == "exact" and dwell < params.delta:
-        raise AssumptionViolation(
-            f"dwell time ({dwell}) is shorter than the cascade depth ({params.delta}); "
-            "the delayed extremum cannot settle between changes"
-        )
 
     states: np.ndarray | None = None
     if initial_states is not None:
@@ -882,7 +867,7 @@ def _simulate(scenario: Scenario, observer) -> tuple[Trace, list[tuple]]:
     ``outputs[k, act]``.  At its first tick a window loads its arrivals'
     states: their inputs, or the initial states when the first window has
     them.  Returns the run's :class:`Trace`, and each window with its bounds
-    report and audit dict.
+    report, from its first tick's gap of outputs over target, and audit dict.
 
     A window whose inputs are held (``observer.held(w)``) over its fixed
     graph reaches a fixed point.  Cascade level ``l`` holds its ``l``-fold
@@ -937,7 +922,8 @@ def _simulate(scenario: Scenario, observer) -> tuple[Trace, list[tuple]]:
                     f"non-finite state encountered at tick {k}; aborting the run"
                 )
             if k == w.start:
-                report = window_bounds(scenario, w, outs, target)
+                gap = float(np.max(outs - target))
+                report = window_bounds(params, scenario.slope_bound, w.diameter, scenario.dwell, gap)
             targets[k], outputs[k, act] = observer.read(target), observer.read(outs)
             errors[k] = np.abs(outs - target).max()
             if k == still:
@@ -957,19 +943,6 @@ def _simulate(scenario: Scenario, observer) -> tuple[Trace, list[tuple]]:
 
     counts = np.repeat([len(w.slots) for w in windows], [w.end - w.start + 1 for w in windows])
     return Trace(errors, targets, counts, outputs), audited
-
-
-def window_bounds(scenario: Scenario, w: Window, outs: np.ndarray, target: object) -> BoundsReport:
-    """Bounds of window ``w``, at its load-time diameter.
-
-    The outputs and target are max-side values, so min-mode windows are
-    bounded through the mirror.  Outputs ``(0.0,)`` and target ``0.0``, a
-    zero gap, give the reasons a run will report before it runs.
-    """
-    params, d = scenario.params, w.diameter
-    if params.variant == "exact":
-        return edmc_bounds(params.delta, scenario.slope_bound, diameter=d, dwell=scenario.dwell)
-    return admc_bounds(d, params.alpha, scenario.slope_bound, outs, target, dwell=scenario.dwell)
 
 
 def _summary_head(scenario: Scenario) -> dict:
@@ -1020,11 +993,10 @@ def run_size_estimation(scenario: Scenario) -> RunResult:
     if scenario.kind != "size_estimation":
         raise ScenarioError("run_size_estimation() expects a size-estimation scenario")
     trace, windows = _simulate(scenario, _SizeObserver(scenario))
-    params = scenario.params
     p = scenario.dse.p
     rows = []
     for w, report, empirical in windows:
-        eps = params.alpha * w.diameter if params.variant == "approximate" else 0.0
+        eps = report.steady_bound
         n_true = len(w.slots)
         expected = expected_estimate_admc(n_true, p, eps)
         values = trace.outputs[w.end, w.slots].tolist()
@@ -1159,28 +1131,37 @@ def _write_tables(
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> dict[str, Path]:
-    """Write the trace CSV, summary JSON, and plot data for one finished run."""
+    """Write the trace CSV, summary JSON, and plot data for one finished run.
+
+    First deletes an earlier run's trace, plot table and window graphs in
+    ``out_dir`` that this run does not rewrite, and no other file."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     scenario = result.scenario
-    paths: dict[str, Path] = {}
-
-    summary_path = out / "summary.json"
-    with summary_path.open("w") as fh:
-        json.dump(result.summary, fh, indent=2)
-        fh.write("\n")
-    paths["summary"] = summary_path
-
-    plot_path = None
+    plot_dir = out / "plotdata"
+    paths: dict[str, Path] = {"summary": out / "summary.json"}
+    plot_path, graphs = None, {}
     if scenario.trace.csv:
         paths["trace"] = out / "trace.csv"
     if scenario.trace.plotdata:
-        plot_dir = paths["plotdata"] = out / "plotdata"
-        plot_dir.mkdir(exist_ok=True)
+        paths["plotdata"] = plot_dir
         plot_name = "state_trajectories" if scenario.kind == "consensus" else "size_estimates"
         plot_path = plot_dir / f"{plot_name}.csv"
-        for w in scenario.windows:
-            (plot_dir / f"graph_window_{w.start}.txt").write_text(snapshot_to_text(w.graph))
+        graphs = {plot_dir / f"graph_window_{w.start}.txt": w for w in scenario.windows}
+    own = re.compile(r"state_trajectories\.csv|size_estimates\.csv|graph_window_\d+\.txt")
+    for stale in {out / "trace.csv", *(f for f in plot_dir.glob("*") if own.fullmatch(f.name))}:
+        if stale not in (paths.get("trace"), plot_path, *graphs):
+            stale.unlink(missing_ok=True)
+    with paths["summary"].open("w") as fh:
+        json.dump(result.summary, fh, indent=2)
+        fh.write("\n")
+    if plot_path is None:
+        with suppress(OSError):  # only an empty plotdata/ goes
+            plot_dir.rmdir()
+    else:
+        plot_dir.mkdir(exist_ok=True)
+        for path, w in graphs.items():
+            path.write_text(snapshot_to_text(w.graph))
     if scenario.trace.csv or scenario.trace.plotdata:
         _write_tables(scenario, result.trace, paths.get("trace"), plot_path)
     return paths

@@ -15,7 +15,9 @@ from openmax.bounds import (
     admc_bounds,
     audit_window,
     edmc_bounds,
+    window_bounds,
 )
+from openmax.protocols import ProtocolParams
 
 from util import audit_window_reference
 
@@ -23,7 +25,7 @@ LINE6_X0 = [0.0, 0.4, 0.8, 1.2, 1.6, 2.0]
 
 
 def test_admc_bounds_line_topology_numbers():
-    rep = admc_bounds(5, 0.03, 0.02, LINE6_X0, 0.2, dwell=250)
+    rep = admc_bounds(5, 0.03, 0.02, max(LINE6_X0) - 0.2, dwell=250)
     assert rep.transient_time == 5
     assert rep.convergence_time == 180  # ceil(1.8 / 0.01), not 181 from float noise
     assert rep.tracking_bound == pytest.approx(0.27, abs=1e-9)
@@ -33,54 +35,53 @@ def test_admc_bounds_line_topology_numbers():
 
 
 def test_admc_bounds_constant_inputs():
-    rep = admc_bounds(5, 0.03, 0.0, LINE6_X0, 0.2)
+    rep = admc_bounds(5, 0.03, 0.0, max(LINE6_X0) - 0.2)
     assert rep.tracking_bound == pytest.approx(0.15, abs=1e-9)
     assert rep.steady_bound == pytest.approx(0.15, abs=1e-9)
     assert rep.convergence_time == 60  # ceil(1.8 / 0.03)
 
 
 def test_admc_bounds_zero_gap_gives_diameter():
-    rep = admc_bounds(4, 0.1, 0.01, [0.0, 0.1, 0.2], 0.5)
+    rep = admc_bounds(4, 0.1, 0.01, max([0.0, 0.1, 0.2]) - 0.5)
     assert rep.convergence_time == 4
-    rep = admc_bounds(4, 0.1, 0.01, [0.5], 0.5)
+    rep = admc_bounds(4, 0.1, 0.01, 0.0)
     assert rep.convergence_time == 4
 
 
 def test_admc_bounds_flags_alpha_below_slope():
-    rep = admc_bounds(3, 0.02, 0.05, [0.0], 0.0)
+    rep = admc_bounds(3, 0.02, 0.05, 0.0)
     assert not rep.assumptions_ok
     assert rep.convergence_time is None
     assert any("alpha" in r for r in rep.reasons)
 
 
 def test_admc_bounds_flags_short_dwell():
-    rep = admc_bounds(6, 0.1, 0.0, [0.0], 0.0, dwell=4)
+    rep = admc_bounds(6, 0.1, 0.0, 0.0, dwell=4)
     assert not rep.assumptions_ok
     assert any("dwell" in r for r in rep.reasons)
 
 
 def test_admc_bounds_input_validation():
     with pytest.raises(ValueError):
-        admc_bounds(-1, 0.1, 0.0, [0.0], 0.0)
+        admc_bounds(-1, 0.1, 0.0, 0.0)
     with pytest.raises(ValueError):
-        admc_bounds(2, 0.0, 0.0, [0.0], 0.0)
+        admc_bounds(2, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        admc_bounds(2, 0.1, -0.1, [0.0], 0.0)
-    with pytest.raises(ValueError):
-        admc_bounds(2, 0.1, 0.0, [], 0.0)
+        admc_bounds(2, 0.1, -0.1, 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_bounds_reject_non_finite_slope_and_gap(bad):
     with pytest.raises(ValueError, match="slope bound"):
-        admc_bounds(3, 0.5, bad, [0.0], 0.0)
+        admc_bounds(3, 0.5, bad, 0.0)
     with pytest.raises(ValueError, match="slope bound"):
         edmc_bounds(3, bad, diameter=3)
-    # an overshoot of nan once compared below the zero floor and read as no gap
+    # an overshoot of nan once compared below the zero floor and read as no gap;
+    # a non-finite state or target makes a non-finite gap
     with pytest.raises(ValueError, match="initial gap"):
-        admc_bounds(3, 0.5, 0.0, [0.1, bad, 0.2], 0.0)
+        admc_bounds(3, 0.5, 0.0, bad)
     with pytest.raises(ValueError, match="initial gap"):
-        admc_bounds(3, 0.5, 0.0, [0.1, 0.2], bad)
+        admc_bounds(3, 0.5, 0.0, max([0.1, 0.2]) - bad)
 
 
 def test_bounds_reject_negative_diameter_and_dwell():
@@ -89,19 +90,19 @@ def test_bounds_reject_negative_diameter_and_dwell():
     with pytest.raises(ValueError, match="dwell"):
         edmc_bounds(3, 0.0, diameter=3, dwell=-1)
     with pytest.raises(ValueError, match="dwell"):
-        admc_bounds(3, 0.5, 0.0, [0.0], 0.0, dwell=-4)
+        admc_bounds(3, 0.5, 0.0, 0.0, dwell=-4)
     # zero is a legal span: a one-node window, a change every tick
     assert edmc_bounds(3, 0.0, diameter=0, dwell=3).assumptions_ok
-    assert not admc_bounds(3, 0.5, 0.0, [0.0], 0.0, dwell=0).assumptions_ok
+    assert not admc_bounds(3, 0.5, 0.0, 0.0, dwell=0).assumptions_ok
 
 
 def test_admc_bounds_mirrored_min_gap():
     # min mode is bounded on negated values: the lowest state 0.9 sits 0.7
     # below the input minimum 1.6, which is a 0.7 overshoot on the max side
-    rep = admc_bounds(2, 0.1, 0.03, [-2.0, -0.9, -1.2], -1.6)
+    rep = admc_bounds(2, 0.1, 0.03, max([-2.0, -0.9, -1.2]) - -1.6)
     assert rep.convergence_time == max(2, -(-0.7 // 0.07))
     # states already above the input minimum: only the diameter matters
-    rep = admc_bounds(3, 0.1, 0.0, [-2.0, -1.9], -1.6)
+    rep = admc_bounds(3, 0.1, 0.0, max([-2.0, -1.9]) - -1.6)
     assert rep.convergence_time == 3
 
 
@@ -122,6 +123,21 @@ def test_edmc_bounds_conditions():
     assert any("cascade depth" in r for r in rep.reasons)
     rep = edmc_bounds(7, 0.0, dwell=3)
     assert not rep.assumptions_ok
+
+
+def test_window_bounds_dispatches_on_the_variant():
+    """One dispatch for every caller; the exact variant ignores the gap."""
+    approx = ProtocolParams("min", "approximate", alpha=0.03)
+    assert window_bounds(approx, 0.02, 5, 250, 1.8) == admc_bounds(5, 0.03, 0.02, 1.8, dwell=250)
+    assert window_bounds(approx, 0.02, 5, None) == admc_bounds(5, 0.03, 0.02, 0.0)
+    exact = ProtocolParams("max", "exact", delta=3)
+    want = edmc_bounds(3, 0.02, diameter=5, dwell=2)
+    assert window_bounds(exact, 0.02, 5, 2, 1.8) == want
+    assert want.reasons == (
+        "cascade depth (3) is below the diameter (5); the top level cannot have heard "
+        "from every agent",
+        "dwell time (2) is shorter than the cascade depth (3)",
+    )
 
 
 def test_bounds_report_validation_and_dict():

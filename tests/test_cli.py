@@ -158,6 +158,23 @@ def test_bounds_missing_flags_exit_1(capsys):
     assert "--alpha" in err and "--delta" in err
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        ("bounds --variant exact --delta 3 --slope 0 --alpha 0.5", "alpha applies only"),
+        ("bounds --variant exact --delta 3 --slope 0 --gap 7", "--gap applies only"),
+        ("bounds --variant exact --delta 3 --slope 0 --alpha 0.5 --gap 7", "applies only"),
+        ("bounds --variant approximate --diameter 3 --alpha 0.5 --slope 0 --delta 9", "delta applies only"),
+    ],
+    ids=["exact-alpha", "exact-gap", "exact-alpha-gap", "approximate-delta"],
+)
+def test_bounds_rejects_the_other_variants_flags(argv, what, capsys):
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and what in captured.err
+    assert "assumptions_ok" not in captured.out
+
+
 def test_bounds_prints_the_variant_and_rejects_a_mode(capsys):
     assert main("bounds --variant exact --delta 5 --slope 0.02".split()) == 0
     assert capsys.readouterr().out.splitlines()[0] == "protocol: exact"
@@ -273,21 +290,36 @@ def test_size_est_rejects_consensus_scenario(consensus_file, tmp_path, capsys):
 
 
 SHALLOW_CONSENSUS = MINI_CONSENSUS.replace("variant: approximate, alpha: 0.2", "variant: exact, delta: 1")
+# a sinusoid whose slope bound, 2 pi / 10, passes the decay alpha of 0.2
+FAST_CONSENSUS = MINI_CONSENSUS.replace(
+    "3: {kind: constant, value: 0.8}", "3: {kind: sinusoid, amplitude: 1.0, period: 10}"
+)
+SHALLOW = "cascade depth (1) is below the diameter"
+SLOW = "decay alpha (0.2) must exceed the input slope bound (0.628319)"
+SHORT = "dwell time (2) is shorter than the cascade depth (3)"
 
 
 @pytest.mark.parametrize(
-    "command, config",
+    "command, config, expected",
     [
-        ("run", SHALLOW_CONSENSUS),
-        ("size-est", MINI_DSE.replace("delta: 3", "delta: 1")),
-        ("validate", SHALLOW_CONSENSUS),
+        ("run", SHALLOW_CONSENSUS, SHALLOW),
+        ("size-est", MINI_DSE.replace("delta: 3", "delta: 1"), SHALLOW),
+        ("validate", SHALLOW_CONSENSUS, SHALLOW),
+        ("run", FAST_CONSENSUS, SLOW),
+        ("validate", FAST_CONSENSUS, SLOW),
+        ("size-est", MINI_DSE + "dwell: 2\n", SHORT),
+        ("validate", MINI_DSE + "dwell: 2\n", SHORT),
     ],
-    ids=["run", "size-est", "validate"],
+    ids=["run", "size-est", "validate", "run-slow-decay", "validate-slow-decay",
+         "size-est-short-dwell", "validate-short-dwell"],
 )
-def test_realized_assumption_violation_exits_2_after_writing(command, config, tmp_path, capsys):
-    """A cascade shallower than the realized diameter is reported on stderr,
+def test_realized_assumption_violation_exits_2_after_writing(
+    command, config, expected, tmp_path, capsys
+):
+    """A cascade shallower than the realized diameter, a decay not above the
+    slope bound and a dwell shorter than the cascade are reported on stderr,
     after the artifacts are written; ``validate`` prints the same line and
-    exit code as ``run`` without running."""
+    exit code as ``run`` or ``size-est`` without running."""
     path = tmp_path / "shallow.yaml"
     path.write_text(config)
     out = tmp_path / "out"
@@ -296,7 +328,7 @@ def test_realized_assumption_violation_exits_2_after_writing(command, config, tm
         assert main(["validate", "--scenario", str(path)]) == 2
         validated = capsys.readouterr().err
         assert not out.exists()
-        command = "run"
+        command = "run" if "consensus" in config else "size-est"
     assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert f"wrote {out / 'summary.json'}" in captured.out
@@ -306,7 +338,7 @@ def test_realized_assumption_violation_exits_2_after_writing(command, config, tm
     (reason,) = window["bounds"]["reasons"]
     end = summary["horizon"]
     assert captured.err.splitlines() == [f"violated: {reason} (ticks 0-{end})"]
-    assert reason.startswith("cascade depth (1) is below the diameter")
+    assert reason.startswith(expected)
     assert validated in (None, captured.err)
 
 
@@ -600,12 +632,7 @@ def test_validate_invalid_config_exits_2(tmp_path, capsys):
     capsys.readouterr()
     # a sinusoid pushes the slope bound past alpha
     fast = tmp_path / "fast.yaml"
-    fast.write_text(
-        MINI_CONSENSUS.replace(
-            "3: {kind: constant, value: 0.8}",
-            "3: {kind: sinusoid, amplitude: 1.0, period: 10}",
-        )
-    )
+    fast.write_text(FAST_CONSENSUS)
     assert main(["validate", "--scenario", str(fast)]) == 2
     assert "alpha" in capsys.readouterr().err
 
@@ -627,8 +654,13 @@ def test_sweep_alpha_grid_monotone(tmp_path, capsys):
     with (out / "sweep.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert [r["value"] for r in rows] == ["0.01", "0.03", "0.06", "0.12"]
-    # alpha below the slope bound fails its point without failing the sweep
-    assert rows[0]["status"].startswith("error:")
+    # alpha below the slope bound runs, and its row says which assumption broke
+    slow = rows[0]
+    assert slow["status"].startswith(
+        "violated: decay alpha (0.01) must exceed the input slope bound (0.02)"
+    )
+    assert slow["epsilon_theory"] and slow["convergence_empirical"]
+    assert not slow["convergence_theory"]  # the bound gives no convergence time
     ok = rows[1:]
     assert all(r["status"] == "ok" for r in ok)
     eps = [float(r["epsilon_theory"]) for r in ok]

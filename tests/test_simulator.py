@@ -364,17 +364,23 @@ def test_make_scenario_takes_changes_as_boolean_masks():
 
 
 def test_make_scenario_enforces_assumptions():
+    """Changes closer than the dwell and a lost connection fail the load;
+    broken tuning loads, runs, and is each window's reason."""
     with pytest.raises(AssumptionViolation):
         line4_churn_scenario(dwell=15)  # changes 10 ticks apart
-    with pytest.raises(AssumptionViolation):
-        line4_churn_scenario(
-            params=ProtocolParams(mode="max", variant="approximate", alpha=0.01),
-            signals=(PiecewiseLinear(((0, 0.0), (10, 0.5))),) * 4,
-        )
-    with pytest.raises(AssumptionViolation):
-        line4_churn_scenario(
-            params=ProtocolParams(mode="max", variant="exact", delta=11), dwell=10
-        )
+    slow = line4_churn_scenario(
+        params=ProtocolParams(mode="max", variant="approximate", alpha=0.01),
+        signals=(PiecewiseLinear(((0, 0.0), (10, 0.5))),) * 4,
+    )
+    reason = "decay alpha (0.01) must exceed the input slope bound (0.05) for the error to shrink"
+    assert [w["bounds"]["reasons"] for w in run(slow).summary["windows"]] == [[reason]] * 3
+    deep = line4_churn_scenario(
+        params=ProtocolParams(mode="max", variant="exact", delta=11), dwell=10
+    )
+    reason = "dwell time (10) is shorter than the cascade depth (11)"
+    assert [w["bounds"]["reasons"] for w in run(deep).summary["windows"]] == [[reason]] * 3
+    with pytest.raises(ScenarioError, match="cascade depth 31 exceeds the horizon 30"):
+        line4_churn_scenario(params=ProtocolParams(mode="max", variant="exact", delta=31))
     # middle node removal disconnects the line
     with pytest.raises(ConnectivityLost):
         line4_churn_scenario(changes=[(10, {1, 2, 4})])
@@ -631,6 +637,33 @@ def test_write_outputs_respects_trace_options(tmp_path):
     assert set(paths) == {"summary"}
     assert not (tmp_path / "trace.csv").exists()
     assert not (tmp_path / "plotdata").exists()
+
+
+def test_write_outputs_leaves_no_artifact_of_an_earlier_run(tmp_path):
+    """A run written over another run's directory deletes the artifacts of
+    that run it does not rewrite (graphs of other window starts, a trace or
+    plot data switched off, the other kind's plot table) and nothing else."""
+    def files():
+        return sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+
+    write_outputs(run_size_estimation(dse_line5_scenario("approximate")), tmp_path)
+    write_outputs(run(line4_churn_scenario()), tmp_path)  # windows from ticks 0, 10 and 20
+    assert "plotdata/size_estimates.csv" not in files()
+    (tmp_path / "notes.txt").write_text("kept")
+    (tmp_path / "plotdata" / "graph_window_notes.txt").write_text("kept")
+    moved = line4_churn_scenario(changes=[(15, {1, 2, 3})], dwell=15)  # windows from 0 and 15
+    write_outputs(run(moved), tmp_path)
+    graphs = ["plotdata/graph_window_0.txt", "plotdata/graph_window_15.txt"]
+    kept = ["notes.txt", "plotdata/graph_window_notes.txt"]
+    table = "plotdata/state_trajectories.csv"
+    assert files() == sorted(["summary.json", "trace.csv", table, *graphs, *kept])
+    hidden = replace(moved, trace=TraceOptions(csv=False, plotdata=False))
+    write_outputs(run(hidden), tmp_path)
+    assert files() == sorted(["summary.json", *kept])
+    (tmp_path / kept[1]).unlink()
+    write_outputs(run(hidden), tmp_path)
+    assert files() == ["notes.txt", "summary.json"]
+    assert not (tmp_path / "plotdata").exists()  # an emptied plotdata/ goes too
 
 
 def test_format_floats_equals_repr():
