@@ -16,8 +16,9 @@ For the exact variant with cascade depth ``delta >= d`` both times equal
 Min-mode runs are bounded through the negation mirror (the simulator passes
 the gap of the negated values), so only the max formulas exist here.
 
-:func:`window_bounds` is the one variant dispatch.  A broken tuning condition
-is a reason in the report, never an exception.
+:func:`window_bounds` is the one entry to these formulas.  A broken tuning
+condition is a reason in the report, never an exception; ``ProtocolParams``
+has already checked ``alpha`` and ``delta``.
 
 :func:`audit_window` reads one window's realized errors against these
 formulas and returns one record: the measured times, the maxima, and the
@@ -36,14 +37,7 @@ import numpy as np
 
 from .protocols import ProtocolParams
 
-__all__ = [
-    "AssumptionViolation",
-    "BoundsReport",
-    "admc_bounds",
-    "edmc_bounds",
-    "window_bounds",
-    "audit_window",
-]
+__all__ = ["AssumptionViolation", "BoundsReport", "window_bounds", "audit_window"]
 
 # An error at most this far above the tracking band still counts as inside it.
 BAND_TOL = 1e-9
@@ -63,7 +57,6 @@ class BoundsReport:
     convergence_time: int | None
     tracking_bound: float
     steady_bound: float
-    assumptions_ok: bool
     reasons: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -71,6 +64,11 @@ class BoundsReport:
             raise ValueError("transient time cannot exceed convergence time")
         if self.steady_bound < 0 or self.tracking_bound < self.steady_bound:
             raise ValueError("bands must satisfy 0 <= steady <= tracking")
+
+    @property
+    def assumptions_ok(self) -> bool:
+        """Whether every tuning condition holds: no reason was recorded."""
+        return not self.reasons
 
     def to_dict(self) -> dict:
         return {
@@ -83,104 +81,68 @@ class BoundsReport:
         }
 
 
-def _ceil_ratio(gap: float, denom: float) -> int:
-    # float-noise guard: 1.8/0.01 evaluates a hair above 180
-    if gap <= 0.0:
-        return 0
-    return int(math.ceil(gap / denom - 1e-9))
-
-
-def _check_inputs(slope_bound: float, **spans: int | None) -> None:
-    """Reject a slope bound that is not finite and nonnegative, or a negative span."""
-    if not math.isfinite(slope_bound) or slope_bound < 0:
-        raise ValueError(f"slope bound must be a finite nonnegative number, got {slope_bound}")
-    for what, value in spans.items():
-        if value is not None and value < 0:
-            raise ValueError(f"{what} must be nonnegative, got {value}")
-
-
-def admc_bounds(
-    diameter: int,
-    alpha: float,
-    slope_bound: float,
-    gap: float,
-    dwell: int | None = None,
-) -> BoundsReport:
-    """Bounds for the approximate max protocol on one change window.
-
-    ``gap`` is the initial overshoot that the decay has to burn off: the
-    largest state at the change minus the input maximum, over agents and
-    coordinates; a negative gap counts as zero.  Pass ``slope_bound=0`` for
-    constant inputs.
-    """
-    _check_inputs(slope_bound, diameter=diameter, dwell=dwell)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not math.isfinite(gap):
-        raise ValueError(f"the initial gap must be a finite number, got {gap}")
-
-    reasons: list[str] = []
-    if alpha <= slope_bound:
-        reasons.append(
-            f"decay alpha ({alpha:.6g}) must exceed the input slope bound "
-            f"({slope_bound:.6g}) for the error to shrink"
-        )
-    if dwell is not None and dwell < diameter:
-        reasons.append(
-            f"dwell time ({dwell}) is shorter than the diameter ({diameter}); "
-            "information cannot cross the network between changes"
-        )
-
-    convergence: int | None = None
-    if alpha > slope_bound:
-        convergence = max(diameter, _ceil_ratio(gap, alpha - slope_bound))
-    return BoundsReport(
-        transient_time=diameter,
-        convergence_time=convergence,
-        tracking_bound=(diameter + 1) * slope_bound + alpha * diameter,
-        steady_bound=alpha * diameter,
-        assumptions_ok=not reasons,
-        reasons=tuple(reasons),
-    )
-
-
-def edmc_bounds(
-    delta: int,
-    slope_bound: float,
-    diameter: int | None = None,
-    dwell: int | None = None,
-) -> BoundsReport:
-    """Bounds for the exact cascade variant."""
-    _check_inputs(slope_bound, delta=delta, diameter=diameter, dwell=dwell)
-    reasons: list[str] = []
-    if diameter is not None and delta < diameter:
-        reasons.append(
-            f"cascade depth ({delta}) is below the diameter ({diameter}); "
-            "the top level cannot have heard from every agent"
-        )
-    if dwell is not None and dwell < delta:
-        reasons.append(
-            f"dwell time ({dwell}) is shorter than the cascade depth ({delta})"
-        )
-    return BoundsReport(
-        transient_time=delta,
-        convergence_time=delta,
-        tracking_bound=(delta + 1) * slope_bound,
-        steady_bound=0.0,
-        assumptions_ok=not reasons,
-        reasons=tuple(reasons),
-    )
-
-
 def window_bounds(
     params: ProtocolParams, slope_bound: float,
     diameter: int | None, dwell: int | None, gap: float = 0.0,
 ) -> BoundsReport:
-    """Bounds of one window under ``params``; only the approximate variant
-    reads ``gap``, the max-side initial overshoot, as :func:`admc_bounds`."""
+    """Bounds of one window under ``params``, by the formulas above.
+
+    ``gap`` is the approximate variant's initial overshoot: the largest
+    state at the window's first tick minus the input maximum, over agents
+    and coordinates; a negative gap counts as zero.  The exact variant
+    ignores it, and checks its depth against ``diameter`` only when one is
+    given.  Pass ``slope_bound=0`` for constant inputs.
+    """
+    if not math.isfinite(slope_bound) or slope_bound < 0:
+        raise ValueError(f"slope bound must be a finite nonnegative number, got {slope_bound}")
+    for what, value in (("diameter", diameter), ("dwell", dwell)):
+        if value is not None and value < 0:
+            raise ValueError(f"{what} must be nonnegative, got {value}")
+
+    reasons: list[str] = []
     if params.variant == "exact":
-        return edmc_bounds(params.delta, slope_bound, diameter=diameter, dwell=dwell)
-    return admc_bounds(diameter, params.alpha, slope_bound, gap, dwell=dwell)
+        delta = params.delta
+        if diameter is not None and delta < diameter:
+            reasons.append(
+                f"cascade depth ({delta}) is below the diameter ({diameter}); "
+                "the top level cannot have heard from every agent"
+            )
+        if dwell is not None and dwell < delta:
+            reasons.append(
+                f"dwell time ({dwell}) is shorter than the cascade depth ({delta})"
+            )
+        transient = convergence = delta
+        tracking, steady = (delta + 1) * slope_bound, 0.0
+    else:
+        alpha = params.alpha
+        if diameter is None:
+            raise ValueError("the approximate variant's bounds need the diameter")
+        if not math.isfinite(gap):
+            raise ValueError(f"the initial gap must be a finite number, got {gap}")
+        convergence = None
+        if alpha > slope_bound:
+            margin = alpha - slope_bound
+            ticks = max(gap, 0.0) / margin
+            if not math.isfinite(ticks):
+                raise ValueError(
+                    f"the initial gap ({gap:.6g}) over the margin alpha - slope bound "
+                    f"({margin:.6g}) overflows the convergence time"
+                )
+            # float-noise guard: 1.8/0.01 evaluates a hair above 180
+            convergence = max(diameter, math.ceil(ticks - 1e-9))
+        else:
+            reasons.append(
+                f"decay alpha ({alpha:.6g}) must exceed the input slope bound "
+                f"({slope_bound:.6g}) for the error to shrink"
+            )
+        if dwell is not None and dwell < diameter:
+            reasons.append(
+                f"dwell time ({dwell}) is shorter than the diameter ({diameter}); "
+                "information cannot cross the network between changes"
+            )
+        transient = diameter
+        tracking, steady = (diameter + 1) * slope_bound + alpha * diameter, alpha * diameter
+    return BoundsReport(transient, convergence, tracking, steady, tuple(reasons))
 
 
 def audit_window(errors: Sequence[float], report: BoundsReport) -> dict:

@@ -281,7 +281,7 @@ def make_scenario(
     get back their reference edges to active neighbors, and one search of its
     layout gives its diameter, infinite when it is disconnected.  ``signals``
     and ``initial_states`` give one entry per slot, in ``reference.ids`` order.
-    All dwell-spacing, connectivity, coverage, and budget checks happen here,
+    All dwell-spacing, connectivity, coverage, spread and budget checks happen here,
     so config loading and programmatic construction share one gatekeeper;
     broken tuning loads, as a reason of :func:`bounds.window_bounds`.
     """
@@ -387,6 +387,13 @@ def make_scenario(
         if states.shape != (reference.n,) or not np.isfinite(states).all():
             raise ScenarioError(f"initial states must be {reference.n} finite numbers, one a slot")
         states.flags.writeable = False
+    if inputs is not None:  # a state never leaves [lo, hi], which bounds every error and gap
+        lo, hi = float(inputs.min()), float(inputs.max())
+        for key, values in (("signals", None), ("initial_states", states)):
+            if values is not None:
+                lo, hi = min(lo, float(values.min())), max(hi, float(values.max()))
+            if not math.isfinite(hi - lo):
+                raise ScenarioError(f"{key}: the values span [{lo}, {hi}], wider than a float holds")
 
     return Scenario(
         name=str(name),

@@ -29,7 +29,6 @@ import numpy as np
 __all__ = [
     "mle_estimate",
     "exp_scaled_expn",
-    "upper_incomplete_gamma",
     "expected_estimate_edmc",
     "expected_estimate_admc",
     "MonteCarloResult",
@@ -107,31 +106,6 @@ def exp_scaled_expn(order: int, x: float) -> float:
         if abs(term) < abs(ans) * 1e-17:
             return ans * math.exp(x)
     raise RuntimeError(f"series failed to converge for E_{n}({x})")
-
-
-def upper_incomplete_gamma(a: float, x: float) -> float:
-    """Upper incomplete gamma ``integral_x^inf t^(a-1) e^-t dt`` for ``x > 0``
-    and an integer order ``a``, which covers the closed form's ``Gamma(1 - p, .)``.
-
-    Zero and negative orders, where the ordinary gamma function has poles,
-    route through the exponential integral (``Gamma(1-n, x) = x^(1-n)
-    E_n(x)``); positive ones are a finite sum.  A non-integer order raises
-    ``ValueError``.
-    """
-    if not x > 0.0:
-        raise ValueError("x must be positive")
-    if not float(a).is_integer():
-        raise ValueError(f"the order must be an integer, got {a}")
-    ai = int(a)
-    if ai <= 0:
-        return math.exp(ai * math.log(x) - x) * exp_scaled_expn(1 - ai, x)
-    # finite sum: Gamma(n, x) = (n-1)! e^-x sum_{k<n} x^k / k!
-    term = math.exp(-x)
-    total = term
-    for k in range(1, ai):
-        term *= x / k
-        total += term
-    return math.factorial(ai - 1) * total
 
 
 def expected_estimate_edmc(n: int, p: int) -> float:

@@ -615,6 +615,70 @@ def test_non_finite_signal_numbers_exit_1(old, new, section, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+SPREAD = """
+kind: consensus
+seed: 1
+horizon: 10
+protocol: {mode: min, variant: exact, delta: 1}
+topology: {kind: line, n: 2}
+signals: {default: {kind: constant, value: -1.0e+308}, agents: {2: {kind: constant, value: 1.0e+308}}}
+"""
+STATES_SPREAD = SPREAD.replace("value: 1.0e+308", "value: -1.0e+308") + "initial_states: [1.7e+308, 0.0]\n"
+
+
+@pytest.mark.parametrize(
+    "protocol", ["variant: exact, delta: 1", "variant: approximate, alpha: 0.5"],
+    ids=["exact", "approximate"],
+)
+@pytest.mark.parametrize(
+    "config, section", [(SPREAD, "signals"), (STATES_SPREAD, "initial_states")],
+    ids=["signals", "initial-states"],
+)
+def test_values_whose_spread_overflows_exit_1(config, section, protocol, tmp_path, capsys):
+    # each value is finite, but their spread is not: every error and gap of the
+    # run would be, and the summary once held Infinity with exit 0
+    bad = tmp_path / "spread.yaml"
+    bad.write_text(config.replace("variant: exact, delta: 1", protocol))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # nothing overflows on the way
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "Traceback" not in err
+    assert err.startswith(f"error: {section}: the values span [") and "float" in err
+    assert not (tmp_path / "out").exists()
+    # a spread just inside the float range loads
+    bad.write_text(bad.read_text().replace("1.0e+308", "0.8e+308").replace("1.7e+308", "0.8e+308"))
+    assert main(["validate", "--scenario", str(bad)]) == 0
+
+
+OVERFLOWING_GAP = """
+kind: consensus
+seed: 1
+horizon: 10
+protocol: {mode: max, variant: approximate, alpha: 0.5}
+topology: {kind: line, n: 2}
+signals: {slope_bound: 0.49999, default: {kind: constant, value: 0.0}}
+initial_states: [1.0e+308, 0.0]
+"""
+
+
+def test_a_convergence_time_past_the_float_range_exits_1(tmp_path, capsys):
+    # 1e308 / (0.5 - 0.49999) ticks once reached int() as inf: a traceback
+    argv = "bounds --variant approximate --diameter 3 --alpha 0.5 --slope 0.49999 --gap 1e308"
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert "tracking_bound" not in captured.out
+    assert captured.err.startswith("error: the initial gap (1e+308) over the margin")
+    bad = tmp_path / "gap.yaml"
+    bad.write_text(OVERFLOWING_GAP)
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the initial gap (1e+308) over the margin")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_size_est_rejects_min_mode(tmp_path, capsys):
     # the estimator reads the coordinatewise maxima, so it needs max consensus
     low = tmp_path / "low.yaml"

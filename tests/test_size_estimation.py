@@ -1,4 +1,4 @@
-"""Estimator math: draws, MLE, incomplete gamma, expectations, Monte Carlo."""
+"""Estimator math: draws, MLE, the scaled exponential integral, expectations, Monte Carlo."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from openmax.size_estimation import (
     expected_estimate_admc,
     expected_estimate_edmc,
     mle_estimate,
-    upper_incomplete_gamma,
 )
 
 from util import dse_generate, worst_case_estimates_reference
@@ -81,36 +80,6 @@ def test_exp_scaled_expn_survives_huge_arguments():
         exp_scaled_expn(0, 1.0)
     with pytest.raises(ValueError):
         exp_scaled_expn(3, 0.0)
-
-
-def test_upper_incomplete_gamma_at_a_one_is_exp():
-    for x in (0.1, 1.0, 10.0, 100.0):
-        assert upper_incomplete_gamma(1, x) == pytest.approx(math.exp(-x), rel=1e-14)
-
-
-def test_upper_incomplete_gamma_negative_integer_example():
-    got = upper_incomplete_gamma(-1, 1.0)
-    oracle, quad_err = integrate.quad(lambda t: t**-2 * math.exp(-t), 1, np.inf)
-    assert quad_err < 1e-8
-    assert got == pytest.approx(oracle, rel=1e-9)
-    assert got == pytest.approx(0.148496, abs=1e-6)
-
-
-def test_upper_incomplete_gamma_recurrence_grid():
-    # Gamma(a+1, x) = a Gamma(a, x) + x^a e^-x across the sign change
-    for a in range(-10, 6):
-        for x in (0.1, 1.0, 10.0, 100.0):
-            lhs = upper_incomplete_gamma(a + 1, x)
-            rhs = a * upper_incomplete_gamma(a, x) + math.exp(a * math.log(x) - x)
-            assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_upper_incomplete_gamma_non_integer_orders():
-    with pytest.raises(ValueError):
-        upper_incomplete_gamma(2.0, 0.0)
-    for a in (0.5, -1.5):
-        with pytest.raises(ValueError, match="integer"):
-            upper_incomplete_gamma(a, 1.0)
 
 
 def test_expected_estimate_edmc():
